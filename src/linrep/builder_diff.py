@@ -14,9 +14,9 @@ Two builders cover the two supported target shapes: one for targets
 with infinite values (driven by a single long plentiful sequence), one
 for all-finite targets (driven by a supplier of fresh plentiful
 sequences with large term ratios).  Both make deterministic minimal
-choices and verify every step with the exhaustive counting oracle;
-since no retry can fix a forced choice, a failed check raises a bug
-signal instead of looping.
+choices and verify every step by exhaustively counting the classes its
+block adds; since no retry can fix a forced choice, a failed check
+raises a bug signal instead of looping.
 """
 
 from __future__ import annotations
@@ -34,7 +34,14 @@ from .errors import (
     SupplyExhaustedError,
 )
 from .forms import LinearForm
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, RepProfile, class_counts
+from .repcount import (
+    DEFAULT_TUPLE_BUDGET,
+    GroundSet,
+    RepProfile,
+    class_count_delta,
+    class_counts,
+    merge_counts,
+)
 
 DIFFERENCE_FORM = LinearForm((1, -1))
 
@@ -269,11 +276,14 @@ def _assert_diff_preconditions(target: TargetFunction) -> None:
     report = check_even_normalized(target)
     if not report.ok:
         raise PreconditionViolationError("even-normalized", str(report))
+    report = check_three_rep_obstruction(target)
+    if not report.ok:
+        raise PreconditionViolationError("three-rep", str(report))
 
 
 def _verify_diff_step(
-    counts: dict[int, int],
     old_counts: dict[int, int],
+    delta: dict[int, int],
     target_fn: TargetFunction,
     entry: tuple[int, int],
     allowed_double: Callable[[int], bool],
@@ -281,32 +291,36 @@ def _verify_diff_step(
 ) -> None:
     """Shared oracle checks after one difference-form step; raises on failure.
 
-    ``exempt`` values skip the increment-size analysis (a batch step fills
-    its target value all the way in one go; the caller checks the exact
-    fill separately).
+    ``old_counts`` were verified by the previous step and ``delta`` holds
+    the step's new classes, so only the values in ``delta`` (and their
+    mirrors) can break an invariant.  ``exempt`` values skip the
+    increment-size analysis (a batch step fills its target value all the
+    way in one go; the caller checks the exact fill separately).
     """
     t, copy_index = entry
-    if counts.get(0, 0) != 1:
-        raise ConstructionBugError(f"count at 0 is {counts.get(0, 0)}, expected 1")
-    for n, c in counts.items():
-        if c != counts.get(-n, 0):
+
+    def count(n: int) -> int:
+        return old_counts.get(n, 0) + delta.get(n, 0)
+
+    if count(0) != 1:
+        raise ConstructionBugError(f"count at 0 is {count(0)}, expected 1")
+    for n in delta:
+        c = count(n)
+        if c != count(-n):
             raise ConstructionBugError(
-                f"counts not even-symmetric at {n}: {c} vs {counts.get(-n, 0)}"
+                f"counts not even-symmetric at {n}: {c} vs {count(-n)}"
             )
         if c > target_fn.value_at(n):
             raise ConstructionBugError(
                 f"count {c} exceeds target {target_fn.value_at(n)} at {n}"
             )
-    for n, c in counts.items():
-        old = old_counts.get(n, 0)
-        delta = c - old
-        if delta < 0:
-            raise ConstructionBugError(f"count dropped at {n}")
+    for n, d in delta.items():
         if n in exempt:
             continue
-        if delta > 2:
-            raise ConstructionBugError(f"count jumped by {delta} at {n}")
-        if delta == 2:
+        if d > 2:
+            raise ConstructionBugError(f"count jumped by {d} at {n}")
+        if d == 2:
+            old = old_counts.get(n, 0)
             if old != 0:
                 raise ConstructionBugError(
                     f"count rose by 2 at {n} on top of {old} existing classes"
@@ -315,7 +329,7 @@ def _verify_diff_step(
                 raise ConstructionBugError(
                     f"unexpected double increment at {n}"
                 )
-    if counts.get(t, 0) < copy_index + 1:
+    if count(t) < copy_index + 1:
         raise ConstructionBugError(
             f"target {t} copy {copy_index} still uncovered after the step"
         )
@@ -414,15 +428,15 @@ def build_infinite_case(
                 f"step {k}: pair ({x}, {y}) collides with the current set"
             )
 
-        merged = elements.union((x, y))
-        new_counts = class_counts(DIFFERENCE_FORM, merged, budget)
+        delta = class_count_delta(DIFFERENCE_FORM, elements, (x, y), budget)
         _verify_diff_step(
-            new_counts,
             counts,
+            delta,
             target,
             entry,
             allowed_double=lambda v: abs(v) in sigma_all,
         )
+        merge_counts(counts, delta)
 
         if fv > 1:
             anchor_entry = (x, y, witness if witness is not None else 1)
@@ -439,14 +453,13 @@ def build_infinite_case(
                 gamma=1,
                 block=(x, y),
                 witness=witness,
-                support_size=len(new_counts),
+                support_size=len(counts),
                 representations=tuple((a, b) for a, b, _ in ledger.get(t, [])),
             )
         )
         blocks.append((x, y))
         covered.append(entry)
-        elements = merged
-        counts = new_counts
+        elements = elements.union((x, y))
 
     return DiffConstructionState(
         blocks=tuple(blocks),
@@ -558,20 +571,20 @@ def build_unbounded_case(
                 f"step {k}: batch {block} collides with the current set"
             )
 
-        merged = elements.union(block)
-        new_counts = class_counts(DIFFERENCE_FORM, merged, budget)
+        delta = class_count_delta(DIFFERENCE_FORM, elements, block, budget)
         _verify_diff_step(
-            new_counts,
             counts,
+            delta,
             target,
             entry,
             allowed_double=lambda v: target.value_at(v) > 1,
             exempt=frozenset((t, -t)),
         )
-        if new_counts.get(t, 0) != fv or new_counts.get(-t, 0) != fv:
+        merge_counts(counts, delta)
+        if counts.get(t, 0) != fv or counts.get(-t, 0) != fv:
             raise ConstructionBugError(
                 f"step {k}: counts at +-{t} are "
-                f"({new_counts.get(t, 0)}, {new_counts.get(-t, 0)}), expected {fv}"
+                f"({counts.get(t, 0)}, {counts.get(-t, 0)}), expected {fv}"
             )
 
         records.append(
@@ -584,14 +597,13 @@ def build_unbounded_case(
                 gamma=gamma,
                 block=block,
                 witness=None,
-                support_size=len(new_counts),
+                support_size=len(counts),
                 representations=tuple(zip(xs, ys)),
             )
         )
         blocks.append(block)
         covered.append(entry)
-        elements = merged
-        counts = new_counts
+        elements = elements.union(block)
 
     return DiffConstructionState(
         blocks=tuple(blocks),

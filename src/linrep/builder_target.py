@@ -5,8 +5,9 @@ infinite), given as an explicit window of values plus a default for
 everything else; its zero set must be an explicit finite list inside the
 window.  The builder walks a fair enumeration of the multiset holding
 f(n) copies of n and, per step, appends one block giving the current
-entry a fresh representation class, verified exhaustively so that no
-count ever exceeds its target and the zero set stays unrepresented.
+entry a fresh representation class, verified by exhaustively counting the
+classes the block adds, so that no count ever exceeds its target and the
+zero set stays unrepresented.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ from .errors import (
     RetryExhaustedError,
 )
 from .forms import LinearForm, bezout_witness, is_partition_regular, is_primitive, spiral
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts
+from .repcount import (
+    DEFAULT_TUPLE_BUDGET,
+    GroundSet,
+    class_count_delta,
+    class_counts,
+    merge_counts,
+)
 
 INFINITY: float = math.inf
 
@@ -124,7 +131,7 @@ class TargetFunction:
         if (
             not isinstance(window, list)
             or len(window) != 2
-            or not all(isinstance(b, int) for b in window)
+            or not all(isinstance(b, int) and not isinstance(b, bool) for b in window)
         ):
             raise ValueError('target file needs "window": [lo, hi]')
 
@@ -258,35 +265,36 @@ def _verify_target_step(
     frozen_numbers: set[int],
     entry: tuple[int, int],
     budget: int,
-) -> tuple[Optional[Violation], Optional[dict[int, int]], Optional[GroundSet]]:
-    """Oracle check for one target-realization step.
+) -> tuple[Optional[Violation], Optional[dict[int, int]]]:
+    """Oracle check for one target-realization step; returns (violation, delta).
 
     Requires: candidate elements pairwise distinct and new; counts never
     exceed the target anywhere; the zero set stays unrepresented; counts of
     numbers already scheduled earlier in the ordering do not move (except
     the current target's); and the current entry's copy is now covered.
+    ``old_counts`` were verified already, so only the values the block's
+    new classes touch are checked.
     """
     t, copy_index = entry
     seen: set[int] = set()
     for v in candidate:
         if v in seen:
-            return Violation("duplicate-in-block", v), None, None
+            return Violation("duplicate-in-block", v), None
         seen.add(v)
         if v in elements:
-            return Violation("collision-with-existing", v), None, None
-    merged = elements.union(candidate)
-    counts = class_counts(form, merged, budget)
-    for n, c in counts.items():
-        if c > target_fn.value_at(n):
-            return Violation("count-exceeds-target", n), None, None
+            return Violation("collision-with-existing", v), None
+    delta = class_count_delta(form, elements, candidate, budget)
+    for n, d in delta.items():
+        if old_counts.get(n, 0) + d > target_fn.value_at(n):
+            return Violation("count-exceeds-target", n), None
         if n in target_fn.zero_set:
-            return Violation("zero-set-hit", n), None, None
-    for n in frozen_numbers:
-        if n != t and counts.get(n, 0) != old_counts.get(n, 0):
-            return Violation("frozen-count-changed", n), None, None
-    if counts.get(t, 0) < copy_index + 1:
-        return Violation("target-copy-missed", t), None, None
-    return None, counts, merged
+            return Violation("zero-set-hit", n), None
+    for n in delta:
+        if n != t and n in frozen_numbers:
+            return Violation("frozen-count-changed", n), None
+    if old_counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
+        return Violation("target-copy-missed", t), None
+    return None, delta
 
 
 def build_for_target(
@@ -365,9 +373,9 @@ def build_for_target(
                 violation: Optional[Violation] = Violation(
                     "duplicate-in-block", None
                 )
-                new_counts = merged = None
+                delta = None
             else:
-                violation, new_counts, merged = _verify_target_step(
+                violation, delta = _verify_target_step(
                     form,
                     state.elements,
                     block,
@@ -387,6 +395,7 @@ def build_for_target(
                     "trace:\n" + "\n".join(trail)
                 )
             m *= 2
+        merge_counts(counts, delta)
         record = StepRecord(
             step=k,
             target=t,
@@ -397,10 +406,9 @@ def build_for_target(
             remainder=remainder,
             shift=shift,
             block=block,
-            support_size=len(new_counts),
+            support_size=len(counts),
             copy_index=copy_index,
         )
         state = state.extended(block, t, m, retries, record)
-        counts = new_counts
         frozen_numbers.add(t)
     return state

@@ -5,8 +5,8 @@ new target integer (the spiral-least one not yet represented) while keeping
 every representation count at most 1.  Blocks are proposed from a ladder of
 rapidly growing positive offsets plus a Bezout correction; correctness is
 not argued from the growth constant but checked outright by the exhaustive
-counting oracle, with the growth constant doubled and the block reproposed
-whenever the check fails.
+counting oracle (each step counts the classes its block adds), with the
+growth constant doubled and the block reproposed whenever the check fails.
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ from .errors import (
     RetryExhaustedError,
 )
 from .forms import LinearForm, bezout_witness, is_primitive, spiral
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts
+from .repcount import (
+    DEFAULT_TUPLE_BUDGET,
+    GroundSet,
+    class_count_delta,
+    class_counts,
+    merge_counts,
+)
 
 DEFAULT_RETRY_CAP = 64
 
@@ -253,32 +259,36 @@ def propose_block(
 def _check_candidate(
     form: LinearForm,
     elements: GroundSet,
+    counts: dict[int, int],
     candidate: tuple[int, ...],
     target: int,
     half_line: Optional[int],
     budget: int,
-) -> tuple[Optional[Violation], Optional[dict[int, int]], Optional[GroundSet]]:
-    """Full oracle check of a candidate block against the current set."""
+) -> tuple[Optional[Violation], Optional[dict[int, int]]]:
+    """Oracle check of a candidate block; returns (violation, count delta).
+
+    ``counts`` are the verified counts of ``elements``; only the values the
+    block's new classes touch can change, so only those are checked.
+    """
     seen: set[int] = set()
     for v in candidate:
         if v in seen:
-            return Violation("duplicate-in-block", v), None, None
+            return Violation("duplicate-in-block", v), None
         seen.add(v)
     for v in candidate:
         if v in elements:
-            return Violation("collision-with-existing", v), None, None
+            return Violation("collision-with-existing", v), None
     if half_line is not None:
         low = min(candidate)
         if low < half_line:
-            return Violation("below-half-line-bound", low), None, None
-    merged = elements.union(candidate)
-    counts = class_counts(form, merged, budget)
-    for n, c in counts.items():
-        if c > 1:
-            return Violation("double-representation", n), None, None
-    if counts.get(target, 0) != 1:
-        return Violation("target-unrepresented", target), None, None
-    return None, counts, merged
+            return Violation("below-half-line-bound", low), None
+    delta = class_count_delta(form, elements, candidate, budget)
+    for n, d in delta.items():
+        if counts.get(n, 0) + d > 1:
+            return Violation("double-representation", n), None
+    if counts.get(target, 0) + delta.get(target, 0) != 1:
+        return Violation("target-unrepresented", target), None
+    return None, delta
 
 
 def verify_block(
@@ -291,12 +301,13 @@ def verify_block(
     """None when the block keeps every count at most 1 and hits the target.
 
     Rejects blocks with internal duplicates or collisions with existing
-    elements, then recounts the whole extended set exhaustively.  A
-    violation names the doubly-represented integer (or the offending
-    element).
+    elements, then counts the classes the block adds on top of an
+    exhaustive count of the current set.  A violation names the
+    doubly-represented integer (or the offending element).
     """
-    violation, _, _ = _check_candidate(
-        form, state.elements, candidate, target, state.half_line_bound, budget
+    counts = class_counts(form, state.elements, budget)
+    violation, _ = _check_candidate(
+        form, state.elements, counts, candidate, target, state.half_line_bound, budget
     )
     return violation
 
@@ -387,8 +398,8 @@ def build(
                 half_line=half_line,
                 attempt=retries,
             )
-            violation, new_counts, merged = _check_candidate(
-                builder_form, state.elements, block, target, half_line, budget
+            violation, delta = _check_candidate(
+                builder_form, state.elements, counts, block, target, half_line, budget
             )
             if violation is None:
                 break
@@ -400,6 +411,7 @@ def build(
                     "trace:\n" + "\n".join(trail)
                 )
             m *= 2
+        merge_counts(counts, delta)
         record = StepRecord(
             step=k,
             target=target,
@@ -410,8 +422,7 @@ def build(
             remainder=remainder,
             shift=shift,
             block=block,
-            support_size=len(new_counts),
+            support_size=len(counts),
         )
         state = state.extended(block, target, m, retries, record)
-        counts = new_counts
     return state

@@ -426,6 +426,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.budget < 0:
+            raise ValueError(f"--budget must be non-negative, got {args.budget}")
         return args.func(args)
     except (FormParseError, json.JSONDecodeError) as exc:
         print(_dump({"ok": False, "error": type(exc).__name__, "message": str(exc)}))

@@ -7,6 +7,12 @@ value -> coefficient-sum with zero sums removed.  Counting classes per
 represented integer is done by brute-force enumeration of all |A|^h
 ordered tuples; a finite set represents finitely many integers, so the
 full support is always available.
+
+When a disjoint block B joins a set A, the only new classes are those
+whose support meets B: a class whose B-positions cancel value by value
+is also realized by sending each cancelling group of positions to one
+element of A.  ``class_count_delta`` counts just those classes, walking
+only the tuples with at least one entry in B.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ArityMismatchError, BudgetExceededError
 from .forms import LinearForm
@@ -28,6 +35,7 @@ class GroundSet:
     """A finite set of distinct integers, stored sorted ascending."""
 
     elements: tuple[int, ...]
+    _members: frozenset[int] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "GroundSet":
@@ -37,6 +45,7 @@ class GroundSet:
         elems = tuple(self.elements)
         if len(set(elems)) != len(elems) or tuple(sorted(elems)) != elems:
             object.__setattr__(self, "elements", tuple(sorted(set(elems))))
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -45,7 +54,7 @@ class GroundSet:
         return len(self.elements)
 
     def __contains__(self, value: int) -> bool:
-        return value in self.elements
+        return value in self._members
 
     def max_abs(self) -> int:
         """Largest absolute value, or 0 for the empty set."""
@@ -184,6 +193,78 @@ def _general_counts(coeffs: tuple[int, ...], elements: tuple[int, ...]) -> dict[
             total += a * x
             weights[x] = weights.get(x, 0) + a
         buckets[total].add(frozenset(kv for kv in weights.items() if kv[1]))
+    return {n: len(classes) for n, classes in buckets.items()}
+
+
+def class_count_delta(
+    form: LinearForm,
+    base: GroundSet,
+    block: Sequence[int],
+    budget: int = DEFAULT_TUPLE_BUDGET,
+) -> dict[int, int]:
+    """Map n -> number of new classes when ``block`` joins ``base``.
+
+    ``block`` must be duplicate-free and disjoint from ``base``; then
+    ``class_counts`` of the union is ``class_counts(base)`` plus this map,
+    value by value.  Only tuples with at least one entry in the block are
+    visited, split by the first block position:
+    base^i x block x (base+block)^(h-1-i).  The budget rule is the one of
+    ``class_counts`` on the union, |base + block|^h.
+    """
+    new = tuple(block)
+    if len(set(new)) != len(new) or any(v in base for v in new):
+        raise ValueError("block must be duplicate-free and disjoint from the base set")
+    coeffs = form.coefficients
+    _check_budget(len(base) + len(new), len(coeffs), budget)
+    if not new:
+        return {}
+    if len(set(coeffs)) == 1:
+        return _uniform_delta(coeffs[0], len(coeffs), base.elements, new)
+    return _general_delta(coeffs, base.elements, new)
+
+
+def merge_counts(counts: dict[int, int], delta: dict[int, int]) -> None:
+    """Add a ``class_count_delta`` result into ``counts`` in place."""
+    for n, d in delta.items():
+        counts[n] = counts.get(n, 0) + d
+
+
+def _uniform_delta(
+    coeff: int, arity: int, old: tuple[int, ...], new: tuple[int, ...]
+) -> dict[int, int]:
+    # classes are value multisets; the new ones hold j >= 1 block values
+    counts: dict[int, int] = defaultdict(int)
+    for j in range(1, arity + 1):
+        old_sums = [sum(c) for c in combinations_with_replacement(old, arity - j)]
+        for combo in combinations_with_replacement(new, j):
+            s = sum(combo)
+            for o in old_sums:
+                counts[coeff * (s + o)] += 1
+    return dict(counts)
+
+
+def _general_delta(
+    coeffs: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]
+) -> dict[int, int]:
+    fresh = frozenset(new)
+    both = old + new
+    arity = len(coeffs)
+    buckets: dict[int, set] = defaultdict(set)
+    for i in range(arity):
+        for tup in product(*([old] * i + [new] + [both] * (arity - 1 - i))):
+            total = sum(map(mul, coeffs, tup))
+            if len(set(tup)) == arity:
+                # distinct values keep their own non-zero weights, and one
+                # of them lies in the block
+                buckets[total].add(frozenset(zip(tup, coeffs)))
+                continue
+            weights: dict[int, int] = {}
+            for a, x in zip(coeffs, tup):
+                weights[x] = weights.get(x, 0) + a
+            key = frozenset(kv for kv in weights.items() if kv[1])
+            # a class missing the block is realized inside a non-empty base
+            if not old or any(x in fresh for x, _ in key):
+                buckets[total].add(key)
     return {n: len(classes) for n, classes in buckets.items()}
 
 

@@ -31,6 +31,12 @@ def even_values(pairs):
     return values
 
 
+def assert_support_sizes(state):
+    for k, record in enumerate(state.records, start=1):
+        prefix = GroundSet.of(v for blk in state.blocks[: k + 1] for v in blk)
+        assert record.support_size == len(class_counts(DIFFERENCE_FORM, prefix))
+
+
 def inf_off_zero(window=4):
     return TargetFunction.make(
         (-window, window), values={0: 1}, default=INFINITY
@@ -147,8 +153,9 @@ class TestBuildInfiniteCase:
             build_infinite_case(t, PlentifulSequence((1,)), 2)
 
     def test_rejects_non_plentiful_sequence(self):
+        # the doubled values at +-6 keep the three-rep obstruction away
         t = TargetFunction.make(
-            (-6, 6), values={0: 1, 5: INFINITY, -5: INFINITY}, default=1
+            (-6, 6), values={0: 1, 5: INFINITY, -5: INFINITY, 6: 2, -6: 2}, default=1
         )
         with pytest.raises(PreconditionViolationError, match="plentiful"):
             build_infinite_case(t, PlentifulSequence((1,)), 2)
@@ -173,10 +180,11 @@ class TestBuildInfiniteCase:
             assert max(record.block) > bound
 
     def test_single_count_target_adds_exactly_one_class(self):
-        # only the two infinite values ever chain; a plain value gets one
+        # only values allowed above 1 ever chain; a plain value gets one
         # fresh pair and nothing else moves except mirrored fresh counts
+        # (the doubled values at +-6 keep the three-rep obstruction away)
         target = TargetFunction.make(
-            (-6, 6), values={0: 1, 5: INFINITY, -5: INFINITY}, default=1
+            (-6, 6), values={0: 1, 5: INFINITY, -5: INFINITY, 6: 2, -6: 2}, default=1
         )
         seq = PlentifulSequence((5,))
         state = build_infinite_case(target, seq, 1)
@@ -184,6 +192,11 @@ class TestBuildInfiniteCase:
         assert target.value_at(record.target) == 1
         counts = class_counts(DIFFERENCE_FORM, state.elements)
         assert counts.get(record.target) == 1
+
+    def test_support_size_matches_prefix_recount(self):
+        seq = PlentifulSequence(tuple(2**i for i in range(1, 200)))
+        state = build_infinite_case(inf_off_zero(), seq, 10)
+        assert_support_sizes(state)
 
     def test_ledger_anchors_strictly_increase(self):
         target = inf_off_zero()
@@ -255,6 +268,21 @@ class TestBuildUnboundedCase:
             assert counts.get(record.target) == fv
             assert counts.get(-record.target) == fv
         assert all(c <= target.value_at(n) for n, c in counts.items())
+
+    def test_support_size_matches_prefix_recount(self):
+        W = 1_100_000
+        values = even_values(
+            [(2, 2), (3, 3), (552, 2), (41568, 2), (997632, 2), (1039200, 2)]
+        )
+        target = TargetFunction.make((-W, W), values=values, default=1)
+        state = build_unbounded_case(target, window_plentiful_supply(target), 12)
+        assert {r.gamma for r in state.records} == {1, 2, 3}
+        assert_support_sizes(state)
+
+    def test_three_rep_obstruction_checked_up_front(self):
+        target = TargetFunction.make((-5, 5), values=even_values([(3, 3)]))
+        with pytest.raises(PreconditionViolationError, match="three-rep"):
+            build_unbounded_case(target, window_plentiful_supply(target), 1)
 
 
 class TestWindowSupply:

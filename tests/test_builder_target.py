@@ -209,6 +209,16 @@ class TestBuildForTarget:
         for record in state.records:
             assert final.get(record.target, 0) >= record.copy_index + 1
 
+    def test_support_size_matches_prefix_recount(self):
+        form = LinearForm.parse("1,2")
+        target = TargetFunction.make(
+            (-20, 20), values={n: 2 for n in range(-20, 21)}, default=1, zeros=(7,)
+        )
+        state = build_for_target(form, target, 10)
+        for k, record in enumerate(state.records, start=1):
+            prefix = GroundSet.of(v for blk in state.blocks[: k + 1] for v in blk)
+            assert record.support_size == len(class_counts(form, prefix))
+
     def test_zero_set_avoided_every_prefix(self):
         form = LinearForm.parse("1,1,1")
         target = TargetFunction.make((-30, 30), zeros=(5, -9))

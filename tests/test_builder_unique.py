@@ -188,6 +188,13 @@ class TestBuild:
                 seen.add(v)
         assert seen == set(state.elements)
 
+    def test_support_size_matches_prefix_recount(self):
+        form = LinearForm.parse("1,2,-3")
+        state = build(form, 6)
+        for k, record in enumerate(state.records, start=1):
+            prefix = GroundSet.of(v for blk in state.blocks[: k + 1] for v in blk)
+            assert record.support_size == len(class_counts(form, prefix))
+
     def test_trace_records_shape(self):
         form = LinearForm.parse("1,1")
         state = build(form, 3)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from linrep import GroundSet, INFINITY, PlentifulSequence, TargetFunction
 from linrep.cli import main
 
@@ -92,6 +94,17 @@ class TestBuildVerifyRoundTrip:
         code, _ = run(capsys, "build", "--form", "2,4", "--steps", "3")
         assert code == 3
 
+    def test_budget_overrun_exit_code(self, capsys):
+        # the second block makes the set 7 elements, 7^3 = 343 tuples
+        code, out = run(capsys, "build", "--form", "1,1,1", "--steps", "5", "--budget", "100")
+        assert code == 4
+        assert json.loads(out)["required"] == "343"
+
+    def test_negative_budget_is_parse_error(self, capsys):
+        code, out = run(capsys, "build", "--form", "1,1", "--steps", "2", "--budget", "-1")
+        assert code == 2
+        assert "--budget" in json.loads(out)["message"]
+
     def test_one_variable_build(self, capsys):
         code, out = run(capsys, "build", "--form", "1", "--steps", "3")
         assert code == 0
@@ -156,6 +169,15 @@ class TestRealize:
         )
         assert code == 0
 
+    def test_boolean_window_bound_rejected(self, capsys, tmp_path):
+        target_path = tmp_path / "t.json"
+        target_path.write_text('{"window": [true, 5], "default": 1}')
+        code, out = run(
+            capsys, "realize", "--form", "1,1", "--target", str(target_path), "--steps", "2"
+        )
+        assert code == 2
+        assert json.loads(out)["ok"] is False
+
     def test_irregular_form_exit_code(self, capsys, tmp_path):
         target_path = tmp_path / "t.json"
         target_path.write_text(TargetFunction.make((-5, 5)).to_json())
@@ -216,6 +238,31 @@ class TestDiffRealize:
             "infinite",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("case", ["infinite", "unbounded"])
+    def test_three_rep_obstruction_exit_code(self, capsys, tmp_path, case):
+        # f(+-3) = inf needs a second doubled value, and the default is 1
+        target = TargetFunction.make(
+            (-5, 5), values={3: INFINITY, -3: INFINITY}, default=1
+        )
+        target_path = tmp_path / "target.json"
+        target_path.write_text(target.to_json())
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(PlentifulSequence((3, 6)).to_json())
+        code, out = run(
+            capsys,
+            "diff-realize",
+            "--target",
+            str(target_path),
+            "--steps",
+            "3",
+            "--case",
+            case,
+            "--seq",
+            str(seq_path),
+        )
+        assert code == 3
+        assert json.loads(out)["message"].startswith("three-rep")
 
     def test_unbounded_case(self, capsys, tmp_path):
         target = TargetFunction.make((-200, 200), values={2: 2, -2: 2, 50: 2, -50: 2})

@@ -16,7 +16,7 @@ from linrep import (
     count_at,
     rep_function,
 )
-from linrep.repcount import _general_counts
+from linrep.repcount import _general_counts, class_count_delta, merge_counts
 
 from oracles import brute_counts, class_key, ordered_solutions
 
@@ -40,6 +40,12 @@ class TestGroundSet:
     def test_max_abs(self):
         assert GroundSet.of([]).max_abs() == 0
         assert GroundSet.of([-9, 4]).max_abs() == 9
+
+    def test_membership_cache_leaves_identity_alone(self):
+        g = GroundSet((5, -2, 5))
+        assert g == GroundSet.of([-2, 5]) and hash(g) == hash(GroundSet.of([-2, 5]))
+        assert repr(g) == "GroundSet(elements=(-2, 5))"
+        assert 5 in g and -2 in g and 0 not in g
 
 
 class TestCanonicalize:
@@ -198,3 +204,65 @@ class TestRepClass:
     def test_from_weights_drops_zeros(self):
         cls = RepClass.from_weights({3: 0, 1: 2})
         assert cls.items == ((1, 2),)
+
+
+cancelling = st.sampled_from([(1, -1), (1, 1, -2), (2, -1, -1), (1, -1, 1, -1)])
+# equal coefficients take the multiset path of the delta kernel
+uniform = st.tuples(nonzero, st.integers(1, 4)).map(lambda ca: (ca[0],) * ca[1])
+mixed4 = st.lists(nonzero, min_size=1, max_size=4).map(tuple)
+delta_forms = st.one_of(cancelling, uniform, mixed4).map(LinearForm)
+
+
+def split_sets(max_size):
+    """Disjoint (base, block) pairs drawn from one set of distinct values."""
+    return st.lists(st.integers(-25, 25), unique=True, max_size=max_size).flatmap(
+        lambda vals: st.integers(0, len(vals)).map(
+            lambda cut: (GroundSet.of(vals[:cut]), tuple(vals[cut:]))
+        )
+    )
+
+
+def merged_counts(form, base, block):
+    counts = brute_counts(form.coefficients, base.elements)
+    merge_counts(counts, class_count_delta(form, base, block))
+    return counts
+
+
+class TestDeltaCounting:
+    @given(delta_forms, split_sets(8))
+    @settings(max_examples=160, deadline=None)
+    def test_old_plus_delta_matches_oracle(self, form, split):
+        base, block = split
+        assert merged_counts(form, base, block) == brute_counts(
+            form.coefficients, base.union(block).elements
+        )
+
+    @given(
+        delta_forms,
+        st.lists(st.integers(-40, 40), unique=True, min_size=1, max_size=10),
+        st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_growth(self, form, values, sizes):
+        ground = GroundSet.of(values[:1])
+        counts = class_counts(form, ground)
+        rest = values[1:]
+        for size in sizes:
+            block, rest = tuple(rest[:size]), rest[size:]
+            merge_counts(counts, class_count_delta(form, ground, block))
+            ground = ground.union(block)
+            assert counts == brute_counts(form.coefficients, ground.elements)
+
+    def test_rejects_overlapping_or_repeated_block(self):
+        form = LinearForm.parse("1,2")
+        with pytest.raises(ValueError):
+            class_count_delta(form, GroundSet.of([1, 2]), (2, 3))
+        with pytest.raises(ValueError):
+            class_count_delta(form, GroundSet.of([1, 2]), (3, 3))
+
+    def test_budget_counts_the_union(self):
+        with pytest.raises(BudgetExceededError) as err:
+            class_count_delta(
+                LinearForm.parse("1,1,1"), GroundSet.of(range(40)), (100, 101), budget=42**3 - 1
+            )
+        assert err.value.required == 42**3
