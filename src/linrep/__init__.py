@@ -16,7 +16,6 @@ a_1*x_1 + ... + a_h*x_h with fixed non-zero integer coefficients:
 
 from .builder_diff import (
     DIFFERENCE_FORM,
-    DiffConstructionState,
     DiffReport,
     DiffStepRecord,
     PlentifulSequence,
@@ -45,9 +44,6 @@ from .builder_unique import (
     build,
     default_growth_constant,
     mixed_sign_last,
-    next_target,
-    propose_block,
-    verify_block,
 )
 from .errors import (
     ArityMismatchError,
@@ -64,7 +60,6 @@ from .errors import (
     SearchSpaceTooLargeError,
     SequenceExhaustedError,
     SupplyExhaustedError,
-    WindowInsufficientError,
 )
 from .forms import (
     AutomorphismWitness,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from .builder_target import Count, TargetFunction, enumerate_multiset
+from .builder_unique import ConstructionState, _grow
 from .errors import (
     ConstructionBugError,
     InsufficientPairsError,
@@ -34,14 +35,7 @@ from .errors import (
     SupplyExhaustedError,
 )
 from .forms import LinearForm
-from .repcount import (
-    DEFAULT_TUPLE_BUDGET,
-    GroundSet,
-    RepProfile,
-    class_count_delta,
-    class_counts,
-    merge_counts,
-)
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, RepProfile, class_counts
 
 DIFFERENCE_FORM = LinearForm((1, -1))
 
@@ -234,44 +228,6 @@ class DiffStepRecord:
         }
 
 
-@dataclass(frozen=True)
-class DiffConstructionState:
-    """Immutable snapshot of a difference-form construction.
-
-    ``ledger`` maps each value with more than one allowed class to its
-    representations (anchor, partner, witness), anchors strictly
-    increasing; consecutive anchors differ by the partial sum of
-    ``gap_sequence`` between the two witnesses (lower exclusive, upper
-    inclusive).  Mirrored entries are kept for both signs.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    elements: GroundSet
-    covered: tuple[tuple[int, int], ...]  # (target, copy index)
-    records: tuple[DiffStepRecord, ...]
-    ledger: dict[int, tuple[tuple[int, int, int], ...]]
-    gap_sequence: Optional[PlentifulSequence]
-
-    @property
-    def step(self) -> int:
-        return len(self.covered)
-
-    def trace_records(self) -> list[dict]:
-        return [r.to_json_obj() for r in self.records]
-
-    def ledger_gaps_ok(self) -> bool:
-        """Recompute every ledger gap from the gap sequence and compare."""
-        if self.gap_sequence is None:
-            return True
-        for entries in self.ledger.values():
-            for (a1, _, m1), (a2, _, m2) in zip(entries, entries[1:]):
-                if not 0 < m1 < m2:
-                    return False
-                if a2 - a1 != self.gap_sequence.partial_sum(m1 + 1, m2):
-                    return False
-        return True
-
-
 def _assert_diff_preconditions(target: TargetFunction) -> None:
     report = check_even_normalized(target)
     if not report.ok:
@@ -281,7 +237,7 @@ def _assert_diff_preconditions(target: TargetFunction) -> None:
         raise PreconditionViolationError("three-rep", str(report))
 
 
-def _verify_diff_step(
+def _check_diff_step(
     old_counts: dict[int, int],
     delta: dict[int, int],
     target_fn: TargetFunction,
@@ -341,7 +297,7 @@ def build_infinite_case(
     steps: int,
     d0: int = 1,
     budget: int = DEFAULT_TUPLE_BUDGET,
-) -> DiffConstructionState:
+) -> ConstructionState:
     """Realize a target containing infinite values, one class per step.
 
     Requires an even target with f(0) = 1 and at least one infinite value
@@ -377,97 +333,52 @@ def build_infinite_case(
         )
 
     sigma_all = seq.all_partial_sums()
-    elements = GroundSet.of([d0])
-    blocks: list[tuple[int, ...]] = [(d0,)]
-    counts = class_counts(DIFFERENCE_FORM, elements, budget)
-    ledger: dict[int, list[tuple[int, int, int]]] = {}
-    covered: list[tuple[int, int]] = []
-    records: list[DiffStepRecord] = []
-    ordering = iter(enumerate_multiset(target))
+    state = ConstructionState.initial(DIFFERENCE_FORM, d0, gap_sequence=seq)
+    counts = class_counts(DIFFERENCE_FORM, state.elements, budget)
 
-    for k in range(1, steps + 1):
-        while True:
-            entry = next(ordering)
-            n, c = entry
-            if counts.get(n, 0) >= c + 1:
-                continue
-            break
+    def propose(state, entry, m, attempt):
         t, copy_index = entry
-        m_bound = elements.max_abs()
+        m_bound = state.elements.max_abs()
         bound = 2 * abs(t) + 3 * m_bound
-        fv = target.value_at(t)
         p = counts.get(t, 0)
-
+        chain = state.ledger.get(t, ())
         if p == 0:
             x = bound + 1
             case = "fresh"
-            witness: Optional[int] = 1 if fv > 1 else None
+            witness: Optional[int] = 1 if target.value_at(t) > 1 else None
         else:
-            entries = ledger.get(t, [])
-            if len(entries) != p:
+            if len(chain) != p:
                 raise ConstructionBugError(
-                    f"ledger for {t} has {len(entries)} entries, count is {p}"
+                    f"ledger for {t} has {len(chain)} entries, count is {p}"
                 )
-            a_p, _, m_p = entries[-1]
+            a_p, _, m_p = chain[-1]
             sigma = 0
             m_next = m_p
             while a_p + sigma <= bound:
                 m_next += 1
                 if m_next > len(seq):
                     raise SequenceExhaustedError(
-                        f"step {k}: sequence of {len(seq)} terms cannot lift "
-                        f"anchor {a_p} above {bound}"
+                        f"step {state.step + 1}: sequence of {len(seq)} terms cannot "
+                        f"lift anchor {a_p} above {bound}"
                     )
                 sigma += seq.terms[m_next - 1]
             x = a_p + sigma
             case = "chained"
             witness = m_next
-        y = x - t
-        if x == y or x in elements or y in elements:
-            raise ConstructionBugError(
-                f"step {k}: pair ({x}, {y}) collides with the current set"
-            )
-
-        delta = class_count_delta(DIFFERENCE_FORM, elements, (x, y), budget)
-        _verify_diff_step(
-            counts,
-            delta,
-            target,
-            entry,
-            allowed_double=lambda v: abs(v) in sigma_all,
+        block = (x, x - t)
+        # the ledger gains the pair exactly when the step has a witness
+        reps = tuple((a, b) for a, b, _ in chain) + ((block,) if witness is not None else ())
+        return block, lambda k, support: DiffStepRecord(
+            k, case, t, copy_index, m_bound, 1, block, witness, support, reps
         )
-        merge_counts(counts, delta)
 
-        if fv > 1:
-            anchor_entry = (x, y, witness if witness is not None else 1)
-            mirror_entry = (y, x, anchor_entry[2])
-            ledger.setdefault(t, []).append(anchor_entry)
-            ledger.setdefault(-t, []).append(mirror_entry)
-        records.append(
-            DiffStepRecord(
-                step=k,
-                case=case,
-                target=t,
-                copy_index=copy_index,
-                m_bound=m_bound,
-                gamma=1,
-                block=(x, y),
-                witness=witness,
-                support_size=len(counts),
-                representations=tuple((a, b) for a, b, _ in ledger.get(t, [])),
-            )
+    def accept(state, entry, block, delta):
+        _check_diff_step(
+            counts, delta, target, entry, allowed_double=lambda v: abs(v) in sigma_all
         )
-        blocks.append((x, y))
-        covered.append(entry)
-        elements = elements.union((x, y))
 
-    return DiffConstructionState(
-        blocks=tuple(blocks),
-        elements=elements,
-        covered=tuple(covered),
-        records=tuple(records),
-        ledger={n: tuple(v) for n, v in ledger.items()},
-        gap_sequence=seq,
+    return _grow(
+        state, iter(enumerate_multiset(target)), counts, steps, propose, accept, budget
     )
 
 
@@ -487,7 +398,7 @@ def build_unbounded_case(
     d0: int = 1,
     quotient_bound: int = DEFAULT_QUOTIENT_BOUND,
     budget: int = DEFAULT_TUPLE_BUDGET,
-) -> DiffConstructionState:
+) -> ConstructionState:
     """Realize an all-finite target, filling each value in one batch.
 
     Requires an even target with f(0) = 1 and no infinite value.  A window
@@ -518,25 +429,14 @@ def build_unbounded_case(
             "target has infinite values; use build_infinite_case",
         )
 
-    elements = GroundSet.of([d0])
-    blocks: list[tuple[int, ...]] = [(d0,)]
-    counts = class_counts(DIFFERENCE_FORM, elements, budget)
-    covered: list[tuple[int, int]] = []
-    records: list[DiffStepRecord] = []
-    ordering = iter(enumerate_multiset(target))
+    state = ConstructionState.initial(DIFFERENCE_FORM, d0)
+    counts = class_counts(DIFFERENCE_FORM, state.elements, budget)
 
-    for k in range(1, steps + 1):
-        while True:
-            entry = next(ordering)
-            n, c = entry
-            if counts.get(n, 0) >= c + 1:
-                continue
-            break
+    def propose(state, entry, m, attempt):
         t, copy_index = entry
-        m_bound = elements.max_abs()
-        fv = target.value_at(t)
-        p = counts.get(t, 0)
-        gamma = int(fv) - p
+        k = state.step + 1
+        m_bound = state.elements.max_abs()
+        gamma = int(target.value_at(t)) - counts.get(t, 0)
         if gamma < 1:
             raise ConstructionBugError(f"step {k}: non-positive gamma {gamma}")
         x1 = 2 * abs(t) + 3 * m_bound + 1
@@ -566,13 +466,13 @@ def build_unbounded_case(
             xs.append(xs[-1] + gap)
         ys = [x - t for x in xs]
         block = tuple(xs + ys)
-        if len(set(block)) != len(block) or any(v in elements for v in block):
-            raise ConstructionBugError(
-                f"step {k}: batch {block} collides with the current set"
-            )
+        return block, lambda k, support: DiffStepRecord(
+            k, "batch", t, copy_index, m_bound, gamma, block, None, support, tuple(zip(xs, ys))
+        )
 
-        delta = class_count_delta(DIFFERENCE_FORM, elements, block, budget)
-        _verify_diff_step(
+    def accept(state, entry, block, delta):
+        t = entry[0]
+        _check_diff_step(
             counts,
             delta,
             target,
@@ -580,38 +480,15 @@ def build_unbounded_case(
             allowed_double=lambda v: target.value_at(v) > 1,
             exempt=frozenset((t, -t)),
         )
-        merge_counts(counts, delta)
-        if counts.get(t, 0) != fv or counts.get(-t, 0) != fv:
+        fv = target.value_at(t)
+        got = (counts.get(t, 0) + delta.get(t, 0), counts.get(-t, 0) + delta.get(-t, 0))
+        if got != (fv, fv):
             raise ConstructionBugError(
-                f"step {k}: counts at +-{t} are "
-                f"({counts.get(t, 0)}, {counts.get(-t, 0)}), expected {fv}"
+                f"step {state.step + 1}: counts at +-{t} are {got}, expected {fv}"
             )
 
-        records.append(
-            DiffStepRecord(
-                step=k,
-                case="batch",
-                target=t,
-                copy_index=copy_index,
-                m_bound=m_bound,
-                gamma=gamma,
-                block=block,
-                witness=None,
-                support_size=len(counts),
-                representations=tuple(zip(xs, ys)),
-            )
-        )
-        blocks.append(block)
-        covered.append(entry)
-        elements = elements.union(block)
-
-    return DiffConstructionState(
-        blocks=tuple(blocks),
-        elements=elements,
-        covered=tuple(covered),
-        records=tuple(records),
-        ledger={},
-        gap_sequence=None,
+    return _grow(
+        state, iter(enumerate_multiset(target)), counts, steps, propose, accept, budget
     )
 
 

@@ -23,6 +23,7 @@ from .builder_unique import (
     ConstructionState,
     StepRecord,
     Violation,
+    _grow,
     _propose,
     default_growth_constant,
 )
@@ -30,16 +31,9 @@ from .errors import (
     NotPartitionRegularError,
     NotPrimitiveError,
     PreconditionViolationError,
-    RetryExhaustedError,
 )
 from .forms import LinearForm, bezout_witness, is_partition_regular, is_primitive, spiral
-from .repcount import (
-    DEFAULT_TUPLE_BUDGET,
-    GroundSet,
-    class_count_delta,
-    class_counts,
-    merge_counts,
-)
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts
 
 INFINITY: float = math.inf
 
@@ -238,6 +232,17 @@ class TargetReport:
         ] + [f"zero-set value {n} is represented" for n in self.zero_hits]
         return "; ".join(parts)
 
+    @classmethod
+    def of(cls, counts: dict[int, int], target: TargetFunction) -> "TargetReport":
+        """Every overshoot and zero-set hit of full-support ``counts``."""
+        overshoots = tuple(
+            (n, c, target.value_at(n))
+            for n, c in sorted(counts.items())
+            if c > target.value_at(n)
+        )
+        zero_hits = tuple(sorted(n for n in counts if n in target.zero_set))
+        return cls(overshoots=overshoots, zero_hits=zero_hits)
+
 
 def check_counts_against_target(
     form: LinearForm,
@@ -246,55 +251,7 @@ def check_counts_against_target(
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> TargetReport:
     """Full-support count check: lists every overshoot and zero-set hit."""
-    counts = class_counts(form, ground_set, budget)
-    overshoots = tuple(
-        (n, c, target.value_at(n))
-        for n, c in sorted(counts.items())
-        if c > target.value_at(n)
-    )
-    zero_hits = tuple(sorted(n for n in counts if n in target.zero_set))
-    return TargetReport(overshoots=overshoots, zero_hits=zero_hits)
-
-
-def _verify_target_step(
-    form: LinearForm,
-    elements: GroundSet,
-    candidate: tuple[int, ...],
-    target_fn: TargetFunction,
-    old_counts: dict[int, int],
-    frozen_numbers: set[int],
-    entry: tuple[int, int],
-    budget: int,
-) -> tuple[Optional[Violation], Optional[dict[int, int]]]:
-    """Oracle check for one target-realization step; returns (violation, delta).
-
-    Requires: candidate elements pairwise distinct and new; counts never
-    exceed the target anywhere; the zero set stays unrepresented; counts of
-    numbers already scheduled earlier in the ordering do not move (except
-    the current target's); and the current entry's copy is now covered.
-    ``old_counts`` were verified already, so only the values the block's
-    new classes touch are checked.
-    """
-    t, copy_index = entry
-    seen: set[int] = set()
-    for v in candidate:
-        if v in seen:
-            return Violation("duplicate-in-block", v), None
-        seen.add(v)
-        if v in elements:
-            return Violation("collision-with-existing", v), None
-    delta = class_count_delta(form, elements, candidate, budget)
-    for n, d in delta.items():
-        if old_counts.get(n, 0) + d > target_fn.value_at(n):
-            return Violation("count-exceeds-target", n), None
-        if n in target_fn.zero_set:
-            return Violation("zero-set-hit", n), None
-    for n in delta:
-        if n != t and n in frozen_numbers:
-            return Violation("frozen-count-changed", n), None
-    if old_counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
-        return Violation("target-copy-missed", t), None
-    return None, delta
+    return TargetReport.of(class_counts(form, ground_set, budget), target)
 
 
 def build_for_target(
@@ -312,9 +269,9 @@ def build_for_target(
     Each step takes the first multiset entry whose copy is not yet covered
     and appends a block representing it once more, subject to the per-step
     oracle checks (never overshoot, avoid the zero set, leave earlier
-    scheduled numbers untouched).  Blocks must have pairwise distinct
-    entries, enforced at proposal time.  The growth constant doubles on
-    every rejection, retry-capped as in the unique-basis builder.
+    scheduled numbers untouched) after the shared rejection of repeated
+    or existing elements.  The growth constant doubles on every rejection,
+    retry-capped as in the unique-basis builder.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -343,72 +300,42 @@ def build_for_target(
     if m < 1:
         raise ValueError("growth constant must be positive")
 
-    state = ConstructionState.initial(form, form, d0)
+    state = ConstructionState.initial(form, d0)
     counts = class_counts(form, state.elements, budget)
-    ordering = iter(enumerate_multiset(target))
     frozen_numbers: set[int] = set()
-    trail: list[str] = []
 
-    for k in range(1, steps + 1):
-        # advance to the first entry whose copy is not already covered
-        while True:
-            entry = next(ordering)
-            n, c = entry
-            if counts.get(n, 0) >= c + 1:
-                frozen_numbers.add(n)
-                continue
-            break
+    def scheduled() -> Iterator[tuple[int, int]]:
+        # a number is frozen once the walk moves past one of its entries
+        for n, c in enumerate_multiset(target):
+            yield n, c
+            frozen_numbers.add(n)
+
+    def propose(state, entry, m, attempt):
         t, copy_index = entry
-        retries = 0
-        while True:
-            block, deltas, eps, remainder, shift = _propose(
-                form,
-                bez,
-                t,
-                m,
-                prev_max_abs=state.elements.max_abs(),
-                attempt=retries,
-            )
-            if len(set(block)) != len(block):
-                violation: Optional[Violation] = Violation(
-                    "duplicate-in-block", None
-                )
-                delta = None
-            else:
-                violation, delta = _verify_target_step(
-                    form,
-                    state.elements,
-                    block,
-                    target,
-                    counts,
-                    frozen_numbers,
-                    entry,
-                    budget,
-                )
-            if violation is None:
-                break
-            retries += 1
-            trail.append(f"step {k} retry {retries} (M={m}): {violation}")
-            if retries > retry_cap:
-                raise RetryExhaustedError(
-                    f"step {k} entry {entry} exhausted {retry_cap} retries; "
-                    "trace:\n" + "\n".join(trail)
-                )
-            m *= 2
-        merge_counts(counts, delta)
-        record = StepRecord(
-            step=k,
-            target=t,
-            m=m,
-            retries=retries,
-            deltas=deltas,
-            epsilon=eps,
-            remainder=remainder,
-            shift=shift,
-            block=block,
-            support_size=len(counts),
-            copy_index=copy_index,
+        block, deltas, eps, remainder, shift = _propose(
+            form, bez, t, m, prev_max_abs=state.elements.max_abs(), attempt=attempt
         )
-        state = state.extended(block, t, m, retries, record)
-        frozen_numbers.add(t)
-    return state
+        return block, lambda k, support: StepRecord(
+            k, t, m, attempt, deltas, eps, remainder, shift, block, support, copy_index
+        )
+
+    def accept(state, entry, block, delta):
+        """Never overshoot, avoid the zero set, leave earlier scheduled
+        numbers untouched and cover the entry's copy; ``counts`` were
+        verified already, so only the values in ``delta`` are checked."""
+        t, copy_index = entry
+        for n, d in delta.items():
+            if counts.get(n, 0) + d > target.value_at(n):
+                return Violation("count-exceeds-target", n)
+            if n in target.zero_set:
+                return Violation("zero-set-hit", n)
+        for n in delta:
+            if n != t and n in frozen_numbers:
+                return Violation("frozen-count-changed", n)
+        if counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
+            return Violation("target-copy-missed", t)
+        return None
+
+    return _grow(
+        state, scheduled(), counts, steps, propose, accept, budget, m=m, retry_cap=retry_cap
+    )

@@ -7,12 +7,18 @@ rapidly growing positive offsets plus a Bezout correction; correctness is
 not argued from the growth constant but checked outright by the exhaustive
 counting oracle (each step counts the classes its block adds), with the
 growth constant doubled and the block reproposed whenever the check fails.
+
+The step loop itself, ``_grow``, and the construction state are shared
+with the target and difference-form builders, which differ only in their
+entry ordering, their proposals and their acceptance checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import count
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     MixedSignRequiredError,
@@ -28,7 +34,12 @@ from .repcount import (
     merge_counts,
 )
 
+if TYPE_CHECKING:
+    from .builder_diff import DiffStepRecord, PlentifulSequence
+
 DEFAULT_RETRY_CAP = 64
+
+Entry = tuple[int, int]  # (value, copy index) of a fair enumeration
 
 
 def default_growth_constant(form: LinearForm) -> int:
@@ -83,86 +94,166 @@ class StepRecord:
 class ConstructionState:
     """Immutable snapshot of a construction after some number of steps.
 
-    ``form`` is the form as given by the caller; ``builder_form`` is the
-    coefficient order actually used internally (these differ only for
-    half-line builds, which may reorder coefficients so the last two have
-    opposite signs; representation functions are invariant under
-    coefficient permutation, so every set-level guarantee transfers).
+    Every builder returns one: the set, the seed block it started from and
+    one record per accepted step (a ``StepRecord``, or a ``DiffStepRecord``
+    for the difference form).  ``form`` is the form as given by the caller;
+    ``builder_form`` is the coefficient order actually used internally
+    (these differ only for half-line builds, which may reorder coefficients
+    so the last two have opposite signs; representation functions are
+    invariant under coefficient permutation, so every set-level guarantee
+    transfers).  ``gap_sequence`` is the plentiful sequence an
+    infinite-value difference-form build chains along.
     """
 
     form: LinearForm
     builder_form: LinearForm
-    blocks: tuple[tuple[int, ...], ...]
     elements: GroundSet
-    covered_targets: tuple[int, ...]
-    m_schedule: tuple[int, ...]
-    retry_log: tuple[int, ...]
-    records: tuple[StepRecord, ...]
+    seed: tuple[int, ...]
+    records: tuple[Union[StepRecord, DiffStepRecord], ...] = ()
     half_line_bound: Optional[int] = None
     trivial_whole_line: bool = False
-
-    @property
-    def step(self) -> int:
-        return len(self.covered_targets)
+    gap_sequence: Optional[PlentifulSequence] = None
 
     @classmethod
     def initial(
-        cls,
-        form: LinearForm,
-        builder_form: LinearForm,
-        d0: int,
-        half_line_bound: Optional[int] = None,
+        cls, form: LinearForm, d0: int, builder_form: Optional[LinearForm] = None, **extras
     ) -> "ConstructionState":
-        return cls(
-            form=form,
-            builder_form=builder_form,
-            blocks=((d0,),),
-            elements=GroundSet.of([d0]),
-            covered_targets=(),
-            m_schedule=(),
-            retry_log=(),
-            records=(),
-            half_line_bound=half_line_bound,
-        )
+        return cls(form, builder_form or form, GroundSet.of([d0]), (d0,), **extras)
 
     @classmethod
     def whole_line(cls, form: LinearForm) -> "ConstructionState":
         """Designated state for one-variable forms: the basis is all of Z."""
-        return cls(
-            form=form,
-            builder_form=form,
-            blocks=(),
-            elements=GroundSet.of([]),
-            covered_targets=(),
-            m_schedule=(),
-            retry_log=(),
-            records=(),
-            trivial_whole_line=True,
+        return cls(form, form, GroundSet.of([]), (), trivial_whole_line=True)
+
+    def extended(self, record) -> "ConstructionState":
+        return replace(
+            self, elements=self.elements.union(record.block), records=self.records + (record,)
         )
 
-    def extended(
-        self,
-        block: tuple[int, ...],
-        target: int,
-        m: int,
-        retries: int,
-        record: StepRecord,
-    ) -> "ConstructionState":
-        return ConstructionState(
-            form=self.form,
-            builder_form=self.builder_form,
-            blocks=self.blocks + (block,),
-            elements=self.elements.union(block),
-            covered_targets=self.covered_targets + (target,),
-            m_schedule=self.m_schedule + (m,),
-            retry_log=self.retry_log + (retries,),
-            records=self.records + (record,),
-            half_line_bound=self.half_line_bound,
-            trivial_whole_line=False,
-        )
+    @property
+    def step(self) -> int:
+        return len(self.records)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        head = (self.seed,) if self.seed else ()
+        return head + tuple(r.block for r in self.records)
+
+    @property
+    def covered_targets(self) -> tuple[int, ...]:
+        return tuple(r.target for r in self.records)
+
+    @property
+    def covered(self) -> tuple[tuple[int, Optional[int]], ...]:
+        """(target, copy index) of every step."""
+        return tuple((r.target, r.copy_index) for r in self.records)
+
+    @property
+    def ledger(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """Chained representations (anchor, partner, witness) per value.
+
+        Only infinite-value difference-form builds keep one: each value with
+        more than one allowed class lists its pairs, anchors strictly
+        increasing; consecutive anchors differ by the partial sum of
+        ``gap_sequence`` between the two witnesses (lower exclusive, upper
+        inclusive).  Mirrored entries are kept for both signs.
+        """
+        if self.gap_sequence is None:
+            return {}
+        ledger: dict[int, list[tuple[int, int, int]]] = {}
+        for r in self.records:
+            if r.witness is not None:
+                x, y = r.block
+                ledger.setdefault(r.target, []).append((x, y, r.witness))
+                ledger.setdefault(-r.target, []).append((y, x, r.witness))
+        return {n: tuple(v) for n, v in ledger.items()}
+
+    def ledger_gaps_ok(self) -> bool:
+        """Recompute every ledger gap from the gap sequence and compare."""
+        for entries in self.ledger.values():
+            for (a1, _, m1), (a2, _, m2) in zip(entries, entries[1:]):
+                if not 0 < m1 < m2:
+                    return False
+                if a2 - a1 != self.gap_sequence.partial_sum(m1 + 1, m2):
+                    return False
+        return True
 
     def trace_records(self) -> list[dict]:
         return [r.to_json_obj() for r in self.records]
+
+
+Propose = Callable[[ConstructionState, Entry, int, int], tuple[tuple[int, ...], Callable]]
+Accept = Callable[[ConstructionState, Entry, tuple[int, ...], dict[int, int]], Optional[Violation]]
+
+
+def _check_block(
+    state: ConstructionState,
+    entry: Entry,
+    block: tuple[int, ...],
+    accept: Accept,
+    budget: int,
+) -> tuple[Optional[Violation], Optional[dict[int, int]]]:
+    """(violation, count delta) of a candidate block.
+
+    Rejects repeated entries and elements already in the set, then counts
+    the classes the block adds and hands them to the builder's check.
+    """
+    if len(set(block)) != len(block):
+        return Violation("duplicate-in-block"), None
+    for v in block:
+        if v in state.elements:
+            return Violation("collision-with-existing", v), None
+    delta = class_count_delta(state.builder_form, state.elements, block, budget)
+    return accept(state, entry, block, delta), delta
+
+
+def _grow(
+    state: ConstructionState,
+    entries: Iterable[Entry],
+    counts: dict[int, int],
+    steps: int,
+    propose: Propose,
+    accept: Accept,
+    budget: int,
+    m: int = 1,
+    retry_cap: int = 0,
+    describe: Callable[[Entry], str] = "entry {}".format,
+) -> ConstructionState:
+    """The greedy step loop every builder runs.
+
+    ``counts`` are the verified class counts of ``state.elements``; they
+    are kept up to date in place.  Each step takes the next entry (n, c)
+    whose copy is still uncovered (count of n at most c), asks
+    ``propose(state, entry, m, attempt)`` for a block and a record maker,
+    and checks the block (``_check_block``).  A rejected block doubles the
+    growth constant ``m`` and is reproposed; more than ``retry_cap``
+    rejections in one step raise RetryExhaustedError with the whole retry
+    trail.  An accepted block's classes join ``counts`` and
+    ``record(step, support_size)`` joins the state.
+    """
+    entries = iter(entries)
+    trail: list[str] = []
+    for k in range(1, steps + 1):
+        for entry in entries:
+            if counts.get(entry[0], 0) <= entry[1]:
+                break
+        retries = 0
+        while True:
+            block, record = propose(state, entry, m, retries)
+            violation, delta = _check_block(state, entry, block, accept, budget)
+            if violation is None:
+                break
+            retries += 1
+            trail.append(f"step {k} retry {retries} (M={m}): {violation}")
+            if retries > retry_cap:
+                raise RetryExhaustedError(
+                    f"step {k} {describe(entry)} exhausted {retry_cap} retries; "
+                    "trace:\n" + "\n".join(trail)
+                )
+            m *= 2
+        merge_counts(counts, delta)
+        state = state.extended(record(k, len(counts)))
+    return state
 
 
 def mixed_sign_last(form: LinearForm) -> LinearForm:
@@ -229,111 +320,26 @@ def _propose(
     return block, tuple(deltas), epsilon, remainder, shift
 
 
-def propose_block(
-    state: ConstructionState,
-    form: LinearForm,
-    bezout: Sequence[int],
-    target: int,
-    m: int,
-    attempt: int = 0,
-) -> tuple[int, ...]:
-    """Candidate block of ``form.arity`` integers whose form-sum is target."""
-    if state.half_line_bound is not None:
-        signs = {c > 0 for c in form.coefficients}
-        if len(signs) < 2:
-            raise MixedSignRequiredError(
-                f"half-line bound {state.half_line_bound} needs mixed-sign coefficients"
-            )
-    block, _, _, _, _ = _propose(
-        form,
-        bezout,
-        target,
-        m,
-        prev_max_abs=state.elements.max_abs(),
-        half_line=state.half_line_bound,
-        attempt=attempt,
-    )
-    return block
-
-
-def _check_candidate(
-    form: LinearForm,
-    elements: GroundSet,
+def _accept_unique(
     counts: dict[int, int],
-    candidate: tuple[int, ...],
-    target: int,
     half_line: Optional[int],
-    budget: int,
-) -> tuple[Optional[Violation], Optional[dict[int, int]]]:
-    """Oracle check of a candidate block; returns (violation, count delta).
-
-    ``counts`` are the verified counts of ``elements``; only the values the
-    block's new classes touch can change, so only those are checked.
-    """
-    seen: set[int] = set()
-    for v in candidate:
-        if v in seen:
-            return Violation("duplicate-in-block", v), None
-        seen.add(v)
-    for v in candidate:
-        if v in elements:
-            return Violation("collision-with-existing", v), None
-    if half_line is not None:
-        low = min(candidate)
-        if low < half_line:
-            return Violation("below-half-line-bound", low), None
-    delta = class_count_delta(form, elements, candidate, budget)
+    state: ConstructionState,
+    entry: Entry,
+    block: tuple[int, ...],
+    delta: dict[int, int],
+) -> Optional[Violation]:
+    """Every count stays at most 1, the target gets its class, and every
+    element clears the half-line bound.  ``counts`` are the verified counts
+    before the block; only the values its new classes touch can change."""
+    if half_line is not None and min(block) < half_line:
+        return Violation("below-half-line-bound", min(block))
     for n, d in delta.items():
         if counts.get(n, 0) + d > 1:
-            return Violation("double-representation", n), None
+            return Violation("double-representation", n)
+    target = entry[0]
     if counts.get(target, 0) + delta.get(target, 0) != 1:
-        return Violation("target-unrepresented", target), None
-    return None, delta
-
-
-def verify_block(
-    state: ConstructionState,
-    form: LinearForm,
-    candidate: tuple[int, ...],
-    target: int,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> Optional[Violation]:
-    """None when the block keeps every count at most 1 and hits the target.
-
-    Rejects blocks with internal duplicates or collisions with existing
-    elements, then counts the classes the block adds on top of an
-    exhaustive count of the current set.  A violation names the
-    doubly-represented integer (or the offending element).
-    """
-    counts = class_counts(form, state.elements, budget)
-    violation, _ = _check_candidate(
-        form, state.elements, counts, candidate, target, state.half_line_bound, budget
-    )
-    return violation
-
-
-def _spiral_least_unrepresented(counts: dict[int, int]) -> int:
-    idx = 0
-    while True:
-        n = spiral(idx)
-        if counts.get(n, 0) == 0:
-            return n
-        idx += 1
-
-
-def next_target(
-    state: ConstructionState,
-    form: Optional[LinearForm] = None,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> int:
-    """Spiral-least integer not represented by the state's current set.
-
-    The scan order is the same for half-line builds: targets always range
-    over all of Z.  Such an integer always exists because the set is finite.
-    """
-    f = form if form is not None else state.form
-    counts = class_counts(f, state.elements, budget)
-    return _spiral_least_unrepresented(counts)
+        return Violation("target-unrepresented", target)
+    return None
 
 
 def build(
@@ -351,12 +357,13 @@ def build(
     whole-line state (every integer is its own unique representation).
     With ``half_line`` set, all produced elements are kept at or above the
     bound; this requires coefficients of both signs and may internally
-    reorder them (see ConstructionState.builder_form).  The growth constant
-    starts at ``m0`` (default: 4*sum|a|*(arity+1)), is doubled after every
-    rejected proposal, and carries over between steps; exceeding
-    ``retry_cap`` rejections in one step raises RetryExhaustedError, which
-    would contradict the existence guarantee and is therefore reported with
-    the full retry trace.
+    reorder them (see ConstructionState.builder_form).  Targets run over
+    the spiral 0, 1, -1, 2, ... of all of Z, skipping represented integers.
+    The growth constant starts at ``m0`` (default: 4*sum|a|*(arity+1)), is
+    doubled after every rejected proposal, and carries over between steps;
+    exceeding ``retry_cap`` rejections in one step raises
+    RetryExhaustedError, which would contradict the existence guarantee
+    and is therefore reported with the full retry trace.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -381,48 +388,35 @@ def build(
     if m < 1:
         raise ValueError("growth constant must be positive")
 
-    state = ConstructionState.initial(form, builder_form, d0, half_line)
+    state = ConstructionState.initial(
+        form, d0, builder_form=builder_form, half_line_bound=half_line
+    )
     counts = class_counts(builder_form, state.elements, budget)
-    trail: list[str] = []
 
-    for k in range(1, steps + 1):
-        target = _spiral_least_unrepresented(counts)
-        retries = 0
-        while True:
-            block, deltas, eps, remainder, shift = _propose(
-                builder_form,
-                bez,
-                target,
-                m,
-                prev_max_abs=state.elements.max_abs(),
-                half_line=half_line,
-                attempt=retries,
-            )
-            violation, delta = _check_candidate(
-                builder_form, state.elements, counts, block, target, half_line, budget
-            )
-            if violation is None:
-                break
-            retries += 1
-            trail.append(f"step {k} retry {retries} (M={m}): {violation}")
-            if retries > retry_cap:
-                raise RetryExhaustedError(
-                    f"step {k} target {target} exhausted {retry_cap} retries; "
-                    "trace:\n" + "\n".join(trail)
-                )
-            m *= 2
-        merge_counts(counts, delta)
-        record = StepRecord(
-            step=k,
-            target=target,
-            m=m,
-            retries=retries,
-            deltas=deltas,
-            epsilon=eps,
-            remainder=remainder,
-            shift=shift,
-            block=block,
-            support_size=len(counts),
+    def propose(state, entry, m, attempt):
+        target = entry[0]
+        block, deltas, eps, remainder, shift = _propose(
+            builder_form,
+            bez,
+            target,
+            m,
+            prev_max_abs=state.elements.max_abs(),
+            half_line=half_line,
+            attempt=attempt,
         )
-        state = state.extended(block, target, m, retries, record)
-    return state
+        return block, lambda k, support: StepRecord(
+            k, target, m, attempt, deltas, eps, remainder, shift, block, support
+        )
+
+    return _grow(
+        state,
+        ((spiral(i), 0) for i in count()),
+        counts,
+        steps,
+        propose,
+        partial(_accept_unique, counts, half_line),
+        budget,
+        m=m,
+        retry_cap=retry_cap,
+        describe=lambda entry: f"target {entry[0]}",
+    )

@@ -16,22 +16,14 @@ from typing import Optional
 
 from . import builder_diff, builder_target, builder_unique
 from .builder_diff import DIFFERENCE_FORM, PlentifulSequence
-from .builder_target import TargetFunction
+from .builder_target import TargetFunction, TargetReport
 from .errors import (
     BudgetExceededError,
     ConstructionBugError,
-    FormParseError,
-    InsufficientPairsError,
     LinrepError,
-    MixedSignRequiredError,
-    NotPartitionRegularError,
-    NotPrimitiveError,
     PreconditionViolationError,
     RetryExhaustedError,
     SearchSpaceTooLargeError,
-    SequenceExhaustedError,
-    SupplyExhaustedError,
-    WindowInsufficientError,
 )
 from .forms import (
     LinearForm,
@@ -41,7 +33,7 @@ from .forms import (
     is_primitive,
     zero_sum_certificate,
 )
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts, rep_function
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, RepProfile, class_counts
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -50,16 +42,16 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_RETRY = 5
 
-_PRECONDITION_ERRORS = (
-    NotPrimitiveError,
-    NotPartitionRegularError,
-    MixedSignRequiredError,
-    PreconditionViolationError,
-    InsufficientPairsError,
-    SequenceExhaustedError,
-    SupplyExhaustedError,
-    SearchSpaceTooLargeError,
-    WindowInsufficientError,
+# (exception type, exit code, reported error name or None for the type's
+# own name); the first row that matches wins.  ValueError covers
+# FormParseError, ArityMismatchError and json.JSONDecodeError.
+_FAILURES = (
+    (FileNotFoundError, EXIT_PARSE, "FileNotFound"),
+    (ValueError, EXIT_PARSE, None),
+    (BudgetExceededError, EXIT_BUDGET, "BudgetExceeded"),
+    (RetryExhaustedError, EXIT_RETRY, None),
+    (ConstructionBugError, EXIT_RETRY, None),
+    (LinrepError, EXIT_PRECONDITION, None),
 )
 
 
@@ -280,13 +272,9 @@ def cmd_verify(args) -> int:
     else:
         lo, hi = 0, 0
     if args.profile:
-        profile = rep_function(form, ground, (lo, hi), args.budget)
-        _write(args.profile, _dump(profile.to_json_obj()) + "\n")
+        _write(args.profile, _dump(RepProfile(counts, (lo, hi)).to_json_obj()) + "\n")
     if args.target:
-        target = TargetFunction.from_json(_read(args.target))
-        check = builder_target.check_counts_against_target(
-            form, ground, target, args.budget
-        )
+        check = TargetReport.of(counts, TargetFunction.from_json(_read(args.target)))
         violations = [
             {"n": str(n), "count": c, "allowed": "inf" if allowed == float("inf") else allowed}
             for n, c, allowed in check.overshoots
@@ -429,36 +417,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.budget < 0:
             raise ValueError(f"--budget must be non-negative, got {args.budget}")
         return args.func(args)
-    except (FormParseError, json.JSONDecodeError) as exc:
-        print(_dump({"ok": False, "error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(_dump({"ok": False, "error": "FileNotFound", "message": str(exc)}))
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(_dump({"ok": False, "error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_PARSE
-    except BudgetExceededError as exc:
-        print(
-            _dump(
-                {
-                    "ok": False,
-                    "error": "BudgetExceeded",
-                    "message": str(exc),
-                    "required": str(exc.required),
-                }
-            )
-        )
-        return EXIT_BUDGET
-    except (RetryExhaustedError, ConstructionBugError) as exc:
-        print(_dump({"ok": False, "error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_RETRY
-    except _PRECONDITION_ERRORS as exc:
-        print(_dump({"ok": False, "error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_PRECONDITION
-    except LinrepError as exc:
-        print(_dump({"ok": False, "error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_PRECONDITION
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        _, code, name = next(row for row in _FAILURES if isinstance(exc, row[0]))
+        report = {"ok": False, "error": name or type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, BudgetExceededError):
+            report["required"] = str(exc.required)
+        print(_dump(report))
+        return code
 
 
 if __name__ == "__main__":

@@ -78,10 +78,3 @@ class PreconditionViolationError(LinrepError):
         super().__init__(f"{check}: {message}")
         self.check = check
 
-
-class WindowInsufficientError(LinrepError):
-    """Reserved: a required value fell outside every decidable region.
-
-    Cannot occur with the shipped target-function defaults, which assign a
-    value to every integer; kept for forward compatibility of callers.
-    """

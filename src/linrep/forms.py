@@ -167,7 +167,14 @@ def zero_sum_certificate(form: LinearForm) -> Optional[tuple[int, ...]]:
 
 
 def is_partition_regular(form: LinearForm) -> bool:
-    """True iff no non-empty subset of the coefficients sums to zero."""
+    """True iff no non-empty subset of the coefficients sums to zero.
+
+    The package uses "partition regular" in this sense throughout.  It is
+    the complement of Rado's criterion for the single equation
+    a_1*x_1 + ... + a_h*x_h = 0, which is partition regular in Rado's sense
+    exactly when some non-empty coefficient subset sums to zero (Rado,
+    Math. Z. 36, 1933).
+    """
     return zero_sum_certificate(form) is None
 
 

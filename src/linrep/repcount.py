@@ -123,7 +123,6 @@ class RepProfile:
 
     counts: dict[int, int]
     window: tuple[int, int]
-    windowed_only: bool = field(default=False)
 
     def count(self, n: int) -> int:
         return self.counts.get(n, 0)
@@ -162,38 +161,11 @@ def class_counts(
 ) -> dict[int, int]:
     """Exhaustive map n -> number of distinct classes representing n.
 
-    Enumerates every ordered tuple over the set.  When all coefficients are
-    equal, classes biject with value multisets, so the enumeration walks
-    sorted multisets directly; results are identical to the general path.
+    The whole set is one block joining the empty set, so this is
+    ``class_count_delta`` from nothing: every ordered tuple is visited
+    (sorted value multisets when all coefficients are equal).
     """
-    elements = ground_set.elements
-    coeffs = form.coefficients
-    _check_budget(len(elements), len(coeffs), budget)
-    if not elements:
-        return {}
-    if len(set(coeffs)) == 1:
-        return _uniform_counts(coeffs[0], len(coeffs), elements)
-    return _general_counts(coeffs, elements)
-
-
-def _uniform_counts(coeff: int, arity: int, elements: tuple[int, ...]) -> dict[int, int]:
-    counts: dict[int, int] = defaultdict(int)
-    for combo in combinations_with_replacement(elements, arity):
-        counts[coeff * sum(combo)] += 1
-    return dict(counts)
-
-
-def _general_counts(coeffs: tuple[int, ...], elements: tuple[int, ...]) -> dict[int, int]:
-    buckets: dict[int, set] = defaultdict(set)
-    arity = len(coeffs)
-    for tup in product(elements, repeat=arity):
-        total = 0
-        weights: dict[int, int] = {}
-        for a, x in zip(coeffs, tup):
-            total += a * x
-            weights[x] = weights.get(x, 0) + a
-        buckets[total].add(frozenset(kv for kv in weights.items() if kv[1]))
-    return {n: len(classes) for n, classes in buckets.items()}
+    return class_count_delta(form, GroundSet(()), ground_set.elements, budget)
 
 
 def class_count_delta(
@@ -268,46 +240,11 @@ def _general_delta(
     return {n: len(classes) for n, classes in buckets.items()}
 
 
-def _pruned_counts(
-    coeffs: tuple[int, ...], elements: tuple[int, ...], lo: int, hi: int
-) -> dict[int, int]:
-    """Same-sign enumeration restricted to [lo, hi] by monotone bounding."""
-    arity = len(coeffs)
-    lo_elem, hi_elem = elements[0], elements[-1]
-    # suffix_min/max[i]: extreme contribution of positions i..arity-1
-    suffix_min = [0] * (arity + 1)
-    suffix_max = [0] * (arity + 1)
-    for i in range(arity - 1, -1, -1):
-        a = coeffs[i]
-        cands = (a * lo_elem, a * hi_elem)
-        suffix_min[i] = suffix_min[i + 1] + min(cands)
-        suffix_max[i] = suffix_max[i + 1] + max(cands)
-
-    buckets: dict[int, set] = defaultdict(set)
-
-    def walk(pos: int, partial: int, chosen: tuple[int, ...]) -> None:
-        if partial + suffix_max[pos] < lo or partial + suffix_min[pos] > hi:
-            return
-        if pos == arity:
-            weights: dict[int, int] = {}
-            for a, x in zip(coeffs, chosen):
-                weights[x] = weights.get(x, 0) + a
-            buckets[partial].add(frozenset(kv for kv in weights.items() if kv[1]))
-            return
-        a = coeffs[pos]
-        for x in elements:
-            walk(pos + 1, partial + a * x, chosen + (x,))
-
-    walk(0, 0, ())
-    return {n: len(classes) for n, classes in buckets.items()}
-
-
 def rep_function(
     form: LinearForm,
     ground_set: GroundSet,
     window: tuple[int, int],
     budget: int = DEFAULT_TUPLE_BUDGET,
-    monotone_prune: bool = False,
 ) -> RepProfile:
     """Unordered representation function of a finite set, exhaustively.
 
@@ -315,23 +252,11 @@ def rep_function(
     the number of distinct representation classes.  Raises
     BudgetExceededError with the required tuple count when |A|^h exceeds
     ``budget``.
-
-    ``monotone_prune`` enables early termination by monotone bounding when
-    all coefficients share a sign.  It is off by default: a pruned run
-    only counts inside the window, so the profile's support fields then
-    describe the window intersection rather than the full support.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError(f"window lower bound {lo} exceeds upper bound {hi}")
-    coeffs = form.coefficients
-    same_sign = all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs)
-    if monotone_prune and same_sign and ground_set.elements:
-        _check_budget(len(ground_set), form.arity, budget)
-        counts = _pruned_counts(coeffs, ground_set.elements, lo, hi)
-        return RepProfile(counts=counts, window=window, windowed_only=True)
-    counts = class_counts(form, ground_set, budget)
-    return RepProfile(counts=counts, window=window)
+    return RepProfile(counts=class_counts(form, ground_set, budget), window=window)
 
 
 def count_at(

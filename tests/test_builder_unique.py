@@ -1,8 +1,11 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrep import (
+    DEFAULT_TUPLE_BUDGET,
     ConstructionState,
     GroundSet,
     LinearForm,
@@ -12,24 +15,30 @@ from linrep import (
     build,
     class_counts,
     mixed_sign_last,
-    next_target,
-    propose_block,
     spiral,
-    verify_block,
 )
-from linrep.builder_unique import _propose
+from linrep.builder_unique import _accept_unique, _check_block, _propose
+
+from oracles import brute_counts
+
+ACCEPTANCE_FORMS = ["1,1", "1,1,1", "2,3", "1,-2", "3,-2", "1,2,-3"]
 
 
-def fresh_state(form, d0=1):
-    return ConstructionState.initial(form, form, d0)
+def verify_block(form, block, target, d0=1):
+    """The unique builder's check of one block on top of the set {d0}."""
+    state = ConstructionState.initial(form, d0)
+    accept = partial(_accept_unique, class_counts(form, state.elements), None)
+    violation, _ = _check_block(state, (target, 0), block, accept, DEFAULT_TUPLE_BUDGET)
+    return violation
 
 
 class TestProposeBlock:
     def test_worked_example(self):
         # B0 = {1}, growth constant 10, target 0: offsets (11,), epsilon -11
         form = LinearForm.parse("1,1")
-        state = fresh_state(form)
-        block = propose_block(state, form, bezout_witness(form), target=0, m=10)
+        block, _, _, _, _ = _propose(
+            form, bezout_witness(form), target=0, m=10, prev_max_abs=1
+        )
         assert block == (11, -11)
         assert sum(a * b for a, b in zip(form.coefficients, block)) == 0
 
@@ -73,49 +82,35 @@ class TestProposeBlock:
 
 class TestVerifyBlock:
     def test_clean_candidate(self):
-        form = LinearForm.parse("1,1")
-        state = fresh_state(form)
-        assert verify_block(state, form, (11, -11), target=0) is None
+        assert verify_block(LinearForm.parse("1,1"), (11, -11), target=0) is None
 
     def test_duplicate_inside_block(self):
-        form = LinearForm.parse("1,1")
-        state = fresh_state(form)
-        violation = verify_block(state, form, (11, 11), target=22)
+        violation = verify_block(LinearForm.parse("1,1"), (11, 11), target=22)
         assert violation is not None
         assert violation.kind == "duplicate-in-block"
 
     def test_small_cancelling_pair(self):
-        form = LinearForm.parse("1,1")
-        state = fresh_state(form)
-        assert verify_block(state, form, (2, -2), target=0) is None
+        assert verify_block(LinearForm.parse("1,1"), (2, -2), target=0) is None
 
     def test_collision_with_existing(self):
-        form = LinearForm.parse("1,1")
-        state = fresh_state(form)
-        violation = verify_block(state, form, (1, -1), target=0)
+        violation = verify_block(LinearForm.parse("1,1"), (1, -1), target=0)
         assert violation.kind == "collision-with-existing"
         assert violation.value == 1
 
     def test_double_representation_named(self):
-        form = LinearForm.parse("1,1")
-        state = fresh_state(form)
         # 3 + (-1) = 2 = 1 + 1: the doubled integer is reported
-        violation = verify_block(state, form, (3, -1), target=2)
+        violation = verify_block(LinearForm.parse("1,1"), (3, -1), target=2)
         assert violation.kind == "double-representation"
         assert violation.value == 2
 
 
 class TestNextTarget:
+    # targets walk the spiral 0, 1, -1, 2, ... past represented integers
     def test_initial_target_is_zero(self):
-        form = LinearForm.parse("1,1")
-        state = fresh_state(form)
-        assert next_target(state, form) == 0
+        assert build(LinearForm.parse("1,1"), 1).covered_targets == (0,)
 
     def test_after_zero_comes_one(self):
-        form = LinearForm.parse("1,1")
-        state = build(form, 1)
-        assert state.covered_targets == (0,)
-        assert next_target(state, form) == 1
+        assert build(LinearForm.parse("1,1"), 2).covered_targets == (0, 1)
 
 
 class TestBuild:
@@ -156,10 +151,10 @@ class TestBuild:
         form = LinearForm.parse("1,2,-3")
         state = build(form, 6)
         prev_max = max(abs(e) for e in state.blocks[0])
-        for record, m in zip(state.records, state.m_schedule):
-            assert record.deltas[0] > m * prev_max
+        for record in state.records:
+            assert record.deltas[0] > record.m * prev_max
             for lo, hi in zip(record.deltas, record.deltas[1:]):
-                assert hi > m * lo
+                assert hi > record.m * lo
             prev_max = max(prev_max, max(abs(e) for e in record.block))
 
     def test_prefix_stability(self):
@@ -170,11 +165,13 @@ class TestBuild:
         assert all(counts.get(t, 0) == 1 for t in state.covered_targets)
         assert max(counts.values()) <= 1
 
-    def test_small_growth_constant_still_converges(self):
+    @pytest.mark.parametrize("text", ACCEPTANCE_FORMS)
+    def test_small_growth_constant_still_converges(self, text):
         # m0=1 forces the retry loop to earn its keep
-        form = LinearForm.parse("1,1")
+        form = LinearForm.parse(text)
         state = build(form, 8, m0=1)
-        counts = class_counts(form, state.elements)
+        assert sum(r.retries for r in state.records) >= 1
+        counts = brute_counts(form.coefficients, state.elements.elements)
         assert max(counts.values()) <= 1
         assert all(counts.get(t, 0) == 1 for t in state.covered_targets)
 
