@@ -235,13 +235,14 @@ class TargetReport:
     @classmethod
     def of(cls, counts: dict[int, int], target: TargetFunction) -> "TargetReport":
         """Every overshoot and zero-set hit of full-support ``counts``."""
-        overshoots = tuple(
-            (n, c, target.value_at(n))
-            for n, c in sorted(counts.items())
-            if c > target.value_at(n)
-        )
-        zero_hits = tuple(sorted(n for n in counts if n in target.zero_set))
-        return cls(overshoots=overshoots, zero_hits=zero_hits)
+        overshoots = []
+        for n, c in counts.items():
+            allowed = target.value_at(n)
+            if c > allowed:
+                overshoots.append((n, c, allowed))
+        overshoots.sort()
+        zero_hits = tuple(sorted(n for n in target.zero_set if n in counts))
+        return cls(overshoots=tuple(overshoots), zero_hits=zero_hits)
 
 
 def check_counts_against_target(

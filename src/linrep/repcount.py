@@ -4,9 +4,22 @@ Two solution tuples of a form represent the same class when, at every
 integer value, the sums of the coefficients attached to that value agree.
 The canonical datum of a class is therefore the finite map
 value -> coefficient-sum with zero sums removed.  Counting classes per
-represented integer is done by brute-force enumeration of all |A|^h
-ordered tuples; a finite set represents finitely many integers, so the
-full support is always available.
+represented integer accounts for all |A|^h ordered tuples; a finite set
+represents finitely many integers, so the full support is always
+available.
+
+Most tuples have pairwise distinct values, and those need no class key.
+The class of such a tuple has exactly h support points, each weighted by
+its own non-zero coefficient.  Exactly sym = prod(m_j!) ordered tuples
+realize it, where the m_j are the multiplicities of equal coefficients,
+and no tuple with a repeated value does, since that has fewer than h
+support points.  So the distinct-value classes at n number (distinct-value
+tuples summing to n) / sym.  The general kernel counts every tuple by its
+sum alone, as a convolution of the scaled value lists of the positions.
+It then enumerates the tuples with a repeated value once each, as a set
+partition of the positions into fewer than h parts plus an injective
+assignment of values to the parts, subtracts them from those sums and
+collects their class keys.
 
 When a disjoint block B joins a set A, the only new classes are those
 whose support meets B: a class whose B-positions cancel value by value
@@ -18,9 +31,10 @@ only the tuples with at least one entry in B.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
+from math import factorial, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -88,11 +102,16 @@ class RepClass:
 
     @classmethod
     def from_weights(cls, weights: dict[int, int]) -> "RepClass":
-        return cls(tuple(sorted((v, w) for v, w in weights.items() if w != 0)))
+        return cls(_class_key(weights.items()))
 
     def represents(self) -> int:
         """The integer this class is a representation of."""
         return sum(v * w for v, w in self.items)
+
+
+def _class_key(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sorted (value, weight) pairs of distinct values, zero weights dropped."""
+    return tuple(sorted((v, w) for v, w in pairs if w))
 
 
 def canonicalize(form: LinearForm, solution: tuple[int, ...]) -> RepClass:
@@ -218,26 +237,86 @@ def _uniform_delta(
 def _general_delta(
     coeffs: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]
 ) -> dict[int, int]:
+    """Two passes over the tuples with a block entry, split by the first
+    block position; sums appear in the order of their first such tuple."""
     fresh = frozenset(new)
     both = old + new
     arity = len(coeffs)
-    buckets: dict[int, set] = defaultdict(set)
+    # pass 1: every tuple with a block entry, counted by its sum only
+    tuples: Counter[int] = Counter()
     for i in range(arity):
-        for tup in product(*([old] * i + [new] + [both] * (arity - 1 - i))):
-            total = sum(map(mul, coeffs, tup))
-            if len(set(tup)) == arity:
-                # distinct values keep their own non-zero weights, and one
-                # of them lies in the block
-                buckets[total].add(frozenset(zip(tup, coeffs)))
-                continue
-            weights: dict[int, int] = {}
-            for a, x in zip(coeffs, tup):
-                weights[x] = weights.get(x, 0) + a
-            key = frozenset(kv for kv in weights.items() if kv[1])
+        factors = [old] * i + [new] + [both] * (arity - 1 - i)
+        scaled = [[a * x for x in values] for a, values in zip(coeffs, factors)]
+        prefix: Counter[int] = Counter({0: 1})
+        for values in scaled[:-1]:
+            prefix = _convolve(prefix, values, Counter())
+        _convolve(prefix, scaled[-1], tuples)
+    # pass 2: the tuples with a repeated value, each once, get class keys
+    classes: dict[int, set] = defaultdict(set)
+    for parts in _set_partitions(arity):
+        if len(parts) == arity:
+            continue
+        weights = [sum(coeffs[p] for p in part) for part in parts]
+        for values in _injective_assignments(len(parts), old, new):
+            total = sum(map(mul, weights, values))
+            tuples[total] -= 1
+            key = _class_key(zip(values, weights))
+            keys = classes[total]
             # a class missing the block is realized inside a non-empty base
             if not old or any(x in fresh for x, _ in key):
-                buckets[total].add(key)
-    return {n: len(classes) for n, classes in buckets.items()}
+                keys.add(key)
+    # what is left are distinct-value tuples, sym orderings of each class
+    sym = prod(factorial(m) for m in Counter(coeffs).values())
+    if min(tuples.values()) < 0 or (sym > 1 and any(c % sym for c in tuples.values())):
+        raise RuntimeError(
+            f"distinct-value tuple counts are not multiples of the {sym} "
+            "orderings of one class"
+        )
+    counts = dict(tuples) if sym == 1 else {n: c // sym for n, c in tuples.items()}
+    for n, keys in classes.items():
+        found = counts[n] + len(keys)
+        if found:
+            counts[n] = found
+        else:
+            del counts[n]
+    return counts
+
+
+def _convolve(
+    sums: dict[int, int], values: list[int], out: Counter[int]
+) -> Counter[int]:
+    """Add every (s + v) for s in ``sums`` (with multiplicity) and v in ``values``."""
+    for s, c in sums.items():
+        if c == 1:
+            out.update(map(s.__add__, values))
+        else:
+            for v in values:
+                out[s + v] += c
+    return out
+
+
+def _set_partitions(size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every partition of range(size), parts ordered by their least position."""
+    if size == 0:
+        yield ()
+        return
+    last = size - 1
+    for parts in _set_partitions(last):
+        for j in range(len(parts)):
+            yield parts[:j] + (parts[j] + (last,),) + parts[j + 1 :]
+        yield parts + ((last,),)
+
+
+def _injective_assignments(
+    k: int, old: tuple[int, ...], new: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Every k-tuple of pairwise distinct values from old+new with at least
+    one block value, once each: split by the first block position."""
+    both = old + new
+    for i in range(k):
+        for values in product(*([old] * i + [new] + [both] * (k - 1 - i))):
+            if len(set(values)) == k:
+                yield values
 
 
 def rep_function(

@@ -1,4 +1,6 @@
 import json
+from itertools import product as iproduct
+from math import perm
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,12 @@ from linrep import (
     count_at,
     rep_function,
 )
-from linrep.repcount import class_count_delta, merge_counts
+from linrep.repcount import (
+    _injective_assignments,
+    _set_partitions,
+    class_count_delta,
+    merge_counts,
+)
 
 from oracles import brute_counts, class_key, ordered_solutions
 
@@ -148,8 +155,6 @@ class TestOracleAgreement:
     def test_total_classes(self, form, ground):
         # summing over the full support counts every class exactly once
         counts = class_counts(form, ground)
-        from itertools import product as iproduct
-
         all_classes = {
             canonicalize(form, tup)
             for tup in iproduct(ground.elements, repeat=form.arity)
@@ -250,3 +255,86 @@ class TestDeltaCounting:
                 LinearForm.parse("1,1,1"), GroundSet.of(range(40)), (100, 101), budget=42**3 - 1
             )
         assert err.value.required == 42**3
+
+
+# forms whose equal coefficients give sym > 1 orderings per distinct-value class;
+# 1,-1,1,-1 also merges positions into zero-sum parts
+SYM_FORMS = [(1, 1, -2), (1, 1, 1, -3), (2, 2, -1, -1), (1, -1, 1, -1)]
+
+
+def repeated_value_tuples(arity, old, new):
+    """The tuples the general kernel's second pass visits, in visiting order."""
+    out = []
+    for parts in _set_partitions(arity):
+        if len(parts) == arity:
+            continue
+        for values in _injective_assignments(len(parts), old, new):
+            tup = [None] * arity
+            for part, x in zip(parts, values):
+                for p in part:
+                    tup[p] = x
+            out.append(tuple(tup))
+    return out
+
+
+class TestGeneralKernel:
+    @pytest.mark.parametrize("coeffs", SYM_FORMS)
+    @given(split=split_sets(7))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_coefficient_forms(self, coeffs, split):
+        base, block = split
+        form = LinearForm(coeffs)
+        assert class_counts(form, base.union(block)) == brute_counts(
+            coeffs, base.union(block).elements
+        )
+        assert merged_counts(form, base, block) == brute_counts(
+            coeffs, base.union(block).elements
+        )
+
+    @pytest.mark.parametrize("coeffs", [(1, 2, -3), (3, -1)] + SYM_FORMS)
+    @given(
+        start=st.integers(-10, 10),
+        step=st.integers(1, 4),
+        size=st.integers(1, 7),
+        cut=st.integers(0, 7),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_arithmetic_progressions(self, coeffs, start, step, size, cut):
+        # many prefixes share a sum, so most prefix sums carry multiplicity > 1
+        values = [start + step * k for k in range(size)]
+        base, block = GroundSet.of(values[:cut]), tuple(values[cut:])
+        form = LinearForm(coeffs)
+        assert class_counts(form, GroundSet.of(values)) == brute_counts(coeffs, values)
+        assert merged_counts(form, base, block) == brute_counts(coeffs, values)
+
+    @pytest.mark.parametrize("coeffs", [(1, 2, -3), (1, -1)] + SYM_FORMS)
+    @given(st.lists(st.integers(-20, 20), unique=True, max_size=6), st.integers(-20, 20))
+    @settings(max_examples=30, deadline=None)
+    def test_one_element_block(self, coeffs, values, extra):
+        form = LinearForm(coeffs)
+        assert class_count_delta(form, GroundSet(()), (extra,)) == brute_counts(
+            coeffs, (extra,)
+        )
+        if extra not in values:
+            assert merged_counts(form, GroundSet.of(values), (extra,)) == brute_counts(
+                coeffs, GroundSet.of(values + [extra]).elements
+            )
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_repeated_value_tuples_visited_once_each(self, arity, size):
+        values = tuple(range(size))
+        seen = repeated_value_tuples(arity, (), values)
+        assert len(seen) == len(set(seen)) == size**arity - perm(size, arity)
+        assert all(len(set(t)) < arity for t in seen)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_repeated_value_tuples_touch_the_block(self, arity):
+        old, new = (-3, 0, 4), (7, 9)
+        seen = repeated_value_tuples(arity, old, new)
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {
+            t
+            for t in iproduct(old + new, repeat=arity)
+            if len(set(t)) < arity and any(x in new for x in t)
+        }
