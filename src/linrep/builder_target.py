@@ -234,12 +234,18 @@ class TargetReport:
 
     @classmethod
     def of(cls, counts: dict[int, int], target: TargetFunction) -> "TargetReport":
-        """Every overshoot and zero-set hit of full-support ``counts``."""
-        overshoots = []
-        for n, c in counts.items():
-            allowed = target.value_at(n)
-            if c > allowed:
-                overshoots.append((n, c, allowed))
+        """Every overshoot and zero-set hit of full-support ``counts``.
+
+        The explicit values are checked one by one.  Every other value is
+        allowed the default, and none of them can exceed it unless the
+        largest count does, so the other counts are walked only then.
+        """
+        values, default = target.values, target.default
+        overshoots = [(n, counts[n], v) for n, v in values.items() if counts.get(n, 0) > v]
+        if max(counts.values(), default=0) > default:
+            overshoots += [
+                (n, c, default) for n, c in counts.items() if c > default and n not in values
+            ]
         overshoots.sort()
         zero_hits = tuple(sorted(n for n in target.zero_set if n in counts))
         return cls(overshoots=tuple(overshoots), zero_hits=zero_hits)

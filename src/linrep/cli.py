@@ -272,18 +272,17 @@ def cmd_verify(args) -> int:
     else:
         lo, hi = 0, 0
     if args.profile:
-        _write(args.profile, _dump(RepProfile(counts, (lo, hi)).to_json_obj()) + "\n")
+        _write(args.profile, RepProfile(counts, (lo, hi)).to_json() + "\n")
     if args.target:
         check = TargetReport.of(counts, TargetFunction.from_json(_read(args.target)))
         violations = [
             {"n": str(n), "count": c, "allowed": "inf" if allowed == float("inf") else allowed}
             for n, c, allowed in check.overshoots
-        ] + [{"n": str(n), "count": counts.get(n, 0), "allowed": 0} for n in check.zero_hits]
+        ]
     else:
         violations = [
             {"n": str(n), "count": c, "allowed": 1}
-            for n, c in sorted(counts.items())
-            if c > 1
+            for n, c in sorted((n, c) for n, c in counts.items() if c > 1)
         ]
     ok = not violations
     report = {"ok": ok, "violations": violations, "support_size": len(counts)}

@@ -158,13 +158,29 @@ class RepProfile:
         lo, hi = self.window
         return {n: c for n, c in sorted(self.counts.items()) if lo <= n <= hi}
 
-    def to_json_obj(self) -> dict:
+    def to_json(self) -> str:
+        """Compact JSON: the windowed counts keyed by decimal strings, and
+        the support bounds as decimal strings (``null`` when empty).
+
+        The bytes are those of ``json.dumps(..., sort_keys=True,
+        separators=(",", ":"))``, written without building a string-keyed
+        dict.  One ``"n":c`` entry is made per windowed count and the
+        entries are sorted as strings.  Every key is a decimal integer and
+        ``"`` (0x22) sorts below ``-`` and every digit, so a comparison of
+        two entries is decided inside their keys, and a key that is a
+        prefix of another sorts first, as in ``str`` order: this is json's
+        ``sort_keys`` order.  Keys need no escaping, and ``f"{c}"`` is
+        ``int.__repr__``, which is what json writes for an integer.
+        """
+        lo, hi = self.window
+        entries = sorted([f'"{n}":{c}' for n, c in self.counts.items() if lo <= n <= hi])
         smin, smax = self.support_min, self.support_max
-        return {
-            "counts": {str(n): c for n, c in self.windowed_counts().items()},
-            "support_min": None if smin is None else str(smin),
-            "support_max": None if smax is None else str(smax),
-        }
+        return (
+            '{"counts":{' + ",".join(entries) + "}"
+            + ',"support_max":' + ("null" if smax is None else f'"{smax}"')
+            + ',"support_min":' + ("null" if smin is None else f'"{smin}"')
+            + "}"
+        )
 
 
 def _check_budget(size: int, arity: int, budget: int) -> None:

@@ -106,3 +106,13 @@ def direct_pair_automorphism(coeffs):
             if all(cp[j] - cc[j] == coeffs[j] for j in range(h)):
                 return psi, chi
     return None
+
+
+def target_overshoots(counts, target):
+    """Sorted (n, count, allowed) for every count above target.value_at(n)."""
+    out = []
+    for n, c in counts.items():
+        allowed = target.value_at(n)
+        if c > allowed:
+            out.append((n, c, allowed))
+    return sorted(out)

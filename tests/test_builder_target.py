@@ -12,6 +12,7 @@ from linrep import (
     NotPrimitiveError,
     PreconditionViolationError,
     TargetFunction,
+    TargetReport,
     build_for_target,
     check_counts_against_target,
     class_counts,
@@ -20,7 +21,7 @@ from linrep import (
     spiral,
 )
 
-from oracles import rational_box_values
+from oracles import rational_box_values, target_overshoots
 
 
 class TestTargetFunction:
@@ -164,6 +165,21 @@ class TestCheckCounts:
             LinearForm.parse("1,1"), GroundSet.of([0, 1, 2]), t
         )
         assert (2, 2, 1) in report.overshoots
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_report_matches_per_value_oracle(self, data):
+        lo = data.draw(st.integers(-15, 0))
+        hi = data.draw(st.integers(0, 15))
+        allowed = st.one_of(st.integers(1, 6), st.just(INFINITY))
+        values = data.draw(st.dictionaries(st.integers(lo, hi), allowed, max_size=8))
+        zeros = data.draw(st.sets(st.integers(lo, hi).filter(lambda n: n not in values)))
+        default = data.draw(st.sampled_from([1, 2, 3, INFINITY]))
+        target = TargetFunction.make((lo, hi), values, default, tuple(zeros))
+        counts = data.draw(st.dictionaries(st.integers(-25, 25), st.integers(1, 6)))
+        report = TargetReport.of(counts, target)
+        assert list(report.overshoots) == target_overshoots(counts, target)
+        assert report.zero_hits == tuple(sorted(zeros & counts.keys()))
 
 
 class TestBuildForTarget:

@@ -12,6 +12,7 @@ from linrep import (
     GroundSet,
     LinearForm,
     RepClass,
+    RepProfile,
     canonicalize,
     class_counts,
     count_at,
@@ -29,6 +30,12 @@ from oracles import brute_counts, class_key, ordered_solutions
 nonzero = st.integers(min_value=-5, max_value=5).filter(bool)
 forms3 = st.lists(nonzero, min_size=1, max_size=3).map(lambda c: LinearForm(tuple(c)))
 small_sets = st.sets(st.integers(-30, 30), min_size=0, max_size=6).map(GroundSet.of)
+# keys that are prefixes of one another, zero, and values beyond 64 bits
+profile_keys = st.one_of(
+    st.sampled_from([0, 1, 12, 123, 1234, -1, -12, -123, 10, 100, -10, 2**64 + 1, -(2**64) - 1]),
+    st.integers(-(2**70), 2**70),
+    st.integers(-200, 200),
+)
 
 
 class TestGroundSet:
@@ -113,8 +120,26 @@ class TestRepFunction:
 
     def test_export_shape(self):
         prof = rep_function(LinearForm.parse("1,1"), GroundSet.of([0, 1]), (0, 1))
-        obj = prof.to_json_obj()
-        assert obj == {"counts": {"0": 1, "1": 1}, "support_min": "0", "support_max": "2"}
+        assert prof.to_json() == '{"counts":{"0":1,"1":1},"support_max":"2","support_min":"0"}'
+
+    @given(
+        st.dictionaries(profile_keys, st.integers(1, 2**70), max_size=40),
+        st.tuples(profile_keys, profile_keys).map(sorted),
+    )
+    @settings(max_examples=300)
+    def test_export_matches_json_dumps(self, counts, window):
+        prof = RepProfile(counts, tuple(window))
+        lo, hi = window
+        expected = json.dumps(
+            {
+                "counts": {str(n): c for n, c in counts.items() if lo <= n <= hi},
+                "support_min": str(min(counts)) if counts else None,
+                "support_max": str(max(counts)) if counts else None,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert prof.to_json() == expected
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as err:
