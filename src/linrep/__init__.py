@@ -46,7 +46,6 @@ from .builder_unique import (
     mixed_sign_last,
 )
 from .errors import (
-    ArityMismatchError,
     BudgetExceededError,
     ConstructionBugError,
     FormParseError,
@@ -76,9 +75,7 @@ from .forms import (
 from .repcount import (
     DEFAULT_TUPLE_BUDGET,
     GroundSet,
-    RepClass,
     RepProfile,
-    canonicalize,
     class_counts,
     count_at,
     rep_function,

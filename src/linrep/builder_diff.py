@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
-from .builder_target import Count, TargetFunction, enumerate_multiset
+from .builder_target import TargetFunction, enumerate_multiset
 from .builder_unique import ConstructionState, _grow
 from .errors import (
     ConstructionBugError,
@@ -35,7 +35,7 @@ from .errors import (
     SupplyExhaustedError,
 )
 from .forms import LinearForm
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, RepProfile, class_counts
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts, int_from_json
 
 DIFFERENCE_FORM = LinearForm((1, -1))
 
@@ -80,23 +80,10 @@ class PlentifulSequence:
         raw = json.loads(text)
         if not isinstance(raw, list):
             raise ValueError("sequence file must be a JSON array")
-        return cls(tuple(int(s) for s in raw))
+        return cls(tuple(int_from_json(s, "sequence term") for s in raw))
 
     def to_json(self) -> str:
         return json.dumps([str(t) for t in self.terms])
-
-
-CountLookup = Union[TargetFunction, RepProfile, Mapping[int, Count], Callable[[int], Count]]
-
-
-def _value_at(f_like: CountLookup, n: int) -> Count:
-    if isinstance(f_like, TargetFunction):
-        return f_like.value_at(n)
-    if isinstance(f_like, RepProfile):
-        return f_like.count(n)
-    if isinstance(f_like, Mapping):
-        return f_like.get(n, 0)
-    return f_like(n)
 
 
 @dataclass(frozen=True)
@@ -152,16 +139,14 @@ def check_three_rep_obstruction(target: TargetFunction) -> DiffReport:
     return DiffReport(tuple(violations))
 
 
-def is_plentiful(seq: PlentifulSequence, counts: CountLookup) -> bool:
-    """Exhaustive O(N^2) check that every partial sum has count above 1."""
-    n = len(seq.terms)
-    for l in range(1, n + 1):
-        acc = 0
-        for m in range(l, n + 1):
-            acc += seq.terms[m - 1]
-            if not _value_at(counts, acc) > 1:
-                return False
-    return True
+def is_plentiful(
+    seq: PlentifulSequence, counts: Union[TargetFunction, Mapping[int, int]]
+) -> bool:
+    """Exhaustive O(N^2) check that every partial sum has count above 1,
+    under a target or a map of class counts."""
+    if isinstance(counts, TargetFunction):
+        return all(counts.value_at(s) > 1 for s in seq.all_partial_sums())
+    return all(counts.get(s, 0) > 1 for s in seq.all_partial_sums())
 
 
 def extract_plentiful(

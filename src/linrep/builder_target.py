@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolationError,
 )
 from .forms import LinearForm, bezout_witness, is_partition_regular, is_primitive, spiral
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts, int_from_json
 
 INFINITY: float = math.inf
 
@@ -136,9 +136,11 @@ class TargetFunction:
                 return v
             raise ValueError(f"count must be an integer or \"inf\", got {v!r}")
 
-        values = {int(k): decode(v) for k, v in raw.get("values", {}).items()}
+        values = {
+            int_from_json(k, "value key"): decode(v) for k, v in raw.get("values", {}).items()
+        }
         default = decode(raw.get("default", 1))
-        zeros = tuple(int(z) for z in raw.get("zeros", []))
+        zeros = tuple(int_from_json(z, "zero-set entry") for z in raw.get("zeros", []))
         return cls.make((window[0], window[1]), values, default, zeros)
 
     def to_json(self) -> str:

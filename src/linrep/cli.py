@@ -42,9 +42,12 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_RETRY = 5
 
+# the final check of build, and of verify without --target: every count <= 1
+ALL_ONES = TargetFunction.make((0, 0))
+
 # (exception type, exit code, reported error name or None for the type's
 # own name); the first row that matches wins.  ValueError covers
-# FormParseError, ArityMismatchError and json.JSONDecodeError.
+# FormParseError and json.JSONDecodeError.
 _FAILURES = (
     (FileNotFoundError, EXIT_PARSE, "FileNotFound"),
     (ValueError, EXIT_PARSE, None),
@@ -155,7 +158,7 @@ def cmd_build(args) -> int:
         return EXIT_OK
     _write_outputs(args, state.elements, state.trace_records())
     counts = class_counts(form, state.elements, args.budget)
-    over = sorted(n for n, c in counts.items() if c > 1)
+    over = [n for n, _, _ in TargetReport.of(counts, ALL_ONES).overshoots]
     missed = sorted(t for t in state.covered_targets if counts.get(t, 0) != 1)
     below = (
         sorted(e for e in state.elements if e < args.half_line)
@@ -273,17 +276,11 @@ def cmd_verify(args) -> int:
         lo, hi = 0, 0
     if args.profile:
         _write(args.profile, RepProfile(counts, (lo, hi)).to_json() + "\n")
-    if args.target:
-        check = TargetReport.of(counts, TargetFunction.from_json(_read(args.target)))
-        violations = [
-            {"n": str(n), "count": c, "allowed": "inf" if allowed == float("inf") else allowed}
-            for n, c, allowed in check.overshoots
-        ]
-    else:
-        violations = [
-            {"n": str(n), "count": c, "allowed": 1}
-            for n, c in sorted((n, c) for n, c in counts.items() if c > 1)
-        ]
+    target = TargetFunction.from_json(_read(args.target)) if args.target else ALL_ONES
+    violations = [
+        {"n": str(n), "count": c, "allowed": "inf" if allowed == float("inf") else allowed}
+        for n, c, allowed in TargetReport.of(counts, target).overshoots
+    ]
     ok = not violations
     report = {"ok": ok, "violations": violations, "support_size": len(counts)}
     _emit(

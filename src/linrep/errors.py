@@ -23,10 +23,6 @@ class SearchSpaceTooLargeError(LinrepError):
     """The exhaustive substitution-pair search exceeds the configured cap."""
 
 
-class ArityMismatchError(LinrepError, ValueError):
-    """A solution tuple does not have one entry per form variable."""
-
-
 class BudgetExceededError(LinrepError):
     """An enumeration would require more tuples than the caller allows."""
 

@@ -3,45 +3,60 @@
 Two solution tuples of a form represent the same class when, at every
 integer value, the sums of the coefficients attached to that value agree.
 The canonical datum of a class is therefore the finite map
-value -> coefficient-sum with zero sums removed.  Counting classes per
-represented integer accounts for all |A|^h ordered tuples; a finite set
-represents finitely many integers, so the full support is always
-available.
+value -> coefficient-sum with zero sums removed.  A finite set represents
+finitely many integers, so the full support is always available.
 
-Most tuples have pairwise distinct values, and those need no class key.
-The class of such a tuple has exactly h support points, each weighted by
-its own non-zero coefficient.  Exactly sym = prod(m_j!) ordered tuples
-realize it, where the m_j are the multiplicities of equal coefficients,
-and no tuple with a repeated value does, since that has fewer than h
-support points.  So the distinct-value classes at n number (distinct-value
-tuples summing to n) / sym.  The general kernel counts every tuple by its
-sum alone, as a convolution of the scaled value lists of the positions.
-It then enumerates the tuples with a repeated value once each, as a set
-partition of the positions into fewer than h parts plus an injective
-assignment of values to the parts, subtracts them from those sums and
-collects their class keys.
+The general kernel counts classes as integers, one class type at a time.
+The type of a class is the multiset W of its weights; the types are the
+part sums of the partitions of the positions with no zero-weight part (a
+zero-weight part can join any other part without changing the class).
+The classes of type W at n number inj_W(n) / sym(W): inj_W counts the
+assignments of pairwise distinct values to W's weighted slots with sum n,
+and sym(W) is the product of m! over the multiplicities m of equal
+weights.  Moebius inversion on the partitions of the slots makes inj_W a
+signed sum of convolutions (G.-C. Rota, Z. Wahrsch. 2, 1964).  The empty
+class exists when the coefficients sum to 0 and the set is non-empty.
 
-When a disjoint block B joins a set A, the only new classes are those
-whose support meets B: a class whose B-positions cancel value by value
-is also realized by sending each cancelling group of positions to one
-element of A.  ``class_count_delta`` counts just those classes, walking
-only the tuples with at least one entry in B.
+When a disjoint block B joins a set A, the new classes are those whose
+support meets B, so ``class_count_delta`` counts only assignments with a
+value in B, split by the first slot holding one.  A general delta lists
+its sums in the order a walk of the tuples with a block entry first meets
+them (split by the first block position, then ``itertools.product``
+order); that order decides which doubled value a retry trail names.
+Forms with equal coefficients keep a path that enumerates value
+multisets, keyed in multiset order, because it is faster: through the
+Moebius kernel a 200-step build for the form 1,1 took 0.29 s instead of
+0.23 s, and a count of 1,1,1,1 on 25 values 84 ms instead of 10 ms.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import factorial, prod
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ArityMismatchError, BudgetExceededError
+from .errors import BudgetExceededError
 from .forms import LinearForm
 
 DEFAULT_TUPLE_BUDGET = 10**8
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def int_from_json(value: object, what: str) -> int:
+    """An integer read from a JSON file: a JSON integer that is not a
+    boolean, or a string of decimal digits with an optional leading minus.
+    Anything else (a float, a boolean, a padded or signed-plus string)
+    raises ValueError instead of being coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,56 +94,18 @@ class GroundSet:
 
     @classmethod
     def from_json(cls, text: str) -> "GroundSet":
-        """Load from a JSON array of signed decimal strings."""
+        """Load from a JSON array of distinct integers (see ``int_from_json``)."""
         raw = json.loads(text)
         if not isinstance(raw, list):
             raise ValueError("ground set file must be a JSON array")
-        return cls.of(int(s) for s in raw)
+        values = [int_from_json(s, "ground set entry") for s in raw]
+        if len(set(values)) != len(values):
+            raise ValueError("ground set file repeats an entry")
+        return cls.of(values)
 
     def to_json(self) -> str:
         """Serialize as a JSON array of decimal strings (exact for big values)."""
         return json.dumps([str(e) for e in self.elements])
-
-
-@dataclass(frozen=True)
-class RepClass:
-    """Canonical representation class: sorted (value, weight) pairs.
-
-    Weights are the per-value coefficient sums; zero weights are dropped
-    during canonicalization, so the empty class represents 0.
-    """
-
-    items: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_weights(cls, weights: dict[int, int]) -> "RepClass":
-        return cls(_class_key(weights.items()))
-
-    def represents(self) -> int:
-        """The integer this class is a representation of."""
-        return sum(v * w for v, w in self.items)
-
-
-def _class_key(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Sorted (value, weight) pairs of distinct values, zero weights dropped."""
-    return tuple(sorted((v, w) for v, w in pairs if w))
-
-
-def canonicalize(form: LinearForm, solution: tuple[int, ...]) -> RepClass:
-    """Canonical class of one solution tuple.
-
-    Groups tuple positions by value and sums the attached coefficients;
-    zero sums are removed.  Two tuples are equivalent representations iff
-    their canonical classes are equal.
-    """
-    if len(solution) != form.arity:
-        raise ArityMismatchError(
-            f"tuple has {len(solution)} entries, form has {form.arity} variables"
-        )
-    weights: dict[int, int] = {}
-    for a, x in zip(form.coefficients, solution):
-        weights[x] = weights.get(x, 0) + a
-    return RepClass.from_weights(weights)
 
 
 @dataclass
@@ -142,9 +119,6 @@ class RepProfile:
 
     counts: dict[int, int]
     window: tuple[int, int]
-
-    def count(self, n: int) -> int:
-        return self.counts.get(n, 0)
 
     @property
     def support_min(self) -> int | None:
@@ -253,49 +227,92 @@ def _uniform_delta(
 def _general_delta(
     coeffs: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]
 ) -> dict[int, int]:
-    """Two passes over the tuples with a block entry, split by the first
-    block position; sums appear in the order of their first such tuple."""
-    fresh = frozenset(new)
+    """Integer counts of the new classes, one class type at a time.
+
+    The keys come in the order of their first tuple with a block entry,
+    split by the first block position, as the first type's first term
+    lists them; every later term only revisits those sums.
+    """
+    counts: dict[int, int] = {}
+    touched: set[int] = set()
+    for j, weights in enumerate(_class_types(coeffs)):
+        sums = _injective_sums(weights, old, new, touched)
+        sym = prod(factorial(m) for m in Counter(weights).values())
+        if min(sums.values()) < 0 or (sym > 1 and any(c % sym for c in sums.values())):
+            raise RuntimeError(
+                f"injective counts of class type {weights} are not non-negative "
+                f"multiples of its {sym} slot symmetries"
+            )
+        if j == 0:
+            counts = dict(sums) if sym == 1 else {n: c // sym for n, c in sums.items()}
+        else:
+            for n, c in sums.items():
+                counts[n] += c // sym
+            touched.update(sums)
+    if not old and sum(coeffs) == 0:
+        counts[0] += 1  # the empty class, new with the first elements
+    for n in touched:
+        if not counts[n]:
+            del counts[n]
+    return counts
+
+
+def _class_types(coeffs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each class type once: the part sums of a partition of the positions
+    with no zero-weight part, the coefficients themselves first."""
+    seen: set[tuple[int, ...]] = set()
+    for parts in _set_partitions(len(coeffs)):
+        weights = tuple(sum(coeffs[p] for p in part) for part in parts)
+        key = tuple(sorted(weights))
+        if all(weights) and key not in seen:
+            seen.add(key)
+            yield weights
+
+
+def _injective_sums(
+    weights: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...], touched: set[int]
+) -> Counter[int]:
+    """Map n -> number of assignments of pairwise distinct values from
+    old+new to the weighted slots, with at least one block value, whose
+    weighted sum is n.
+
+    Moebius inversion on the partitions of the slots: an assignment
+    constant on the parts of sigma is counted by a convolution, and the
+    distinct-value count is the sum of those counts weighted by
+    mu(sigma) = prod((-1)^(s-1) (s-1)!) over the part sizes s.  The first
+    term (all singletons) goes straight into the result; the sums any
+    later term touches are added to ``touched``.
+    """
+    sums: Counter[int] = Counter()
+    for j, parts in enumerate(_set_partitions(len(weights))):
+        merged = [sum(weights[i] for i in part) for part in parts]
+        if j == 0:
+            _split_sums(merged, old, new, sums)
+            continue
+        mu = prod((-1) ** (len(part) - 1) * factorial(len(part) - 1) for part in parts)
+        term = _split_sums(merged, old, new, Counter())
+        for n, c in term.items():
+            sums[n] += mu * c
+        touched.update(term)
+    return sums
+
+
+def _split_sums(
+    weights: list[int], old: tuple[int, ...], new: tuple[int, ...], out: Counter[int]
+) -> Counter[int]:
+    """Add the weighted sum of every assignment of old+new values to the
+    slots with at least one block value, split by the first block slot:
+    old^i x new x (old+new)^(k-1-i)."""
     both = old + new
-    arity = len(coeffs)
-    # pass 1: every tuple with a block entry, counted by its sum only
-    tuples: Counter[int] = Counter()
-    for i in range(arity):
-        factors = [old] * i + [new] + [both] * (arity - 1 - i)
-        scaled = [[a * x for x in values] for a, values in zip(coeffs, factors)]
+    k = len(weights)
+    for i in range(k):
+        factors = [old] * i + [new] + [both] * (k - 1 - i)
+        scaled = [[w * x for x in values] for w, values in zip(weights, factors)]
         prefix: Counter[int] = Counter({0: 1})
         for values in scaled[:-1]:
             prefix = _convolve(prefix, values, Counter())
-        _convolve(prefix, scaled[-1], tuples)
-    # pass 2: the tuples with a repeated value, each once, get class keys
-    classes: dict[int, set] = defaultdict(set)
-    for parts in _set_partitions(arity):
-        if len(parts) == arity:
-            continue
-        weights = [sum(coeffs[p] for p in part) for part in parts]
-        for values in _injective_assignments(len(parts), old, new):
-            total = sum(map(mul, weights, values))
-            tuples[total] -= 1
-            key = _class_key(zip(values, weights))
-            keys = classes[total]
-            # a class missing the block is realized inside a non-empty base
-            if not old or any(x in fresh for x, _ in key):
-                keys.add(key)
-    # what is left are distinct-value tuples, sym orderings of each class
-    sym = prod(factorial(m) for m in Counter(coeffs).values())
-    if min(tuples.values()) < 0 or (sym > 1 and any(c % sym for c in tuples.values())):
-        raise RuntimeError(
-            f"distinct-value tuple counts are not multiples of the {sym} "
-            "orderings of one class"
-        )
-    counts = dict(tuples) if sym == 1 else {n: c // sym for n, c in tuples.items()}
-    for n, keys in classes.items():
-        found = counts[n] + len(keys)
-        if found:
-            counts[n] = found
-        else:
-            del counts[n]
-    return counts
+        _convolve(prefix, scaled[-1], out)
+    return out
 
 
 def _convolve(
@@ -312,27 +329,16 @@ def _convolve(
 
 
 def _set_partitions(size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every partition of range(size), parts ordered by their least position."""
+    """Every partition of range(size), parts ordered by their least
+    position; the partition into singletons comes first."""
     if size == 0:
         yield ()
         return
     last = size - 1
     for parts in _set_partitions(last):
+        yield parts + ((last,),)
         for j in range(len(parts)):
             yield parts[:j] + (parts[j] + (last,),) + parts[j + 1 :]
-        yield parts + ((last,),)
-
-
-def _injective_assignments(
-    k: int, old: tuple[int, ...], new: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """Every k-tuple of pairwise distinct values from old+new with at least
-    one block value, once each: split by the first block position."""
-    both = old + new
-    for i in range(k):
-        for values in product(*([old] * i + [new] + [both] * (k - 1 - i))):
-            if len(set(values)) == k:
-                yield values
 
 
 def rep_function(

@@ -116,3 +116,19 @@ def target_overshoots(counts, target):
         if c > allowed:
             out.append((n, c, allowed))
     return sorted(out)
+
+
+def first_seen_sums(coeffs, old, new):
+    """Distinct sums of the tuples with an entry in `new`, in the order first met.
+
+    The tuples are walked split by their first position holding a `new`
+    value, old^i x new x (old+new)^(h-1-i) for i = 0, 1, ..., each part in
+    itertools.product order.
+    """
+    seen = {}
+    h = len(coeffs)
+    both = tuple(old) + tuple(new)
+    for i in range(h):
+        for tup in product(*([old] * i + [new] + [both] * (h - 1 - i))):
+            seen.setdefault(sum(a * x for a, x in zip(coeffs, tup)), None)
+    return list(seen)

@@ -1,5 +1,6 @@
 import json
-from itertools import product as iproduct
+from collections import Counter
+from itertools import permutations, product as iproduct
 from math import perm
 
 import pytest
@@ -7,25 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrep import (
-    ArityMismatchError,
     BudgetExceededError,
     GroundSet,
     LinearForm,
-    RepClass,
     RepProfile,
-    canonicalize,
     class_counts,
     count_at,
     rep_function,
 )
 from linrep.repcount import (
-    _injective_assignments,
+    _class_types,
+    _injective_sums,
     _set_partitions,
     class_count_delta,
+    int_from_json,
     merge_counts,
 )
 
-from oracles import brute_counts, class_key, ordered_solutions
+from oracles import brute_counts, class_key, first_seen_sums, ordered_solutions
 
 nonzero = st.integers(min_value=-5, max_value=5).filter(bool)
 forms3 = st.lists(nonzero, min_size=1, max_size=3).map(lambda c: LinearForm(tuple(c)))
@@ -62,29 +62,18 @@ class TestGroundSet:
 
 
 class TestCanonicalize:
+    """The oracle's class key, which every count is checked against."""
+
     def test_symmetric_pair(self):
-        form = LinearForm.parse("1,1")
-        assert canonicalize(form, (1, 3)) == canonicalize(form, (3, 1))
-        assert canonicalize(form, (1, 3)).items == ((1, 1), (3, 1))
+        assert class_key((1, 1), (1, 3)) == class_key((1, 1), (3, 1)) == ((1, 1), (3, 1))
 
     def test_zero_weights_drop(self):
-        form = LinearForm.parse("1,-1")
-        cls = canonicalize(form, (5, 5))
-        assert cls.items == ()
-        assert cls.represents() == 0
+        assert class_key((1, -1), (5, 5)) == ()
 
     def test_distinct_classes_same_value(self):
-        form = LinearForm.parse("2,1")
-        a = canonicalize(form, (1, 2))
-        b = canonicalize(form, (0, 4))
-        assert a.items == ((1, 2), (2, 1))
-        assert b.items == ((0, 2), (4, 1))
-        assert a != b
-        assert a.represents() == b.represents() == 4
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatchError):
-            canonicalize(LinearForm.parse("1,1"), (1, 2, 3))
+        a, b = class_key((2, 1), (1, 2)), class_key((2, 1), (0, 4))
+        assert a == ((1, 2), (2, 1)) and b == ((0, 2), (4, 1))
+        assert sum(x * w for x, w in a) == sum(x * w for x, w in b) == 4
 
     @given(forms3, st.lists(st.integers(-20, 20), min_size=3, max_size=3), st.randoms())
     def test_equal_coefficient_position_swap(self, form, values, rng):
@@ -96,12 +85,7 @@ class TestCanonicalize:
         if tuple(coeffs[i] for i in order) != coeffs:
             return
         permuted = tuple(tup[i] for i in order)
-        assert canonicalize(form, permuted) == canonicalize(form, tup)
-
-    @given(forms3, st.lists(st.integers(-20, 20), min_size=3, max_size=3))
-    def test_matches_oracle_key(self, form, values):
-        tup = tuple(values[: form.arity])
-        assert canonicalize(form, tup).items == class_key(form.coefficients, tup)
+        assert class_key(coeffs, permuted) == class_key(coeffs, tup)
 
 
 class TestRepFunction:
@@ -181,7 +165,7 @@ class TestOracleAgreement:
         # summing over the full support counts every class exactly once
         counts = class_counts(form, ground)
         all_classes = {
-            canonicalize(form, tup)
+            class_key(form.coefficients, tup)
             for tup in iproduct(ground.elements, repeat=form.arity)
         }
         assert sum(counts.values()) == len(all_classes)
@@ -212,12 +196,6 @@ class TestFastPaths:
         form = LinearForm(tuple([coeff] * arity))
         ground = GroundSet.of(values)
         assert class_counts(form, ground) == brute_counts(form.coefficients, ground.elements)
-
-
-class TestRepClass:
-    def test_from_weights_drops_zeros(self):
-        cls = RepClass.from_weights({3: 0, 1: 2})
-        assert cls.items == ((1, 2),)
 
 
 cancelling = st.sampled_from([(1, -1), (1, 1, -2), (2, -1, -1), (1, -1, 1, -1)])
@@ -288,12 +266,17 @@ SYM_FORMS = [(1, 1, -2), (1, 1, 1, -3), (2, 2, -1, -1), (1, -1, 1, -1)]
 
 
 def repeated_value_tuples(arity, old, new):
-    """The tuples the general kernel's second pass visits, in visiting order."""
+    """Every tuple with a repeated value and a block entry, built from its
+    kernel: a partition from ``_set_partitions`` into fewer than ``arity``
+    parts, with one distinct value per part.  Each tuple comes out once
+    exactly when every partition is listed once."""
     out = []
     for parts in _set_partitions(arity):
         if len(parts) == arity:
             continue
-        for values in _injective_assignments(len(parts), old, new):
+        for values in permutations(old + new, len(parts)):
+            if not set(values) & set(new):
+                continue
             tup = [None] * arity
             for part, x in zip(parts, values):
                 for p in part:
@@ -363,3 +346,66 @@ class TestGeneralKernel:
             for t in iproduct(old + new, repeat=arity)
             if len(set(t)) < arity and any(x in new for x in t)
         }
+
+    def test_set_partitions_start_with_singletons(self):
+        for size in range(5):
+            assert next(_set_partitions(size)) == tuple((p,) for p in range(size))
+
+    @pytest.mark.parametrize(
+        "coeffs, types",
+        [
+            ((1, 1, -2), [(1, 1, -2), (-1, 1), (2, -2)]),
+            ((1, -1, 1, -1), [(1, -1, 1, -1), (2, -1, -1), (1, -2, 1), (1, -1), (2, -2)]),
+            ((1, 2, -3), [(1, 2, -3), (-2, 2), (1, -1), (3, -3)]),
+        ],
+    )
+    def test_class_types(self, coeffs, types):
+        # the coefficients first, then each weight multiset once, no zero weight
+        found = list(_class_types(coeffs))
+        assert found[0] == coeffs
+        assert sorted(map(sorted, found)) == sorted(map(sorted, types))
+
+    @given(st.lists(nonzero, min_size=1, max_size=4).map(tuple), split_sets(6))
+    @settings(max_examples=80, deadline=None)
+    def test_injective_sums_match_brute_force(self, weights, split):
+        base, block = split
+        expected = Counter(
+            sum(w * x for w, x in zip(weights, values))
+            for values in permutations(base.elements + block, len(weights))
+            if set(values) & set(block)
+        )
+        found = _injective_sums(weights, base.elements, block, set())
+        assert {n: c for n, c in found.items() if c} == dict(expected)
+
+
+class TestDeltaShape:
+    @given(delta_forms, split_sets(8))
+    @settings(max_examples=160, deadline=None)
+    def test_no_zero_values(self, form, split):
+        base, block = split
+        assert all(class_count_delta(form, base, block).values())
+
+    @given(delta_forms.filter(lambda f: len(set(f.coefficients)) > 1), split_sets(8))
+    @settings(max_examples=160, deadline=None)
+    def test_key_order_is_first_seen_order(self, form, split):
+        # the order decides which doubled value a retry trail names first
+        base, block = split
+        delta = class_count_delta(form, base, block)
+        order = first_seen_sums(form.coefficients, base.elements, block)
+        assert list(delta) == [n for n in order if n in delta]
+
+
+class TestIntFromJson:
+    @pytest.mark.parametrize("value, expected", [(7, 7), (-3, -3), ("12", 12), ("-0", 0), ("007", 7), (2**80, 2**80)])
+    def test_accepts_integers_and_decimal_strings(self, value, expected):
+        assert int_from_json(value, "entry") == expected
+
+    @pytest.mark.parametrize("value", [1.7, 2.0, True, False, None, " 2", "+2", "2.0", "", "1e3", "٣", [1]])
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(ValueError):
+            int_from_json(value, "entry")
+
+    @pytest.mark.parametrize("text", ['[1.7, true, "3"]', '["2", 2]', '[" 2"]'])
+    def test_ground_set_file_rejects(self, text):
+        with pytest.raises(ValueError):
+            GroundSet.from_json(text)
