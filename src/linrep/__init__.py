@@ -11,17 +11,17 @@ a_1*x_1 + ... + a_h*x_h with fixed non-zero integer coefficients:
   or realizes a target for the difference form x1 - x2 (``builder_diff``),
   each step machine-verified by the counting oracle.
 
-``linrep.cli`` exposes the same operations as a command-line tool.
+The package namespace exports the builders, the counting oracle and the
+types they take.  Everything else is imported from its module; the errors
+live in ``linrep.errors``.  ``linrep.cli`` exposes the same operations as a
+command-line tool.
 """
 
 from .builder_diff import (
     DIFFERENCE_FORM,
-    DiffReport,
-    DiffStepRecord,
     PlentifulSequence,
     build_infinite_case,
     build_unbounded_case,
-    check_even_normalized,
     check_three_rep_obstruction,
     extract_plentiful,
     is_plentiful,
@@ -29,56 +29,14 @@ from .builder_diff import (
 )
 from .builder_target import (
     INFINITY,
-    MultisetOrdering,
     TargetFunction,
-    TargetReport,
     build_for_target,
-    check_counts_against_target,
     compute_X,
     enumerate_multiset,
 )
-from .builder_unique import (
-    ConstructionState,
-    StepRecord,
-    Violation,
-    build,
-    default_growth_constant,
-    mixed_sign_last,
-)
-from .errors import (
-    BudgetExceededError,
-    ConstructionBugError,
-    FormParseError,
-    InsufficientPairsError,
-    LinrepError,
-    MixedSignRequiredError,
-    NotPartitionRegularError,
-    NotPrimitiveError,
-    PreconditionViolationError,
-    RetryExhaustedError,
-    SearchSpaceTooLargeError,
-    SequenceExhaustedError,
-    SupplyExhaustedError,
-)
-from .forms import (
-    AutomorphismWitness,
-    LinearForm,
-    bezout_witness,
-    find_nontrivial_automorphism,
-    has_ordered_unique_basis_obstruction,
-    is_partition_regular,
-    is_primitive,
-    spiral,
-    spiral_index,
-    zero_sum_certificate,
-)
-from .repcount import (
-    DEFAULT_TUPLE_BUDGET,
-    GroundSet,
-    RepProfile,
-    class_counts,
-    count_at,
-    rep_function,
-)
+from .builder_unique import build
+from .errors import MixedSignRequiredError
+from .forms import LinearForm, find_nontrivial_automorphism, is_partition_regular, is_primitive
+from .repcount import GroundSet, class_counts, rep_function
 
 __version__ = "0.1.0"

@@ -319,9 +319,8 @@ def build_infinite_case(
 
     sigma_all = seq.all_partial_sums()
     state = ConstructionState.initial(DIFFERENCE_FORM, d0, gap_sequence=seq)
-    counts = class_counts(DIFFERENCE_FORM, state.elements, budget)
 
-    def propose(state, entry, m, attempt):
+    def propose(state, counts, entry, m, attempt):
         t, copy_index = entry
         m_bound = state.elements.max_abs()
         bound = 2 * abs(t) + 3 * m_bound
@@ -357,14 +356,12 @@ def build_infinite_case(
             k, case, t, copy_index, m_bound, 1, block, witness, support, reps
         )
 
-    def accept(state, entry, block, delta):
+    def accept(state, counts, entry, block, delta):
         _check_diff_step(
             counts, delta, target, entry, allowed_double=lambda v: abs(v) in sigma_all
         )
 
-    return _grow(
-        state, iter(enumerate_multiset(target)), counts, steps, propose, accept, budget
-    )
+    return _grow(state, iter(enumerate_multiset(target)), steps, propose, accept, budget)
 
 
 PlentifulSupply = Callable[[int, int, int], PlentifulSequence]
@@ -415,9 +412,8 @@ def build_unbounded_case(
         )
 
     state = ConstructionState.initial(DIFFERENCE_FORM, d0)
-    counts = class_counts(DIFFERENCE_FORM, state.elements, budget)
 
-    def propose(state, entry, m, attempt):
+    def propose(state, counts, entry, m, attempt):
         t, copy_index = entry
         k = state.step + 1
         m_bound = state.elements.max_abs()
@@ -455,7 +451,7 @@ def build_unbounded_case(
             k, "batch", t, copy_index, m_bound, gamma, block, None, support, tuple(zip(xs, ys))
         )
 
-    def accept(state, entry, block, delta):
+    def accept(state, counts, entry, block, delta):
         t = entry[0]
         _check_diff_step(
             counts,
@@ -472,9 +468,7 @@ def build_unbounded_case(
                 f"step {state.step + 1}: counts at +-{t} are {got}, expected {fv}"
             )
 
-    return _grow(
-        state, iter(enumerate_multiset(target)), counts, steps, propose, accept, budget
-    )
+    return _grow(state, iter(enumerate_multiset(target)), steps, propose, accept, budget)
 
 
 def window_plentiful_supply(target: TargetFunction) -> PlentifulSupply:

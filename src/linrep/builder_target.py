@@ -270,7 +270,6 @@ def build_for_target(
     m0: Optional[int] = None,
     d0: int = 1,
     budget: int = DEFAULT_TUPLE_BUDGET,
-    retry_cap: int = DEFAULT_RETRY_CAP,
 ) -> ConstructionState:
     """Grow a set whose counts march toward the target function.
 
@@ -310,7 +309,6 @@ def build_for_target(
         raise ValueError("growth constant must be positive")
 
     state = ConstructionState.initial(form, d0)
-    counts = class_counts(form, state.elements, budget)
     frozen_numbers: set[int] = set()
 
     def scheduled() -> Iterator[tuple[int, int]]:
@@ -319,7 +317,7 @@ def build_for_target(
             yield n, c
             frozen_numbers.add(n)
 
-    def propose(state, entry, m, attempt):
+    def propose(state, counts, entry, m, attempt):
         t, copy_index = entry
         block, deltas, eps, remainder, shift = _propose(
             form, bez, t, m, prev_max_abs=state.elements.max_abs(), attempt=attempt
@@ -328,7 +326,7 @@ def build_for_target(
             k, t, m, attempt, deltas, eps, remainder, shift, block, support, copy_index
         )
 
-    def accept(state, entry, block, delta):
+    def accept(state, counts, entry, block, delta):
         """Never overshoot, avoid the zero set, leave earlier scheduled
         numbers untouched and cover the entry's copy; ``counts`` were
         verified already, so only the values in ``delta`` are checked."""
@@ -346,5 +344,5 @@ def build_for_target(
         return None
 
     return _grow(
-        state, scheduled(), counts, steps, propose, accept, budget, m=m, retry_cap=retry_cap
+        state, scheduled(), steps, propose, accept, budget, m=m, retry_cap=DEFAULT_RETRY_CAP
     )

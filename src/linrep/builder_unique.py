@@ -110,7 +110,6 @@ class ConstructionState:
     elements: GroundSet
     seed: tuple[int, ...]
     records: tuple[Union[StepRecord, DiffStepRecord], ...] = ()
-    half_line_bound: Optional[int] = None
     trivial_whole_line: bool = False
     gap_sequence: Optional[PlentifulSequence] = None
 
@@ -182,12 +181,18 @@ class ConstructionState:
         return [r.to_json_obj() for r in self.records]
 
 
-Propose = Callable[[ConstructionState, Entry, int, int], tuple[tuple[int, ...], Callable]]
-Accept = Callable[[ConstructionState, Entry, tuple[int, ...], dict[int, int]], Optional[Violation]]
+Propose = Callable[
+    [ConstructionState, dict[int, int], Entry, int, int], tuple[tuple[int, ...], Callable]
+]
+Accept = Callable[
+    [ConstructionState, dict[int, int], Entry, tuple[int, ...], dict[int, int]],
+    Optional[Violation],
+]
 
 
 def _check_block(
     state: ConstructionState,
+    counts: dict[int, int],
     entry: Entry,
     block: tuple[int, ...],
     accept: Accept,
@@ -196,7 +201,8 @@ def _check_block(
     """(violation, count delta) of a candidate block.
 
     Rejects repeated entries and elements already in the set, then counts
-    the classes the block adds and hands them to the builder's check.
+    the classes the block adds and hands them, with the verified ``counts``
+    of the set, to the builder's check.
     """
     if len(set(block)) != len(block):
         return Violation("duplicate-in-block"), None
@@ -204,13 +210,12 @@ def _check_block(
         if v in state.elements:
             return Violation("collision-with-existing", v), None
     delta = class_count_delta(state.builder_form, state.elements, block, budget)
-    return accept(state, entry, block, delta), delta
+    return accept(state, counts, entry, block, delta), delta
 
 
 def _grow(
     state: ConstructionState,
     entries: Iterable[Entry],
-    counts: dict[int, int],
     steps: int,
     propose: Propose,
     accept: Accept,
@@ -221,16 +226,17 @@ def _grow(
 ) -> ConstructionState:
     """The greedy step loop every builder runs.
 
-    ``counts`` are the verified class counts of ``state.elements``; they
-    are kept up to date in place.  Each step takes the next entry (n, c)
+    The loop counts the classes of the starting set once and keeps that
+    running count up to date.  Each step takes the next entry (n, c)
     whose copy is still uncovered (count of n at most c), asks
-    ``propose(state, entry, m, attempt)`` for a block and a record maker,
-    and checks the block (``_check_block``).  A rejected block doubles the
-    growth constant ``m`` and is reproposed; more than ``retry_cap``
-    rejections in one step raise RetryExhaustedError with the whole retry
-    trail.  An accepted block's classes join ``counts`` and
+    ``propose(state, counts, entry, m, attempt)`` for a block and a record
+    maker, and checks the block (``_check_block``).  A rejected block
+    doubles the growth constant ``m`` and is reproposed; more than
+    ``retry_cap`` rejections in one step raise RetryExhaustedError with the
+    whole retry trail.  An accepted block's classes join the count and
     ``record(step, support_size)`` joins the state.
     """
+    counts = class_counts(state.builder_form, state.elements, budget)
     entries = iter(entries)
     trail: list[str] = []
     for k in range(1, steps + 1):
@@ -239,8 +245,8 @@ def _grow(
                 break
         retries = 0
         while True:
-            block, record = propose(state, entry, m, retries)
-            violation, delta = _check_block(state, entry, block, accept, budget)
+            block, record = propose(state, counts, entry, m, retries)
+            violation, delta = _check_block(state, counts, entry, block, accept, budget)
             if violation is None:
                 break
             retries += 1
@@ -321,9 +327,9 @@ def _propose(
 
 
 def _accept_unique(
-    counts: dict[int, int],
     half_line: Optional[int],
     state: ConstructionState,
+    counts: dict[int, int],
     entry: Entry,
     block: tuple[int, ...],
     delta: dict[int, int],
@@ -349,7 +355,6 @@ def build(
     m0: Optional[int] = None,
     half_line: Optional[int] = None,
     budget: int = DEFAULT_TUPLE_BUDGET,
-    retry_cap: int = DEFAULT_RETRY_CAP,
 ) -> ConstructionState:
     """Run `steps` accepted target/propose/verify iterations.
 
@@ -361,7 +366,7 @@ def build(
     the spiral 0, 1, -1, 2, ... of all of Z, skipping represented integers.
     The growth constant starts at ``m0`` (default: 4*sum|a|*(arity+1)), is
     doubled after every rejected proposal, and carries over between steps;
-    exceeding ``retry_cap`` rejections in one step raises
+    exceeding DEFAULT_RETRY_CAP rejections in one step raises
     RetryExhaustedError, which would contradict the existence guarantee
     and is therefore reported with the full retry trace.
     """
@@ -388,12 +393,9 @@ def build(
     if m < 1:
         raise ValueError("growth constant must be positive")
 
-    state = ConstructionState.initial(
-        form, d0, builder_form=builder_form, half_line_bound=half_line
-    )
-    counts = class_counts(builder_form, state.elements, budget)
+    state = ConstructionState.initial(form, d0, builder_form=builder_form)
 
-    def propose(state, entry, m, attempt):
+    def propose(state, counts, entry, m, attempt):
         target = entry[0]
         block, deltas, eps, remainder, shift = _propose(
             builder_form,
@@ -411,12 +413,11 @@ def build(
     return _grow(
         state,
         ((spiral(i), 0) for i in count()),
-        counts,
         steps,
         propose,
-        partial(_accept_unique, counts, half_line),
+        partial(_accept_unique, half_line),
         budget,
         m=m,
-        retry_cap=retry_cap,
+        retry_cap=DEFAULT_RETRY_CAP,
         describe=lambda entry: f"target {entry[0]}",
     )

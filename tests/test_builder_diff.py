@@ -6,20 +6,22 @@ from linrep import (
     DIFFERENCE_FORM,
     GroundSet,
     INFINITY,
-    InsufficientPairsError,
     PlentifulSequence,
-    PreconditionViolationError,
-    SequenceExhaustedError,
-    SupplyExhaustedError,
     TargetFunction,
     build_infinite_case,
     build_unbounded_case,
-    check_even_normalized,
     check_three_rep_obstruction,
     class_counts,
     extract_plentiful,
     is_plentiful,
     window_plentiful_supply,
+)
+from linrep.builder_diff import check_even_normalized
+from linrep.errors import (
+    InsufficientPairsError,
+    PreconditionViolationError,
+    SequenceExhaustedError,
+    SupplyExhaustedError,
 )
 
 

@@ -8,18 +8,19 @@ from linrep import (
     GroundSet,
     INFINITY,
     LinearForm,
-    NotPartitionRegularError,
-    NotPrimitiveError,
-    PreconditionViolationError,
     TargetFunction,
-    TargetReport,
     build_for_target,
-    check_counts_against_target,
     class_counts,
     compute_X,
     enumerate_multiset,
-    spiral,
 )
+from linrep.builder_target import TargetReport, check_counts_against_target
+from linrep.errors import (
+    NotPartitionRegularError,
+    NotPrimitiveError,
+    PreconditionViolationError,
+)
+from linrep.forms import spiral
 
 from oracles import rational_box_values, target_overshoots
 

@@ -4,20 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrep import (
-    DEFAULT_TUPLE_BUDGET,
+from linrep import GroundSet, LinearForm, MixedSignRequiredError, build, class_counts
+from linrep.builder_unique import (
     ConstructionState,
-    GroundSet,
-    LinearForm,
-    MixedSignRequiredError,
-    NotPrimitiveError,
-    bezout_witness,
-    build,
-    class_counts,
+    _accept_unique,
+    _check_block,
+    _propose,
     mixed_sign_last,
-    spiral,
 )
-from linrep.builder_unique import _accept_unique, _check_block, _propose
+from linrep.errors import NotPrimitiveError
+from linrep.forms import bezout_witness, spiral
+from linrep.repcount import DEFAULT_TUPLE_BUDGET
 
 from oracles import brute_counts
 
@@ -27,8 +24,11 @@ ACCEPTANCE_FORMS = ["1,1", "1,1,1", "2,3", "1,-2", "3,-2", "1,2,-3"]
 def verify_block(form, block, target, d0=1):
     """The unique builder's check of one block on top of the set {d0}."""
     state = ConstructionState.initial(form, d0)
-    accept = partial(_accept_unique, class_counts(form, state.elements), None)
-    violation, _ = _check_block(state, (target, 0), block, accept, DEFAULT_TUPLE_BUDGET)
+    counts = class_counts(form, state.elements)
+    accept = partial(_accept_unique, None)
+    violation, _ = _check_block(
+        state, counts, (target, 0), block, accept, DEFAULT_TUPLE_BUDGET
+    )
     return violation
 
 

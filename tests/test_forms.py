@@ -2,17 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrep import (
+from linrep import LinearForm, find_nontrivial_automorphism, is_partition_regular, is_primitive
+from linrep.errors import FormParseError, NotPrimitiveError, SearchSpaceTooLargeError
+from linrep.forms import (
     AutomorphismWitness,
-    FormParseError,
-    LinearForm,
-    NotPrimitiveError,
-    SearchSpaceTooLargeError,
     bezout_witness,
-    find_nontrivial_automorphism,
     has_ordered_unique_basis_obstruction,
-    is_partition_regular,
-    is_primitive,
     spiral,
     spiral_index,
     zero_sum_certificate,

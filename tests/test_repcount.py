@@ -7,20 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrep import (
-    BudgetExceededError,
-    GroundSet,
-    LinearForm,
-    RepProfile,
-    class_counts,
-    count_at,
-    rep_function,
-)
+from linrep import GroundSet, LinearForm, class_counts, rep_function
+from linrep.errors import BudgetExceededError
 from linrep.repcount import (
+    RepProfile,
     _class_types,
     _injective_sums,
     _set_partitions,
     class_count_delta,
+    count_at,
     int_from_json,
     merge_counts,
 )
