@@ -48,6 +48,16 @@ def _validate_count(value: Count, what: str) -> Count:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a repeated key raises instead of keeping the last."""
+    obj: dict = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ValueError(f"target file repeats the key {k!r}")
+        obj[k] = v
+    return obj
+
+
 @dataclass(frozen=True)
 class TargetFunction:
     """A prescribed count for every integer: window values plus a default.
@@ -119,8 +129,14 @@ class TargetFunction:
     @classmethod
     def from_json(cls, text: str) -> "TargetFunction":
         """Load {"window": [lo, hi], "values": {"n": c|"inf"},
-        "default": c|"inf", "zeros": [n, ...]}."""
-        raw = json.loads(text)
+        "default": c|"inf", "zeros": [n, ...]}.
+
+        Any other shape raises ValueError, and so does a key repeated in one
+        object or two value keys naming one integer (``"2"`` and ``"02"``).
+        """
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        if not isinstance(raw, dict):
+            raise ValueError("target file must be a JSON object")
         window = raw.get("window")
         if (
             not isinstance(window, list)
@@ -136,11 +152,19 @@ class TargetFunction:
                 return v
             raise ValueError(f"count must be an integer or \"inf\", got {v!r}")
 
-        values = {
-            int_from_json(k, "value key"): decode(v) for k, v in raw.get("values", {}).items()
-        }
+        raw_values, raw_zeros = raw.get("values", {}), raw.get("zeros", [])
+        if not isinstance(raw_values, dict):
+            raise ValueError('target file needs "values" as a JSON object')
+        if not isinstance(raw_zeros, list):
+            raise ValueError('target file needs "zeros" as a JSON array')
+        values: dict[int, Count] = {}
+        for k, v in raw_values.items():
+            n = int_from_json(k, "value key")
+            if n in values:
+                raise ValueError(f"value key {k!r} repeats the integer {n}")
+            values[n] = decode(v)
         default = decode(raw.get("default", 1))
-        zeros = tuple(int_from_json(z, "zero-set entry") for z in raw.get("zeros", []))
+        zeros = tuple(int_from_json(z, "zero-set entry") for z in raw_zeros)
         return cls.make((window[0], window[1]), values, default, zeros)
 
     def to_json(self) -> str:

@@ -73,6 +73,21 @@ class TestTargetFunction:
                 '{"window": [0, 1], "values": {"0": 1.5}, "default": 1, "zeros": []}'
             )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[[0, 1]]',
+            '{"window": [0, 1], "values": [2]}',
+            '{"window": [0, 1], "zeros": 0}',
+            '{"window": [0, 1], "values": {"1": 2, "1": 3}}',
+            '{"window": [0, 1], "values": {"1": 2, "01": 3}}',
+            '{"window": [0, 1], "window": [0, 2]}',
+        ],
+    )
+    def test_json_rejects_malformed_shape(self, text):
+        with pytest.raises(ValueError):
+            TargetFunction.from_json(text)
+
 
 class TestMultisetOrdering:
     def test_all_ones_prefix(self):

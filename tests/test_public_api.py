@@ -1,0 +1,65 @@
+"""The surfaces other code relies on: the package namespace, the README's
+library example and the names the benchmark's tracer binds."""
+
+import importlib.util
+import re
+import types
+from pathlib import Path
+
+import linrep
+from linrep import builder_unique
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the names tests/test_acceptance.py imports, plus class_counts from the README
+PUBLIC = {
+    "DIFFERENCE_FORM",
+    "GroundSet",
+    "INFINITY",
+    "LinearForm",
+    "MixedSignRequiredError",
+    "PlentifulSequence",
+    "TargetFunction",
+    "build",
+    "build_for_target",
+    "build_infinite_case",
+    "build_unbounded_case",
+    "check_three_rep_obstruction",
+    "class_counts",
+    "compute_X",
+    "enumerate_multiset",
+    "extract_plentiful",
+    "find_nontrivial_automorphism",
+    "is_partition_regular",
+    "is_plentiful",
+    "is_primitive",
+    "rep_function",
+    "window_plentiful_supply",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    exported = {
+        name
+        for name, value in vars(linrep).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_tracer_names_resolve():
+    # building the replacements looks up every name the tracer binds,
+    # without rebinding anything in the package
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    replacements = tracer.Tracer()._replacements()
+    # the step loop's seed count runs through builder_unique's binding
+    assert builder_unique.class_counts in replacements
