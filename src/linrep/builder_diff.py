@@ -162,6 +162,8 @@ def extract_plentiful(
     ``length``+1 of them.  The result is checked to be plentiful for A's
     own representation counts before returning.
     """
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
     if n == 0:
         raise PreconditionViolationError(
             "difference", "extraction at difference 0 is degenerate"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterator, Optional, Union
 
@@ -287,6 +288,50 @@ def check_counts_against_target(
     return TargetReport.of(class_counts(form, ground_set, budget), target)
 
 
+def _accept_target(
+    target: TargetFunction,
+    frozen_numbers: set[int],
+    state: ConstructionState,
+    counts: dict[int, int],
+    entry: tuple[int, int],
+    block: tuple[int, ...],
+    delta: dict[int, int],
+) -> Optional[Violation]:
+    """Never overshoot, avoid the zero set, leave earlier scheduled
+    numbers (``frozen_numbers``) untouched and cover the entry's copy.
+
+    ``counts`` were verified already, so only the values in ``delta`` are
+    checked.  A bulk check passes when no new value is a zero or frozen
+    (the entry's own number aside), no new count exceeds the default, and
+    the explicit values and the values already counted stay within the
+    target; otherwise the values are walked one by one to name the first
+    violation.
+    """
+    t, copy_index = entry
+    keys = delta.keys()
+    bulk_ok = (
+        keys.isdisjoint(target.zero_set)
+        and (keys & frozen_numbers) <= {t}
+        and max(delta.values(), default=0) <= target.default
+        and all(
+            counts.get(n, 0) + delta[n] <= target.value_at(n)
+            for n in (keys & target.values.keys()) | (keys & counts.keys())
+        )
+    )
+    if not bulk_ok:
+        for n, d in delta.items():
+            if counts.get(n, 0) + d > target.value_at(n):
+                return Violation("count-exceeds-target", n)
+            if n in target.zero_set:
+                return Violation("zero-set-hit", n)
+        for n in delta:
+            if n != t and n in frozen_numbers:
+                return Violation("frozen-count-changed", n)
+    if counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
+        return Violation("target-copy-missed", t)
+    return None
+
+
 def build_for_target(
     form: LinearForm,
     target: TargetFunction,
@@ -350,23 +395,13 @@ def build_for_target(
             k, t, m, attempt, deltas, eps, remainder, shift, block, support, copy_index
         )
 
-    def accept(state, counts, entry, block, delta):
-        """Never overshoot, avoid the zero set, leave earlier scheduled
-        numbers untouched and cover the entry's copy; ``counts`` were
-        verified already, so only the values in ``delta`` are checked."""
-        t, copy_index = entry
-        for n, d in delta.items():
-            if counts.get(n, 0) + d > target.value_at(n):
-                return Violation("count-exceeds-target", n)
-            if n in target.zero_set:
-                return Violation("zero-set-hit", n)
-        for n in delta:
-            if n != t and n in frozen_numbers:
-                return Violation("frozen-count-changed", n)
-        if counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
-            return Violation("target-copy-missed", t)
-        return None
-
     return _grow(
-        state, scheduled(), steps, propose, accept, budget, m=m, retry_cap=DEFAULT_RETRY_CAP
+        state,
+        scheduled(),
+        steps,
+        propose,
+        partial(_accept_target, target, frozen_numbers),
+        budget,
+        m=m,
+        retry_cap=DEFAULT_RETRY_CAP,
     )

@@ -336,12 +336,16 @@ def _accept_unique(
 ) -> Optional[Violation]:
     """Every count stays at most 1, the target gets its class, and every
     element clears the half-line bound.  ``counts`` are the verified counts
-    before the block; only the values its new classes touch can change."""
+    before the block; only the values its new classes touch can change.
+    A bulk check passes when every new class lands alone on a value not
+    yet represented; otherwise the values are walked one by one to name
+    the first double."""
     if half_line is not None and min(block) < half_line:
         return Violation("below-half-line-bound", min(block))
-    for n, d in delta.items():
-        if counts.get(n, 0) + d > 1:
-            return Violation("double-representation", n)
+    if max(delta.values(), default=0) > 1 or not counts.keys().isdisjoint(delta):
+        for n, d in delta.items():
+            if counts.get(n, 0) + d > 1:
+                return Violation("double-representation", n)
     target = entry[0]
     if counts.get(target, 0) + delta.get(target, 0) != 1:
         return Violation("target-unrepresented", target)

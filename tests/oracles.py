@@ -6,7 +6,7 @@ a second route.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 
 def ordered_solutions(coeffs, elements, n):
@@ -132,3 +132,58 @@ def first_seen_sums(coeffs, old, new):
         for tup in product(*([old] * i + [new] + [both] * (h - 1 - i))):
             seen.setdefault(sum(a * x for a, x in zip(coeffs, tup)), None)
     return list(seen)
+
+
+def multiset_delta(coeff, arity, old, new):
+    """n -> number of new classes of an equal-coefficient form when `new` joins `old`.
+
+    A class is a value multiset; the new ones hold j >= 1 values of `new`.
+    Keys come in the order the loop first meets them: j = 1, 2, ..., then
+    the block multisets, then the base multisets, both in
+    combinations_with_replacement order.
+    """
+    counts = {}
+    for j in range(1, arity + 1):
+        old_sums = [sum(c) for c in combinations_with_replacement(old, arity - j)]
+        for combo in combinations_with_replacement(new, j):
+            s = sum(combo)
+            for o in old_sums:
+                n = coeff * (s + o)
+                counts[n] = counts.get(n, 0) + 1
+    return counts
+
+
+def merged(counts, delta):
+    """A copy of `counts` with every delta entry added, new keys in delta order."""
+    out = dict(counts)
+    for n, d in delta.items():
+        out[n] = out.get(n, 0) + d
+    return out
+
+
+def unique_violation(counts, target, delta):
+    """(kind, value) of the first reason counts + delta is not a unique
+    representation step for `target`, or None."""
+    for n, d in delta.items():
+        if counts.get(n, 0) + d > 1:
+            return ("double-representation", n)
+    if counts.get(target, 0) + delta.get(target, 0) != 1:
+        return ("target-unrepresented", target)
+    return None
+
+
+def target_violation(target, frozen, counts, entry, delta):
+    """(kind, value) of the first reason counts + delta breaks a target
+    step for entry (t, copy index), walking delta value by value, or None."""
+    t, copy_index = entry
+    for n, d in delta.items():
+        if counts.get(n, 0) + d > target.value_at(n):
+            return ("count-exceeds-target", n)
+        if n in target.zero_set:
+            return ("zero-set-hit", n)
+    for n in delta:
+        if n != t and n in frozen:
+            return ("frozen-count-changed", n)
+    if counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
+        return ("target-copy-missed", t)
+    return None

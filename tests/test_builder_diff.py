@@ -132,6 +132,10 @@ class TestExtractPlentiful:
         with pytest.raises(PreconditionViolationError):
             extract_plentiful(GroundSet.of([0, 1, 2]), 0, 1)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            extract_plentiful(GroundSet.of([1, 3]), 2, -1)
+
     def test_postcondition_plentiful(self):
         ground = GroundSet.of([0, 1, 10, 11, 100, 101])
         seq = extract_plentiful(ground, 1, 2)

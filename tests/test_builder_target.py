@@ -14,7 +14,8 @@ from linrep import (
     compute_X,
     enumerate_multiset,
 )
-from linrep.builder_target import TargetReport, check_counts_against_target
+from linrep.builder_target import TargetReport, _accept_target, check_counts_against_target
+from linrep.builder_unique import ConstructionState
 from linrep.errors import (
     NotPartitionRegularError,
     NotPrimitiveError,
@@ -22,7 +23,7 @@ from linrep.errors import (
 )
 from linrep.forms import spiral
 
-from oracles import rational_box_values, target_overshoots
+from oracles import rational_box_values, target_overshoots, target_violation
 
 
 class TestTargetFunction:
@@ -196,6 +197,63 @@ class TestCheckCounts:
         report = TargetReport.of(counts, target)
         assert list(report.overshoots) == target_overshoots(counts, target)
         assert report.zero_hits == tuple(sorted(zeros & counts.keys()))
+
+
+allowed = st.sampled_from([1, 2, 3, INFINITY])
+small_targets = st.builds(
+    lambda values, default, zeros: TargetFunction.make((-6, 6), values, default, zeros),
+    st.dictionaries(st.integers(-6, 6), allowed, max_size=6),
+    allowed,
+    st.lists(st.integers(-6, 6), max_size=3),
+)
+count_maps = st.dictionaries(st.integers(-9, 9), st.integers(1, 3), max_size=8)
+
+
+def target_check(target, frozen, counts, entry, delta):
+    state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
+    violation = _accept_target(target, frozen, state, counts, entry, (0, 1), delta)
+    return None if violation is None else (violation.kind, violation.value)
+
+
+class TestAcceptTarget:
+    """The bulk check must name the same violation as the value-by-value loop."""
+
+    @given(
+        small_targets,
+        st.sets(st.integers(-9, 9), max_size=5),
+        count_maps,
+        st.tuples(st.integers(-9, 9), st.integers(0, 2)),
+        count_maps,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_loop(self, target, frozen, counts, entry, delta):
+        assert target_check(target, frozen, counts, entry, delta) == target_violation(
+            target, frozen, counts, entry, delta
+        )
+
+    @pytest.mark.parametrize(
+        "values, default, zeros, frozen, counts, entry, delta, expected",
+        [
+            # an explicit value below the default
+            ({2: 1}, 3, (), set(), {}, (5, 0), {5: 2, 2: 2}, ("count-exceeds-target", 2)),
+            ({2: 1}, 3, (), set(), {}, (5, 0), {5: 3, 2: 1}, None),
+            # an infinite default
+            ({}, INFINITY, (), set(), {8: 40}, (8, 1), {8: 9, 30: 7}, None),
+            ({1: 2}, INFINITY, (), set(), {1: 1}, (8, 0), {8: 1, 1: 2}, ("count-exceeds-target", 1)),
+            # zero-set hits are caught by the zero value first
+            ({}, 2, (0, 3), set(), {}, (5, 0), {5: 1, 3: 1}, ("count-exceeds-target", 3)),
+            # frozen numbers, the entry's own number aside
+            ({}, 2, (), {5, 6}, {}, (5, 1), {5: 2, 6: 1}, ("frozen-count-changed", 6)),
+            ({}, 2, (), {5}, {5: 1}, (5, 1), {5: 1}, None),
+            # deltas overlapping the verified counts
+            ({}, 2, (), set(), {7: 2}, (5, 0), {5: 1, 7: 1}, ("count-exceeds-target", 7)),
+            ({}, 2, (), set(), {5: 1}, (5, 1), {4: 1}, ("target-copy-missed", 5)),
+        ],
+    )
+    def test_named_cases(self, values, default, zeros, frozen, counts, entry, delta, expected):
+        target = TargetFunction.make((-10, 10), values, default, zeros)
+        found = target_check(target, frozen, counts, entry, delta)
+        assert found == expected == target_violation(target, frozen, counts, entry, delta)
 
 
 class TestBuildForTarget:

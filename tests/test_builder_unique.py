@@ -16,7 +16,7 @@ from linrep.errors import NotPrimitiveError
 from linrep.forms import bezout_witness, spiral
 from linrep.repcount import DEFAULT_TUPLE_BUDGET
 
-from oracles import brute_counts
+from oracles import brute_counts, unique_violation
 
 ACCEPTANCE_FORMS = ["1,1", "1,1,1", "2,3", "1,-2", "3,-2", "1,2,-3"]
 
@@ -102,6 +102,40 @@ class TestVerifyBlock:
         violation = verify_block(LinearForm.parse("1,1"), (3, -1), target=2)
         assert violation.kind == "double-representation"
         assert violation.value == 2
+
+
+def as_pair(violation):
+    return None if violation is None else (violation.kind, violation.value)
+
+
+class TestAcceptUnique:
+    """The bulk check must name the same violation as the value-by-value loop."""
+
+    @given(
+        st.dictionaries(st.integers(-12, 12), st.integers(1, 2), max_size=8),
+        st.dictionaries(st.integers(-12, 12), st.integers(1, 2), max_size=8),
+        st.integers(-12, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_loop(self, counts, delta, target):
+        state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
+        violation = _accept_unique(None, state, counts, (target, 0), (0, 1), delta)
+        assert as_pair(violation) == unique_violation(counts, target, delta)
+
+    @pytest.mark.parametrize(
+        "counts, delta, target, expected",
+        [
+            ({1: 1}, {4: 1, 0: 1}, 4, None),
+            ({1: 1}, {4: 1, 1: 1, 7: 1}, 4, ("double-representation", 1)),
+            ({1: 1}, {4: 1, 7: 2, 9: 2}, 4, ("double-representation", 7)),
+            ({1: 1}, {3: 1}, 4, ("target-unrepresented", 4)),
+            ({}, {}, 0, ("target-unrepresented", 0)),
+        ],
+    )
+    def test_named_cases(self, counts, delta, target, expected):
+        state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
+        violation = _accept_unique(None, state, counts, (target, 0), (0, 1), delta)
+        assert as_pair(violation) == expected == unique_violation(counts, target, delta)
 
 
 class TestNextTarget:

@@ -20,7 +20,14 @@ from linrep.repcount import (
     merge_counts,
 )
 
-from oracles import brute_counts, class_key, first_seen_sums, ordered_solutions
+from oracles import (
+    brute_counts,
+    class_key,
+    first_seen_sums,
+    merged,
+    multiset_delta,
+    ordered_solutions,
+)
 
 nonzero = st.integers(min_value=-5, max_value=5).filter(bool)
 forms3 = st.lists(nonzero, min_size=1, max_size=3).map(lambda c: LinearForm(tuple(c)))
@@ -47,7 +54,33 @@ class TestGroundSet:
 
     def test_max_abs(self):
         assert GroundSet.of([]).max_abs() == 0
+        assert GroundSet.of([7]).max_abs() == 7
+        assert GroundSet.of([-7]).max_abs() == 7
+        assert GroundSet.of([0]).max_abs() == 0
+        # either extreme may be the larger in magnitude
         assert GroundSet.of([-9, 4]).max_abs() == 9
+        assert GroundSet.of([-4, 9]).max_abs() == 9
+        assert GroundSet.of([-12, -3]).max_abs() == 12
+        assert GroundSet.of([2, 5]).max_abs() == 5
+
+    def test_union_inserts_below_between_and_above(self):
+        g = GroundSet.of([-5, 0, 10])
+        u = g.union((20, -8, 3))
+        assert u.elements == (-8, -5, 0, 3, 10, 20)
+        assert u == GroundSet.of([-5, 0, 10, 20, -8, 3]) and 3 in u and 20 in u
+        assert g.elements == (-5, 0, 10)
+
+    def test_union_of_empty_and_with_nothing(self):
+        assert GroundSet.of([]).union((4, -1)).elements == (-1, 4)
+        assert GroundSet.of([2]).union(()).elements == (2,)
+
+    @given(st.sets(st.integers(-50, 50), max_size=8), st.lists(st.integers(-60, 60), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_union_and_max_abs_match_a_rebuild(self, base, block):
+        g = GroundSet.of(base)
+        u = g.union(block)
+        assert u == GroundSet.of(list(base) + block)
+        assert u.max_abs() == max((abs(v) for v in u), default=0)
 
     def test_membership_cache_leaves_identity_alone(self):
         g = GroundSet((5, -2, 5))
@@ -371,6 +404,56 @@ class TestGeneralKernel:
         )
         found = _injective_sums(weights, base.elements, block, set())
         assert {n: c for n, c in found.items() if c} == dict(expected)
+
+
+class TestMultisetPath:
+    """The equal-coefficient delta against the plain multiset loop, key order included."""
+
+    @given(
+        st.sampled_from([1, -1, 2, 3, -5, 7]),
+        st.integers(1, 4),
+        split_sets(9),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_plain_loop(self, coeff, arity, split):
+        base, block = split
+        form = LinearForm((coeff,) * arity)
+        delta = class_count_delta(form, base, block)
+        assert list(delta.items()) == list(
+            multiset_delta(coeff, arity, base.elements, block).items()
+        )
+
+    @pytest.mark.parametrize(
+        "coeff, arity, base, block",
+        [
+            (3, 4, [], (5, -2, 9)),  # empty base
+            (-5, 3, [-4, 0, 6], (2,)),  # one-element block
+            (2, 2, [1, 8], (7, -3, 4)),  # unsorted block
+            (1, 1, [0, 1], (-6, 3)),
+            (7, 4, [-2, 5], (11, -9)),
+        ],
+    )
+    def test_named_cases(self, coeff, arity, base, block):
+        delta = class_count_delta(LinearForm((coeff,) * arity), GroundSet.of(base), block)
+        expected = multiset_delta(coeff, arity, tuple(sorted(base)), block)
+        assert list(delta.items()) == list(expected.items())
+
+
+count_maps = st.dictionaries(st.integers(-8, 8), st.integers(1, 3), max_size=10)
+
+
+class TestMergeCounts:
+    @given(count_maps, count_maps)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_plain_loop(self, counts, delta):
+        expected = merged(counts, delta)
+        merge_counts(counts, delta)
+        assert list(counts.items()) == list(expected.items())
+
+    def test_shared_keys_keep_their_place(self):
+        counts = {5: 1, -2: 2, 9: 1}
+        merge_counts(counts, {7: 1, -2: 3, 0: 2, 5: 1})
+        assert list(counts.items()) == [(5, 2), (-2, 5), (9, 1), (7, 1), (0, 2)]
 
 
 class TestDeltaShape:
