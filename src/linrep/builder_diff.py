@@ -358,7 +358,7 @@ def build_infinite_case(
             k, case, t, copy_index, m_bound, 1, block, witness, support, reps
         )
 
-    def accept(state, counts, entry, block, delta):
+    def accept(state, counts, entry, block, delta, shared):
         _check_diff_step(
             counts, delta, target, entry, allowed_double=lambda v: abs(v) in sigma_all
         )
@@ -453,7 +453,7 @@ def build_unbounded_case(
             k, "batch", t, copy_index, m_bound, gamma, block, None, support, tuple(zip(xs, ys))
         )
 
-    def accept(state, counts, entry, block, delta):
+    def accept(state, counts, entry, block, delta, shared):
         t = entry[0]
         _check_diff_step(
             counts,

@@ -65,8 +65,8 @@ class TargetFunction:
 
     ``values`` fixes counts inside the window; every other integer takes
     ``default``.  Zeros may occur only at the listed ``zero_set`` positions,
-    which must lie inside the window; the default is never zero, so the
-    zero set is always finite and explicit.
+    which must lie inside the window and take no non-zero value; the
+    default is never zero, so the zero set is always finite and explicit.
     """
 
     window_lo: int
@@ -86,7 +86,8 @@ class TargetFunction:
         for n in zeros:
             if not self.window_lo <= n <= self.window_hi:
                 raise ValueError(f"zero at {n} lies outside the window")
-            values.setdefault(n, 0)
+            if values.setdefault(n, 0) != 0:
+                raise ValueError(f"zero at {n} also has the non-zero value {values[n]}")
         for n, v in values.items():
             if not self.window_lo <= n <= self.window_hi:
                 raise ValueError(f"explicit value at {n} lies outside the window")
@@ -265,11 +266,12 @@ class TargetReport:
 
         The explicit values are checked one by one.  Every other value is
         allowed the default, and none of them can exceed it unless the
-        largest count does, so the other counts are walked only then.
+        largest count does (never, for an infinite default), so the other
+        counts are walked only then.
         """
         values, default = target.values, target.default
         overshoots = [(n, counts[n], v) for n, v in values.items() if counts.get(n, 0) > v]
-        if max(counts.values(), default=0) > default:
+        if default != INFINITY and max(counts.values(), default=0) > default:
             overshoots += [
                 (n, c, default) for n, c in counts.items() if c > default and n not in values
             ]
@@ -296,34 +298,34 @@ def _accept_target(
     entry: tuple[int, int],
     block: tuple[int, ...],
     delta: dict[int, int],
+    shared: set[int],
 ) -> Optional[Violation]:
-    """Never overshoot, avoid the zero set, leave earlier scheduled
-    numbers (``frozen_numbers``) untouched and cover the entry's copy.
+    """Never overshoot, leave earlier scheduled numbers
+    (``frozen_numbers``) untouched and cover the entry's copy.  A zero of
+    the target carries the explicit value 0, so never overshooting also
+    keeps the zero set unrepresented.
 
     ``counts`` were verified already, so only the values in ``delta`` are
-    checked.  A bulk check passes when no new value is a zero or frozen
-    (the entry's own number aside), no new count exceeds the default, and
-    the explicit values and the values already counted stay within the
-    target; otherwise the values are walked one by one to name the first
-    violation.
+    checked; ``shared`` holds those already counted.  A bulk check passes
+    when no new value is frozen (the entry's own number aside), no new
+    count exceeds the default, and the explicit values and the shared
+    ones stay within the target; otherwise the values are walked one by
+    one to name the first violation.
     """
     t, copy_index = entry
     keys = delta.keys()
     bulk_ok = (
-        keys.isdisjoint(target.zero_set)
-        and (keys & frozen_numbers) <= {t}
+        (keys & frozen_numbers) <= {t}
         and max(delta.values(), default=0) <= target.default
         and all(
             counts.get(n, 0) + delta[n] <= target.value_at(n)
-            for n in (keys & target.values.keys()) | (keys & counts.keys())
+            for n in (keys & target.values.keys()) | shared
         )
     )
     if not bulk_ok:
         for n, d in delta.items():
             if counts.get(n, 0) + d > target.value_at(n):
                 return Violation("count-exceeds-target", n)
-            if n in target.zero_set:
-                return Violation("zero-set-hit", n)
         for n in delta:
             if n != t and n in frozen_numbers:
                 return Violation("frozen-count-changed", n)

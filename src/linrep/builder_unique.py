@@ -185,7 +185,7 @@ Propose = Callable[
     [ConstructionState, dict[int, int], Entry, int, int], tuple[tuple[int, ...], Callable]
 ]
 Accept = Callable[
-    [ConstructionState, dict[int, int], Entry, tuple[int, ...], dict[int, int]],
+    [ConstructionState, dict[int, int], Entry, tuple[int, ...], dict[int, int], set[int]],
     Optional[Violation],
 ]
 
@@ -197,20 +197,22 @@ def _check_block(
     block: tuple[int, ...],
     accept: Accept,
     budget: int,
-) -> tuple[Optional[Violation], Optional[dict[int, int]]]:
-    """(violation, count delta) of a candidate block.
+) -> tuple[Optional[Violation], Optional[dict[int, int]], Optional[set[int]]]:
+    """(violation, count delta, shared values) of a candidate block.
 
     Rejects repeated entries and elements already in the set, then counts
     the classes the block adds and hands them, with the verified ``counts``
-    of the set, to the builder's check.
+    of the set and the values both already represent, to the builder's
+    check.
     """
     if len(set(block)) != len(block):
-        return Violation("duplicate-in-block"), None
+        return Violation("duplicate-in-block"), None, None
     for v in block:
         if v in state.elements:
-            return Violation("collision-with-existing", v), None
+            return Violation("collision-with-existing", v), None, None
     delta = class_count_delta(state.builder_form, state.elements, block, budget)
-    return accept(state, counts, entry, block, delta), delta
+    shared = delta.keys() & counts.keys()
+    return accept(state, counts, entry, block, delta, shared), delta, shared
 
 
 def _grow(
@@ -230,7 +232,8 @@ def _grow(
     running count up to date.  Each step takes the next entry (n, c)
     whose copy is still uncovered (count of n at most c), asks
     ``propose(state, counts, entry, m, attempt)`` for a block and a record
-    maker, and checks the block (``_check_block``).  A rejected block
+    maker, and checks the block (``_check_block``, which calls
+    ``accept(state, counts, entry, block, delta, shared)``).  A rejected block
     doubles the growth constant ``m`` and is reproposed; more than
     ``retry_cap`` rejections in one step raise RetryExhaustedError with the
     whole retry trail.  An accepted block's classes join the count and
@@ -246,7 +249,7 @@ def _grow(
         retries = 0
         while True:
             block, record = propose(state, counts, entry, m, retries)
-            violation, delta = _check_block(state, counts, entry, block, accept, budget)
+            violation, delta, shared = _check_block(state, counts, entry, block, accept, budget)
             if violation is None:
                 break
             retries += 1
@@ -257,7 +260,7 @@ def _grow(
                     "trace:\n" + "\n".join(trail)
                 )
             m *= 2
-        merge_counts(counts, delta)
+        merge_counts(counts, delta, shared)
         state = state.extended(record(k, len(counts)))
     return state
 
@@ -333,16 +336,17 @@ def _accept_unique(
     entry: Entry,
     block: tuple[int, ...],
     delta: dict[int, int],
+    shared: set[int],
 ) -> Optional[Violation]:
     """Every count stays at most 1, the target gets its class, and every
     element clears the half-line bound.  ``counts`` are the verified counts
-    before the block; only the values its new classes touch can change.
-    A bulk check passes when every new class lands alone on a value not
-    yet represented; otherwise the values are walked one by one to name
-    the first double."""
+    before the block; only the values its new classes touch can change,
+    and ``shared`` holds those already represented.  A bulk check passes
+    when every new class lands alone on a value not yet represented;
+    otherwise the values are walked one by one to name the first double."""
     if half_line is not None and min(block) < half_line:
         return Violation("below-half-line-bound", min(block))
-    if max(delta.values(), default=0) > 1 or not counts.keys().isdisjoint(delta):
+    if shared or max(delta.values(), default=0) > 1:
         for n, d in delta.items():
             if counts.get(n, 0) + d > 1:
                 return Violation("double-representation", n)

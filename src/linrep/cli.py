@@ -270,12 +270,9 @@ def cmd_verify(args) -> int:
         lo, hi = args.window
         if lo > hi:
             raise PreconditionViolationError("window", f"{lo} > {hi}")
-    elif counts:
-        lo, hi = min(counts), max(counts)
-    else:
-        lo, hi = 0, 0
     if args.profile:
-        _write(args.profile, RepProfile(counts, (lo, hi)).to_json() + "\n")
+        window = None if args.window is None else tuple(args.window)
+        _write(args.profile, RepProfile(counts, window).to_json() + "\n")
     target = TargetFunction.from_json(_read(args.target)) if args.target else ALL_ONES
     violations = [
         {"n": str(n), "count": c, "allowed": "inf" if allowed == float("inf") else allowed}

@@ -16,6 +16,11 @@ and sym(W) is the product of m! over the multiplicities m of equal
 weights.  Moebius inversion on the partitions of the slots makes inj_W a
 signed sum of convolutions (G.-C. Rota, Z. Wahrsch. 2, 1964).  The empty
 class exists when the coefficients sum to 0 and the set is non-empty.
+Every count is a plain dict.  A convolution counts each distinct prefix
+sum against all of its values in one ``Counter.update`` stream, and only
+then adds the other copies of the few prefix sums with multiplicity above
+1; every later Moebius term and class type revisits only sums the first
+made, so they add into the first type's dict in place.
 
 When a disjoint block B joins a set A, the new classes are those whose
 support meets B, so ``class_count_delta`` counts only assignments with a
@@ -37,9 +42,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, cycle, repeat
 from math import factorial, prod
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .forms import LinearForm
@@ -117,11 +123,11 @@ class RepProfile:
 
     ``counts`` is exhaustive over the full support (every represented
     integer appears; anything absent has count 0); ``window`` records the
-    interval the caller asked about.
+    interval the caller asked about, or is None for the full support.
     """
 
     counts: dict[int, int]
-    window: tuple[int, int]
+    window: Optional[tuple[int, int]]
 
     @property
     def support_min(self) -> int | None:
@@ -132,7 +138,7 @@ class RepProfile:
         return max(self.counts) if self.counts else None
 
     def windowed_counts(self) -> dict[int, int]:
-        lo, hi = self.window
+        lo, hi = self.window or (self.support_min, self.support_max)
         return {n: c for n, c in sorted(self.counts.items()) if lo <= n <= hi}
 
     def to_json(self) -> str:
@@ -149,9 +155,9 @@ class RepProfile:
         ``sort_keys`` order.  Keys need no escaping, and ``f"{c}"`` is
         ``int.__repr__``, which is what json writes for an integer.
         """
-        lo, hi = self.window
-        entries = sorted([f'"{n}":{c}' for n, c in self.counts.items() if lo <= n <= hi])
         smin, smax = self.support_min, self.support_max
+        lo, hi = self.window or (smin, smax)
+        entries = sorted([f'"{n}":{c}' for n, c in self.counts.items() if lo <= n <= hi])
         return (
             '{"counts":{' + ",".join(entries) + "}"
             + ',"support_max":' + ("null" if smax is None else f'"{smax}"')
@@ -207,15 +213,17 @@ def class_count_delta(
     return _general_delta(coeffs, base.elements, new)
 
 
-def merge_counts(counts: dict[int, int], delta: dict[int, int]) -> None:
+def merge_counts(counts: dict[int, int], delta: dict[int, int], shared: set[int]) -> None:
     """Add a ``class_count_delta`` result into ``counts`` in place.
 
-    New keys land in ``delta`` order; the few shared ones keep their
-    place, and their old counts are added back after the bulk update.
+    ``shared`` must be ``delta.keys() & counts.keys()``, which the step
+    loop finds once for its check and this merge.  New keys land in
+    ``delta`` order; the shared ones keep their place, and their old
+    counts are added back after the bulk update.
     """
-    shared = {n: counts[n] for n in counts.keys() & delta.keys()}
+    old = {n: counts[n] for n in shared}
     counts.update(delta)
-    for n, c in shared.items():
+    for n, c in old.items():
         counts[n] += c
 
 
@@ -267,7 +275,9 @@ def _general_delta(
 
     The keys come in the order of their first tuple with a block entry,
     split by the first block position, as the first type's first term
-    lists them; every later term only revisits those sums.
+    lists them; every later term only revisits those sums (an assignment
+    constant on parts has the weighted sum of a tuple the first term
+    counts), so the first type's dict is the result and no key is added.
     """
     counts: dict[int, int] = {}
     touched: set[int] = set()
@@ -280,7 +290,7 @@ def _general_delta(
                 f"multiples of its {sym} slot symmetries"
             )
         if j == 0:
-            counts = dict(sums) if sym == 1 else {n: c // sym for n, c in sums.items()}
+            counts = sums if sym == 1 else {n: c // sym for n, c in sums.items()}
         else:
             for n, c in sums.items():
                 counts[n] += c // sym
@@ -307,7 +317,7 @@ def _class_types(coeffs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 def _injective_sums(
     weights: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...], touched: set[int]
-) -> Counter[int]:
+) -> dict[int, int]:
     """Map n -> number of assignments of pairwise distinct values from
     old+new to the weighted slots, with at least one block value, whose
     weighted sum is n.
@@ -319,14 +329,14 @@ def _injective_sums(
     term (all singletons) goes straight into the result; the sums any
     later term touches are added to ``touched``.
     """
-    sums: Counter[int] = Counter()
+    sums: dict[int, int] = {}
     for j, parts in enumerate(_set_partitions(len(weights))):
         merged = [sum(weights[i] for i in part) for part in parts]
         if j == 0:
             _split_sums(merged, old, new, sums)
             continue
         mu = prod((-1) ** (len(part) - 1) * factorial(len(part) - 1) for part in parts)
-        term = _split_sums(merged, old, new, Counter())
+        term = _split_sums(merged, old, new, {})
         for n, c in term.items():
             sums[n] += mu * c
         touched.update(term)
@@ -334,8 +344,8 @@ def _injective_sums(
 
 
 def _split_sums(
-    weights: list[int], old: tuple[int, ...], new: tuple[int, ...], out: Counter[int]
-) -> Counter[int]:
+    weights: list[int], old: tuple[int, ...], new: tuple[int, ...], out: dict[int, int]
+) -> dict[int, int]:
     """Add the weighted sum of every assignment of old+new values to the
     slots with at least one block value, split by the first block slot:
     old^i x new x (old+new)^(k-1-i)."""
@@ -344,23 +354,31 @@ def _split_sums(
     for i in range(k):
         factors = [old] * i + [new] + [both] * (k - 1 - i)
         scaled = [[w * x for x in values] for w, values in zip(weights, factors)]
-        prefix: Counter[int] = Counter({0: 1})
+        prefix = {0: 1}
         for values in scaled[:-1]:
-            prefix = _convolve(prefix, values, Counter())
+            prefix = _convolve(prefix, values, {})
         _convolve(prefix, scaled[-1], out)
     return out
 
 
-def _convolve(
-    sums: dict[int, int], values: list[int], out: Counter[int]
-) -> Counter[int]:
-    """Add every (s + v) for s in ``sums`` (with multiplicity) and v in ``values``."""
+def _convolve(sums: dict[int, int], values: list[int], out: dict[int, int]) -> dict[int, int]:
+    """Add every (s + v) for s in ``sums`` (with multiplicity) and v in ``values``.
+
+    One ``Counter.update`` stream counts each distinct s against every
+    value once, in (s, v) order, so it sets the first-seen key order; the
+    few s with multiplicity c > 1 then add their other c - 1 to keys the
+    stream already made.  Repeating s c times in the stream instead keeps
+    the counts but is several times slower on dense or repeated-coefficient
+    inputs, where multiplicities grow large.
+    """
+    Counter.update(
+        out,
+        map(add, chain.from_iterable(map(repeat, sums, repeat(len(values)))), cycle(values)),
+    )
     for s, c in sums.items():
-        if c == 1:
-            out.update(map(s.__add__, values))
-        else:
+        if c > 1:
             for v in values:
-                out[s + v] += c
+                out[s + v] += c - 1
     return out
 
 

@@ -14,6 +14,7 @@ from linrep import (
     compute_X,
     enumerate_multiset,
 )
+from linrep import builder_target
 from linrep.builder_target import TargetReport, _accept_target, check_counts_against_target
 from linrep.builder_unique import ConstructionState
 from linrep.errors import (
@@ -46,6 +47,13 @@ class TestTargetFunction:
     def test_unlisted_zero_value_rejected(self):
         with pytest.raises(ValueError, match="missing from the zero list"):
             TargetFunction.make((-5, 5), values={3: 0})
+
+    @pytest.mark.parametrize("value", [2, INFINITY])
+    def test_zero_with_a_value_rejected(self, value):
+        with pytest.raises(ValueError, match="non-zero value"):
+            TargetFunction.make((-5, 5), values={3: value}, zeros=(3,))
+        # an explicit zero agrees with the zero list
+        assert TargetFunction.make((-5, 5), values={3: 0}, zeros=(3,)).value_at(3) == 0
 
     def test_value_outside_window_rejected(self):
         with pytest.raises(ValueError, match="outside the window"):
@@ -200,18 +208,21 @@ class TestCheckCounts:
 
 
 allowed = st.sampled_from([1, 2, 3, INFINITY])
-small_targets = st.builds(
-    lambda values, default, zeros: TargetFunction.make((-6, 6), values, default, zeros),
-    st.dictionaries(st.integers(-6, 6), allowed, max_size=6),
-    allowed,
-    st.lists(st.integers(-6, 6), max_size=3),
+# a zero takes no explicit value, so the zeros are drawn outside the values
+small_targets = st.dictionaries(st.integers(-6, 6), allowed, max_size=6).flatmap(
+    lambda values: st.builds(
+        lambda default, zeros: TargetFunction.make((-6, 6), values, default, zeros),
+        allowed,
+        st.lists(st.integers(-6, 6).filter(lambda n: n not in values), max_size=3),
+    )
 )
 count_maps = st.dictionaries(st.integers(-9, 9), st.integers(1, 3), max_size=8)
 
 
 def target_check(target, frozen, counts, entry, delta):
     state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
-    violation = _accept_target(target, frozen, state, counts, entry, (0, 1), delta)
+    shared = delta.keys() & counts.keys()
+    violation = _accept_target(target, frozen, state, counts, entry, (0, 1), delta, shared)
     return None if violation is None else (violation.kind, violation.value)
 
 
@@ -302,12 +313,31 @@ class TestBuildForTarget:
     def test_support_size_matches_prefix_recount(self):
         form = LinearForm.parse("1,2")
         target = TargetFunction.make(
-            (-20, 20), values={n: 2 for n in range(-20, 21)}, default=1, zeros=(7,)
+            (-20, 20), values={n: 2 for n in range(-20, 21) if n != 7}, default=1, zeros=(7,)
         )
         state = build_for_target(form, target, 10)
         for k, record in enumerate(state.records, start=1):
             prefix = GroundSet.of(v for blk in state.blocks[: k + 1] for v in blk)
             assert record.support_size == len(class_counts(form, prefix))
+
+    def test_running_count_matches_a_recount(self, monkeypatch):
+        # a second copy lands on a value already counted, so the step's
+        # overlap is non-empty and the merge must add the old count back
+        accepted = []
+
+        def spy(target, frozen, state, counts, entry, block, delta, shared):
+            violation = _accept_target(target, frozen, state, counts, entry, block, delta, shared)
+            if violation is None:
+                accepted.append((counts, set(shared)))
+            return violation
+
+        monkeypatch.setattr(builder_target, "_accept_target", spy)
+        form = LinearForm.parse("1,1")
+        target = TargetFunction.make((-20, 20), values={n: 2 for n in range(-20, 21)})
+        state = build_for_target(form, target, 12)
+        assert any(shared for _, shared in accepted)
+        running = accepted[-1][0]  # the step loop's one count, merged in place
+        assert running == class_counts(form, state.elements)
 
     def test_zero_set_avoided_every_prefix(self):
         form = LinearForm.parse("1,1,1")

@@ -26,7 +26,7 @@ def verify_block(form, block, target, d0=1):
     state = ConstructionState.initial(form, d0)
     counts = class_counts(form, state.elements)
     accept = partial(_accept_unique, None)
-    violation, _ = _check_block(
+    violation, _, _ = _check_block(
         state, counts, (target, 0), block, accept, DEFAULT_TUPLE_BUDGET
     )
     return violation
@@ -119,7 +119,8 @@ class TestAcceptUnique:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_the_loop(self, counts, delta, target):
         state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
-        violation = _accept_unique(None, state, counts, (target, 0), (0, 1), delta)
+        shared = delta.keys() & counts.keys()
+        violation = _accept_unique(None, state, counts, (target, 0), (0, 1), delta, shared)
         assert as_pair(violation) == unique_violation(counts, target, delta)
 
     @pytest.mark.parametrize(
@@ -134,7 +135,8 @@ class TestAcceptUnique:
     )
     def test_named_cases(self, counts, delta, target, expected):
         state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
-        violation = _accept_unique(None, state, counts, (target, 0), (0, 1), delta)
+        shared = delta.keys() & counts.keys()
+        violation = _accept_unique(None, state, counts, (target, 0), (0, 1), delta, shared)
         assert as_pair(violation) == expected == unique_violation(counts, target, delta)
 
 

@@ -136,12 +136,13 @@ class TestRepFunction:
 
     @given(
         st.dictionaries(profile_keys, st.integers(1, 2**70), max_size=40),
-        st.tuples(profile_keys, profile_keys).map(sorted),
+        st.one_of(st.none(), st.tuples(profile_keys, profile_keys).map(sorted)),
     )
     @settings(max_examples=300)
     def test_export_matches_json_dumps(self, counts, window):
-        prof = RepProfile(counts, tuple(window))
-        lo, hi = window
+        # no window means the full support
+        prof = RepProfile(counts, window and tuple(window))
+        lo, hi = window or (min(counts, default=0), max(counts, default=0))
         expected = json.dumps(
             {
                 "counts": {str(n): c for n, c in counts.items() if lo <= n <= hi},
@@ -244,7 +245,8 @@ def split_sets(max_size):
 
 def merged_counts(form, base, block):
     counts = brute_counts(form.coefficients, base.elements)
-    merge_counts(counts, class_count_delta(form, base, block))
+    delta = class_count_delta(form, base, block)
+    merge_counts(counts, delta, delta.keys() & counts.keys())
     return counts
 
 
@@ -269,7 +271,8 @@ class TestDeltaCounting:
         rest = values[1:]
         for size in sizes:
             block, rest = tuple(rest[:size]), rest[size:]
-            merge_counts(counts, class_count_delta(form, ground, block))
+            delta = class_count_delta(form, ground, block)
+            merge_counts(counts, delta, delta.keys() & counts.keys())
             ground = ground.union(block)
             assert counts == brute_counts(form.coefficients, ground.elements)
 
@@ -447,12 +450,12 @@ class TestMergeCounts:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_plain_loop(self, counts, delta):
         expected = merged(counts, delta)
-        merge_counts(counts, delta)
+        merge_counts(counts, delta, delta.keys() & counts.keys())
         assert list(counts.items()) == list(expected.items())
 
     def test_shared_keys_keep_their_place(self):
         counts = {5: 1, -2: 2, 9: 1}
-        merge_counts(counts, {7: 1, -2: 3, 0: 2, 5: 1})
+        merge_counts(counts, {7: 1, -2: 3, 0: 2, 5: 1}, {-2, 5})
         assert list(counts.items()) == [(5, 2), (-2, 5), (9, 1), (7, 1), (0, 2)]
 
 
@@ -471,6 +474,52 @@ class TestDeltaShape:
         delta = class_count_delta(form, base, block)
         order = first_seen_sums(form.coefficients, base.elements, block)
         assert list(delta) == [n for n in order if n in delta]
+
+
+# general-path forms with equal coefficients or zero-sum parts, so that many
+# prefixes of a convolution share a sum and carry multiplicity > 1
+REPEATING_FORMS = [(1, 1, -2), (2, 2, -1, -1), (1, 1, 1, -3), (1, -1)]
+# distinct values packed into a short range, so that sums collide often
+dense_splits = st.lists(st.integers(-6, 6), unique=True, min_size=1, max_size=9).flatmap(
+    lambda vals: st.integers(0, len(vals) - 1).map(
+        lambda cut: (GroundSet.of(vals[:cut]), tuple(vals[cut:]))
+    )
+)
+
+
+class TestStreamedConvolution:
+    """Each convolution streams every prefix sum once and adds the other
+    c - 1 copies of a sum with multiplicity c afterwards; the counts and
+    the first-seen key order must be those of the plain tuple walk."""
+
+    @pytest.mark.parametrize("coeffs", REPEATING_FORMS)
+    @given(split=dense_splits)
+    @settings(max_examples=60, deadline=None)
+    def test_dense_delta_counts_and_key_order(self, coeffs, split):
+        base, block = split
+        delta = class_count_delta(LinearForm(coeffs), base, block)
+        before = brute_counts(coeffs, base.elements)
+        after = brute_counts(coeffs, base.union(block).elements)
+        new = {n: c - before.get(n, 0) for n, c in after.items()}
+        assert delta == {n: d for n, d in new.items() if d}
+        order = first_seen_sums(coeffs, base.elements, block)
+        assert list(delta) == [n for n in order if n in delta]
+
+    @pytest.mark.parametrize("coeffs", REPEATING_FORMS + [(1, 2, -3)])
+    @given(values=st.lists(st.integers(-8, 8), unique=True, max_size=9))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_from_an_empty_base(self, coeffs, values):
+        counts = class_counts(LinearForm(coeffs), GroundSet.of(values))
+        elements = tuple(sorted(values))
+        assert counts == brute_counts(coeffs, elements)
+        assert list(counts) == [n for n in first_seen_sums(coeffs, (), elements) if n in counts]
+
+    @pytest.mark.parametrize("coeffs", REPEATING_FORMS + [(1, 2, -3), (3, 3)])
+    def test_delta_is_a_plain_dict(self, coeffs):
+        # merge_counts relies on dict.update replacing values; a Counter adds them
+        form = LinearForm(coeffs)
+        assert type(class_count_delta(form, GroundSet.of([0, 2, 5]), (-4, 9))) is dict
+        assert type(class_counts(form, GroundSet.of([1, 2, 3, 7]))) is dict
 
 
 class TestIntFromJson:
