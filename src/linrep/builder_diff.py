@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from .builder_target import TargetFunction, enumerate_multiset
-from .builder_unique import ConstructionState, _grow
+from .builder_unique import ConstructionState, _first_overshoot, _grow
 from .errors import (
     ConstructionBugError,
     InsufficientPairsError,
@@ -127,12 +127,10 @@ def check_three_rep_obstruction(target: TargetFunction) -> DiffReport:
     a default above 1 satisfies every such n outright, and values of 3 or
     more can otherwise only sit at explicit positions.
     """
-    if target.default > 2:
+    if target.default > 1:
         return DiffReport(())
     violations: list[tuple[str, int]] = []
     for n in sorted(n for n, v in target.values.items() if v >= 3):
-        if target.default > 1:
-            continue  # infinitely many m outside the window qualify
         if any(v > 1 and m not in (n, -n, 0) for m, v in target.values.items()):
             continue
         violations.append(("needs-second-doubled-value", n))
@@ -227,6 +225,7 @@ def _assert_diff_preconditions(target: TargetFunction) -> None:
 def _check_diff_step(
     old_counts: dict[int, int],
     delta: dict[int, int],
+    shared: set[int],
     target_fn: TargetFunction,
     entry: tuple[int, int],
     allowed_double: Callable[[int], bool],
@@ -236,7 +235,8 @@ def _check_diff_step(
 
     ``old_counts`` were verified by the previous step and ``delta`` holds
     the step's new classes, so only the values in ``delta`` (and their
-    mirrors) can break an invariant.  ``exempt`` values skip the
+    mirrors) can break an invariant; ``shared`` holds those already
+    counted (see ``_first_overshoot``).  ``exempt`` values skip the
     increment-size analysis (a batch step fills its target value all the
     way in one go; the caller checks the exact fill separately).
     """
@@ -253,10 +253,11 @@ def _check_diff_step(
             raise ConstructionBugError(
                 f"counts not even-symmetric at {n}: {c} vs {count(-n)}"
             )
-        if c > target_fn.value_at(n):
-            raise ConstructionBugError(
-                f"count {c} exceeds target {target_fn.value_at(n)} at {n}"
-            )
+    n = _first_overshoot(old_counts, delta, shared, target_fn.default, target_fn.values)
+    if n is not None:
+        raise ConstructionBugError(
+            f"count {count(n)} exceeds target {target_fn.value_at(n)} at {n}"
+        )
     for n, d in delta.items():
         if n in exempt:
             continue
@@ -360,10 +361,10 @@ def build_infinite_case(
 
     def accept(state, counts, entry, block, delta, shared):
         _check_diff_step(
-            counts, delta, target, entry, allowed_double=lambda v: abs(v) in sigma_all
+            counts, delta, shared, target, entry, allowed_double=lambda v: abs(v) in sigma_all
         )
 
-    return _grow(state, iter(enumerate_multiset(target)), steps, propose, accept, budget)
+    return _grow(state, enumerate_multiset(target), steps, propose, accept, budget)
 
 
 PlentifulSupply = Callable[[int, int, int], PlentifulSequence]
@@ -458,6 +459,7 @@ def build_unbounded_case(
         _check_diff_step(
             counts,
             delta,
+            shared,
             target,
             entry,
             allowed_double=lambda v: target.value_at(v) > 1,
@@ -470,7 +472,7 @@ def build_unbounded_case(
                 f"step {state.step + 1}: counts at +-{t} are {got}, expected {fv}"
             )
 
-    return _grow(state, iter(enumerate_multiset(target)), steps, propose, accept, budget)
+    return _grow(state, enumerate_multiset(target), steps, propose, accept, budget)
 
 
 def window_plentiful_supply(target: TargetFunction) -> PlentifulSupply:

@@ -24,6 +24,7 @@ from .builder_unique import (
     ConstructionState,
     StepRecord,
     Violation,
+    _first_overshoot,
     _grow,
     _propose,
     default_growth_constant,
@@ -33,7 +34,8 @@ from .errors import (
     NotPrimitiveError,
     PreconditionViolationError,
 )
-from .forms import LinearForm, bezout_witness, is_partition_regular, is_primitive, spiral
+from .forms import LinearForm, bezout_witness, is_partition_regular, is_primitive
+from .forms import spiral, spiral_index
 from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts, int_from_json
 
 INFINITY: float = math.inf
@@ -118,10 +120,6 @@ class TargetFunction:
     def value_at(self, n: int) -> Count:
         v = self.values.get(n)
         return self.default if v is None else v
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.window_lo, self.window_hi)
 
     def has_infinite_value(self) -> bool:
         return self.default == INFINITY or any(
@@ -216,6 +214,22 @@ class MultisetOrdering:
         return out
 
 
+def _scheduled_before(entry: tuple[int, int]) -> range:
+    """The numbers ``MultisetOrdering`` schedules before ``entry`` = (n, c),
+    with n and the target's zeros left to the caller.
+
+    (n, c) comes at level L = max(spiral_index(n), c): after every entry of
+    levels 0 .. L-1 and, within level L, after spiral(L)'s own entries.  A
+    number with a non-zero target has its first entry at the level of its
+    spiral position, and a zero has none.  So the numbers scheduled before
+    (n, c), other than n, are exactly those of spiral(0), ..., spiral(L)
+    whose target is not 0: this range less n and the zeros.
+    """
+    n, c = entry
+    level = max(spiral_index(n), c)
+    return range(-(level // 2), (level + 1) // 2 + 1)
+
+
 def enumerate_multiset(target: TargetFunction) -> MultisetOrdering:
     """Deterministic fair ordering of the target's copy multiset."""
     return MultisetOrdering(target)
@@ -246,23 +260,19 @@ class TargetReport:
     """Outcome of checking a set's counts against a target function."""
 
     overshoots: tuple[tuple[int, int, Count], ...]  # (n, count, allowed)
-    zero_hits: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.overshoots and not self.zero_hits
+        return not self.overshoots
 
     def __str__(self) -> str:
         if self.ok:
             return "ok"
-        parts = [
-            f"count {c} > {allowed} at {n}" for n, c, allowed in self.overshoots
-        ] + [f"zero-set value {n} is represented" for n in self.zero_hits]
-        return "; ".join(parts)
+        return "; ".join(f"count {c} > {allowed} at {n}" for n, c, allowed in self.overshoots)
 
     @classmethod
     def of(cls, counts: dict[int, int], target: TargetFunction) -> "TargetReport":
-        """Every overshoot and zero-set hit of full-support ``counts``.
+        """Every overshoot of full-support ``counts``, a represented zero included.
 
         The explicit values are checked one by one.  Every other value is
         allowed the default, and none of them can exceed it unless the
@@ -276,8 +286,7 @@ class TargetReport:
                 (n, c, default) for n, c in counts.items() if c > default and n not in values
             ]
         overshoots.sort()
-        zero_hits = tuple(sorted(n for n in target.zero_set if n in counts))
-        return cls(overshoots=tuple(overshoots), zero_hits=zero_hits)
+        return cls(overshoots=tuple(overshoots))
 
 
 def check_counts_against_target(
@@ -286,13 +295,12 @@ def check_counts_against_target(
     target: TargetFunction,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> TargetReport:
-    """Full-support count check: lists every overshoot and zero-set hit."""
+    """Full-support count check: lists every overshoot."""
     return TargetReport.of(class_counts(form, ground_set, budget), target)
 
 
 def _accept_target(
     target: TargetFunction,
-    frozen_numbers: set[int],
     state: ConstructionState,
     counts: dict[int, int],
     entry: tuple[int, int],
@@ -300,35 +308,18 @@ def _accept_target(
     delta: dict[int, int],
     shared: set[int],
 ) -> Optional[Violation]:
-    """Never overshoot, leave earlier scheduled numbers
-    (``frozen_numbers``) untouched and cover the entry's copy.  A zero of
-    the target carries the explicit value 0, so never overshooting also
-    keeps the zero set unrepresented.
-
-    ``counts`` were verified already, so only the values in ``delta`` are
-    checked; ``shared`` holds those already counted.  A bulk check passes
-    when no new value is frozen (the entry's own number aside), no new
-    count exceeds the default, and the explicit values and the shared
-    ones stay within the target; otherwise the values are walked one by
-    one to name the first violation.
+    """Never overshoot, leave the numbers scheduled before the entry
+    untouched and cover the entry's copy.  A zero of the target carries
+    the explicit value 0, so the overshoot rule keeps the zero set
+    unrepresented, the zeros ``_scheduled_before`` spans included.
     """
     t, copy_index = entry
-    keys = delta.keys()
-    bulk_ok = (
-        (keys & frozen_numbers) <= {t}
-        and max(delta.values(), default=0) <= target.default
-        and all(
-            counts.get(n, 0) + delta[n] <= target.value_at(n)
-            for n in (keys & target.values.keys()) | shared
-        )
-    )
-    if not bulk_ok:
-        for n, d in delta.items():
-            if counts.get(n, 0) + d > target.value_at(n):
-                return Violation("count-exceeds-target", n)
-        for n in delta:
-            if n != t and n in frozen_numbers:
-                return Violation("frozen-count-changed", n)
+    n = _first_overshoot(counts, delta, shared, target.default, target.values)
+    if n is not None:
+        return Violation("count-exceeds-target", n)
+    frozen = (delta.keys() & _scheduled_before(entry)) - {t}
+    if frozen:
+        return Violation("frozen-count-changed", next(n for n in delta if n in frozen))
     if counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
         return Violation("target-copy-missed", t)
     return None
@@ -380,13 +371,6 @@ def build_for_target(
         raise ValueError("growth constant must be positive")
 
     state = ConstructionState.initial(form, d0)
-    frozen_numbers: set[int] = set()
-
-    def scheduled() -> Iterator[tuple[int, int]]:
-        # a number is frozen once the walk moves past one of its entries
-        for n, c in enumerate_multiset(target):
-            yield n, c
-            frozen_numbers.add(n)
 
     def propose(state, counts, entry, m, attempt):
         t, copy_index = entry
@@ -399,10 +383,10 @@ def build_for_target(
 
     return _grow(
         state,
-        scheduled(),
+        enumerate_multiset(target),
         steps,
         propose,
-        partial(_accept_target, target, frozen_numbers),
+        partial(_accept_target, target),
         budget,
         m=m,
         retry_cap=DEFAULT_RETRY_CAP,

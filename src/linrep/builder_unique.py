@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import count
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     MixedSignRequiredError,
@@ -215,6 +215,32 @@ def _check_block(
     return accept(state, counts, entry, block, delta, shared), delta, shared
 
 
+def _first_overshoot(
+    counts: dict[int, int],
+    delta: dict[int, int],
+    shared: set[int],
+    default: float,
+    values: Mapping[int, float],
+) -> Optional[int]:
+    """The first n, in ``delta`` order, whose count would exceed
+    ``values.get(n, default)``, or None: every builder's overshoot rule.
+
+    ``counts`` were verified already and ``shared`` holds the values of
+    ``delta`` they count, so unless a new count exceeds the default, or an
+    explicit or shared value its bound, nothing overshoots and the delta
+    is not walked.
+    """
+    if max(delta.values(), default=0) <= default and all(
+        counts.get(n, 0) + delta[n] <= values.get(n, default)
+        for n in (delta.keys() & values.keys()) | shared
+    ):
+        return None
+    for n, d in delta.items():
+        if counts.get(n, 0) + d > values.get(n, default):
+            return n
+    return None
+
+
 def _grow(
     state: ConstructionState,
     entries: Iterable[Entry],
@@ -339,17 +365,12 @@ def _accept_unique(
     shared: set[int],
 ) -> Optional[Violation]:
     """Every count stays at most 1, the target gets its class, and every
-    element clears the half-line bound.  ``counts`` are the verified counts
-    before the block; only the values its new classes touch can change,
-    and ``shared`` holds those already represented.  A bulk check passes
-    when every new class lands alone on a value not yet represented;
-    otherwise the values are walked one by one to name the first double."""
+    element clears the half-line bound."""
     if half_line is not None and min(block) < half_line:
         return Violation("below-half-line-bound", min(block))
-    if shared or max(delta.values(), default=0) > 1:
-        for n, d in delta.items():
-            if counts.get(n, 0) + d > 1:
-                return Violation("double-representation", n)
+    n = _first_overshoot(counts, delta, shared, 1, {})
+    if n is not None:
+        return Violation("double-representation", n)
     target = entry[0]
     if counts.get(target, 0) + delta.get(target, 0) != 1:
         return Violation("target-unrepresented", target)

@@ -82,10 +82,6 @@ class AutomorphismWitness:
     psi: tuple[Optional[int], ...]
     chi: tuple[Optional[int], ...]
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(t is None for t in self.chi)
-
     def collected_coefficients(self, form: LinearForm) -> tuple[int, ...]:
         """Coefficient vector obtained by substituting and collecting terms."""
         plus = _collect(form.coefficients, self.psi)

@@ -76,13 +76,12 @@ class GroundSet:
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "GroundSet":
-        return cls(tuple(sorted(set(int(v) for v in values))))
+        return cls(tuple(int(v) for v in values))
 
     def __post_init__(self):
-        elems = tuple(self.elements)
-        if len(set(elems)) != len(elems) or tuple(sorted(elems)) != elems:
-            object.__setattr__(self, "elements", tuple(sorted(set(elems))))
-        object.__setattr__(self, "_members", frozenset(self.elements))
+        members = frozenset(self.elements)
+        object.__setattr__(self, "elements", tuple(sorted(members)))
+        object.__setattr__(self, "_members", members)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -136,10 +135,6 @@ class RepProfile:
     @property
     def support_max(self) -> int | None:
         return max(self.counts) if self.counts else None
-
-    def windowed_counts(self) -> dict[int, int]:
-        lo, hi = self.window or (self.support_min, self.support_max)
-        return {n: c for n, c in sorted(self.counts.items()) if lo <= n <= hi}
 
     def to_json(self) -> str:
         """Compact JSON: the windowed counts keyed by decimal strings, and

@@ -172,9 +172,27 @@ def unique_violation(counts, target, delta):
     return None
 
 
+def first_overshoot(counts, delta, default, values):
+    """First n, in delta order, with counts + delta above values.get(n, default), or None."""
+    for n, d in delta.items():
+        if counts.get(n, 0) + d > values.get(n, default):
+            return n
+    return None
+
+
+def scheduled_numbers(ordering, entry):
+    """Numbers of the entries `ordering` yields before `entry`, by walking it."""
+    numbers = set()
+    for e in ordering:
+        if e == entry:
+            return numbers
+        numbers.add(e[0])
+
+
 def target_violation(target, frozen, counts, entry, delta):
     """(kind, value) of the first reason counts + delta breaks a target
-    step for entry (t, copy index), walking delta value by value, or None."""
+    step for entry (t, copy index), walking delta value by value, or None.
+    `frozen` holds the numbers scheduled before the entry."""
     t, copy_index = entry
     for n, d in delta.items():
         if counts.get(n, 0) + d > target.value_at(n):

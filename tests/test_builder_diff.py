@@ -16,8 +16,9 @@ from linrep import (
     is_plentiful,
     window_plentiful_supply,
 )
-from linrep.builder_diff import check_even_normalized
+from linrep.builder_diff import _check_diff_step, check_even_normalized
 from linrep.errors import (
+    ConstructionBugError,
     InsufficientPairsError,
     PreconditionViolationError,
     SequenceExhaustedError,
@@ -82,6 +83,25 @@ class TestThreeRepObstruction:
     def test_infinite_counts_as_triple(self):
         t = TargetFunction.make((-10, 10), values=even_values([(7, INFINITY)]))
         assert not check_three_rep_obstruction(t).ok
+
+
+class TestCheckDiffStep:
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            # a second class at +-4, where the target allows one
+            ({4: 1, -4: 1, 7: 1, -7: 1}, "count 2 exceeds target 1 at 4"),
+            # a miscount that is both uneven and over target names the asymmetry
+            ({4: 1, 7: 1, -7: 1}, "counts not even-symmetric at 4: 2 vs 1"),
+        ],
+    )
+    def test_bad_step_named(self, delta, message):
+        old = {0: 1, 4: 1, -4: 1}
+        with pytest.raises(ConstructionBugError, match=message):
+            _check_diff_step(
+                old, delta, delta.keys() & old.keys(), TargetFunction.make((-10, 10)),
+                (7, 0), allowed_double=lambda v: False,
+            )
 
 
 class TestPlentiful:

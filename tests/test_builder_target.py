@@ -15,7 +15,12 @@ from linrep import (
     enumerate_multiset,
 )
 from linrep import builder_target
-from linrep.builder_target import TargetReport, _accept_target, check_counts_against_target
+from linrep.builder_target import (
+    TargetReport,
+    _accept_target,
+    _scheduled_before,
+    check_counts_against_target,
+)
 from linrep.builder_unique import ConstructionState
 from linrep.errors import (
     NotPartitionRegularError,
@@ -24,7 +29,7 @@ from linrep.errors import (
 )
 from linrep.forms import spiral
 
-from oracles import rational_box_values, target_overshoots, target_violation
+from oracles import rational_box_values, scheduled_numbers, target_overshoots, target_violation
 
 
 class TestTargetFunction:
@@ -130,6 +135,16 @@ class TestMultisetOrdering:
         entries = enumerate_multiset(t).entries(30)
         assert all(n not in (3, -3) for n, _ in entries)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scheduled_before_matches_the_walk(self, data):
+        target = data.draw(small_targets)
+        k = data.draw(st.integers(1, 60))
+        entries = enumerate_multiset(target).entries(k)
+        n = entries[-1][0]
+        walked = {m for m, _ in entries} - {n}
+        assert walked == set(_scheduled_before(entries[-1])) - {n} - target.zero_set
+
 
 class TestComputeX:
     def test_zero_input(self):
@@ -176,13 +191,13 @@ class TestCheckCounts:
         assert str(report) == "ok"
 
     def test_zero_set_hit(self):
-        t = TargetFunction.make((-10, 10), zeros=(5,))
+        # a zero carries the value 0, so a represented zero is one overshoot
+        t = TargetFunction.make((-10, 10), zeros=(4,))
         report = check_counts_against_target(
-            LinearForm.parse("1,1"), GroundSet.of([0, 5]), t
+            LinearForm.parse("1,1"), GroundSet.of([1, 3]), t
         )
         assert not report.ok
-        assert 5 in report.zero_hits
-        assert any(n == 5 for n, _, _ in report.overshoots)
+        assert str(report) == "count 1 > 0 at 4"
 
     def test_overshoot_listed(self):
         t = TargetFunction.make((-10, 10))
@@ -204,7 +219,7 @@ class TestCheckCounts:
         counts = data.draw(st.dictionaries(st.integers(-25, 25), st.integers(1, 6)))
         report = TargetReport.of(counts, target)
         assert list(report.overshoots) == target_overshoots(counts, target)
-        assert report.zero_hits == tuple(sorted(zeros & counts.keys()))
+        assert all((n, counts[n], 0) in report.overshoots for n in zeros & counts.keys())
 
 
 allowed = st.sampled_from([1, 2, 3, INFINITY])
@@ -219,52 +234,62 @@ small_targets = st.dictionaries(st.integers(-6, 6), allowed, max_size=6).flatmap
 count_maps = st.dictionaries(st.integers(-9, 9), st.integers(1, 3), max_size=8)
 
 
-def target_check(target, frozen, counts, entry, delta):
+def target_check(target, counts, entry, delta):
+    """The builder's check and the oracle's, which walks the ordering up to
+    ``entry`` for the numbers scheduled before it."""
     state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
     shared = delta.keys() & counts.keys()
-    violation = _accept_target(target, frozen, state, counts, entry, (0, 1), delta, shared)
-    return None if violation is None else (violation.kind, violation.value)
+    violation = _accept_target(target, state, counts, entry, (0, 1), delta, shared)
+    frozen = scheduled_numbers(enumerate_multiset(target), entry)
+    return (
+        None if violation is None else (violation.kind, violation.value),
+        target_violation(target, frozen, counts, entry, delta),
+    )
 
 
 class TestAcceptTarget:
     """The bulk check must name the same violation as the value-by-value loop."""
 
-    @given(
-        small_targets,
-        st.sets(st.integers(-9, 9), max_size=5),
-        count_maps,
-        st.tuples(st.integers(-9, 9), st.integers(0, 2)),
-        count_maps,
-    )
+    @given(small_targets, st.integers(1, 60), count_maps, count_maps)
     @settings(max_examples=400, deadline=None)
-    def test_agrees_with_the_loop(self, target, frozen, counts, entry, delta):
-        assert target_check(target, frozen, counts, entry, delta) == target_violation(
-            target, frozen, counts, entry, delta
-        )
+    def test_agrees_with_the_loop(self, target, k, counts, delta):
+        entry = enumerate_multiset(target).entries(k)[-1]
+        found, expected = target_check(target, counts, entry, delta)
+        assert found == expected
 
     @pytest.mark.parametrize(
         "values, default, zeros, frozen, counts, entry, delta, expected",
         [
             # an explicit value below the default
-            ({2: 1}, 3, (), set(), {}, (5, 0), {5: 2, 2: 2}, ("count-exceeds-target", 2)),
-            ({2: 1}, 3, (), set(), {}, (5, 0), {5: 3, 2: 1}, None),
+            ({-7: 1}, 3, (), set(), {}, (5, 0), {5: 2, -7: 2}, ("count-exceeds-target", -7)),
+            ({-7: 1}, 3, (), set(), {}, (5, 0), {5: 3, -7: 1}, None),
             # an infinite default
             ({}, INFINITY, (), set(), {8: 40}, (8, 1), {8: 9, 30: 7}, None),
-            ({1: 2}, INFINITY, (), set(), {1: 1}, (8, 0), {8: 1, 1: 2}, ("count-exceeds-target", 1)),
-            # zero-set hits are caught by the zero value first
+            ({1: 2}, INFINITY, (), {1}, {1: 1}, (8, 0), {8: 1, 1: 2}, ("count-exceeds-target", 1)),
+            # a zero is never scheduled: its zero value catches it
             ({}, 2, (0, 3), set(), {}, (5, 0), {5: 1, 3: 1}, ("count-exceeds-target", 3)),
-            # frozen numbers, the entry's own number aside
-            ({}, 2, (), {5, 6}, {}, (5, 1), {5: 2, 6: 1}, ("frozen-count-changed", 6)),
-            ({}, 2, (), {5}, {5: 1}, (5, 1), {5: 1}, None),
+            # (5, 1) comes after every number of -4 .. 5, the entry's own aside
+            ({}, 2, (), {3}, {}, (5, 1), {5: 2, 3: 1}, ("frozen-count-changed", 3)),
+            ({}, 2, (), set(), {5: 1}, (5, 1), {5: 1}, None),
             # deltas overlapping the verified counts
             ({}, 2, (), set(), {7: 2}, (5, 0), {5: 1, 7: 1}, ("count-exceeds-target", 7)),
-            ({}, 2, (), set(), {5: 1}, (5, 1), {4: 1}, ("target-copy-missed", 5)),
+            ({}, 2, (), set(), {5: 1}, (5, 1), {9: 1}, ("target-copy-missed", 5)),
+            # the ends of the scheduled range
+            ({}, 2, (), {-4}, {}, (5, 1), {5: 2, -5: 1, -4: 1}, ("frozen-count-changed", -4)),
+            ({}, 2, (), set(), {}, (5, 1), {5: 2, -5: 1, 6: 1}, None),
+            # (-4, 0) comes after 4 but before 5
+            ({}, 2, (), {4}, {}, (-4, 0), {-4: 1, 5: 1, 4: 1}, ("frozen-count-changed", 4)),
+            ({}, 2, (), set(), {}, (-4, 0), {-4: 1, 5: 1}, None),
+            # (1, 3) sits at level 3, after 2
+            ({1: 4}, 2, (), {2}, {1: 3}, (1, 3), {1: 1, 2: 1}, ("frozen-count-changed", 2)),
         ],
     )
     def test_named_cases(self, values, default, zeros, frozen, counts, entry, delta, expected):
+        # frozen: the delta's numbers, the entry's own aside, scheduled before it
         target = TargetFunction.make((-10, 10), values, default, zeros)
-        found = target_check(target, frozen, counts, entry, delta)
-        assert found == expected == target_violation(target, frozen, counts, entry, delta)
+        walked = scheduled_numbers(enumerate_multiset(target), entry)
+        assert (delta.keys() & walked) - {entry[0]} == frozen
+        assert target_check(target, counts, entry, delta) == (expected, expected)
 
 
 class TestBuildForTarget:
@@ -325,8 +350,8 @@ class TestBuildForTarget:
         # overlap is non-empty and the merge must add the old count back
         accepted = []
 
-        def spy(target, frozen, state, counts, entry, block, delta, shared):
-            violation = _accept_target(target, frozen, state, counts, entry, block, delta, shared)
+        def spy(target, state, counts, entry, block, delta, shared):
+            violation = _accept_target(target, state, counts, entry, block, delta, shared)
             if violation is None:
                 accepted.append((counts, set(shared)))
             return violation

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrep import GroundSet, LinearForm, MixedSignRequiredError, build, class_counts
+from linrep import INFINITY, GroundSet, LinearForm, MixedSignRequiredError, build, class_counts
 from linrep.builder_unique import (
     ConstructionState,
     _accept_unique,
     _check_block,
+    _first_overshoot,
     _propose,
     mixed_sign_last,
 )
@@ -16,7 +17,7 @@ from linrep.errors import NotPrimitiveError
 from linrep.forms import bezout_witness, spiral
 from linrep.repcount import DEFAULT_TUPLE_BUDGET
 
-from oracles import brute_counts, unique_violation
+from oracles import brute_counts, first_overshoot, unique_violation
 
 ACCEPTANCE_FORMS = ["1,1", "1,1,1", "2,3", "1,-2", "3,-2", "1,2,-3"]
 
@@ -138,6 +139,41 @@ class TestAcceptUnique:
         shared = delta.keys() & counts.keys()
         violation = _accept_unique(None, state, counts, (target, 0), (0, 1), delta, shared)
         assert as_pair(violation) == expected == unique_violation(counts, target, delta)
+
+
+class UnwalkedDict(dict):
+    """A delta that fails the test if its values are walked one by one."""
+
+    def items(self):
+        raise AssertionError("the delta was walked")
+
+
+class TestFirstOvershoot:
+    """The bulk test and walk must name the value the per-value loop names."""
+
+    @given(
+        st.sampled_from([1, 2, INFINITY]),
+        st.dictionaries(
+            st.integers(-8, 8), st.one_of(st.integers(0, 4), st.just(INFINITY)), max_size=6
+        ),
+        st.dictionaries(st.integers(-8, 8), st.integers(1, 3), max_size=8),
+        st.dictionaries(st.integers(-8, 8), st.integers(1, 3), max_size=8),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_loop(self, default, values, counts, delta):
+        shared = delta.keys() & counts.keys()
+        assert _first_overshoot(counts, delta, shared, default, values) == first_overshoot(
+            counts, delta, default, values
+        )
+
+    def test_bounds_reached_exactly_take_the_bulk_test(self):
+        # the largest new count equals the default, and a shared value with
+        # an explicit bound reaches it
+        delta = UnwalkedDict({3: 1, 4: 2})
+        assert _first_overshoot({3: 1}, delta, {3}, 2, {3: 2}) is None
+
+    def test_a_shared_value_is_tested_at_its_old_count(self):
+        assert _first_overshoot({5: 1}, {4: 1, 5: 1}, {5}, 1, {}) == 5
 
 
 class TestNextTarget:

@@ -70,6 +70,11 @@ class TestGroundSet:
         assert u == GroundSet.of([-5, 0, 10, 20, -8, 3]) and 3 in u and 20 in u
         assert g.elements == (-5, 0, 10)
 
+    def test_of_sorts_and_drops_repeats(self):
+        g = GroundSet.of([4, -2, 4, 0, -2])
+        assert g.elements == (-2, 0, 4)
+        assert g.union((0, 9, 9)) == GroundSet.of([4, -2, 4, 0, -2, 0, 9, 9])
+
     def test_union_of_empty_and_with_nothing(self):
         assert GroundSet.of([]).union((4, -1)).elements == (-1, 4)
         assert GroundSet.of([2]).union(()).elements == (2,)
@@ -119,15 +124,15 @@ class TestCanonicalize:
 class TestRepFunction:
     def test_two_ones_small_set(self):
         prof = rep_function(LinearForm.parse("1,1"), GroundSet.of([0, 1, 2]), (0, 4))
-        assert prof.windowed_counts() == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
+        assert prof.counts == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
 
     def test_difference_form_merges(self):
         prof = rep_function(LinearForm.parse("1,-1"), GroundSet.of([0, 5]), (-5, 5))
-        assert prof.windowed_counts() == {-5: 1, 0: 1, 5: 1}
+        assert prof.counts == {-5: 1, 0: 1, 5: 1}
 
     def test_empty_set(self):
         prof = rep_function(LinearForm.parse("1,1"), GroundSet.of([]), (-3, 3))
-        assert prof.windowed_counts() == {}
+        assert prof.counts == {}
         assert prof.support_min is None and prof.support_max is None
 
     def test_export_shape(self):
