@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable, Mapping, Optional, Union
 
 from .builder_target import TargetFunction, enumerate_multiset
@@ -239,8 +240,25 @@ def _check_diff_step(
     counted (see ``_first_overshoot``).  ``exempt`` values skip the
     increment-size analysis (a batch step fills its target value all the
     way in one go; the caller checks the exact fill separately).
+
+    ``old_counts`` are even-symmetric: the seed count is {0: 1} and every
+    accepted step was checked.  So the new counts are even-symmetric exactly
+    when ``delta`` is, the step is tested in bulk, and the values are walked
+    one by one only to name a violation.
     """
     t, copy_index = entry
+    default, values = target_fn.default, target_fn.values
+    if (
+        old_counts.get(0, 0) + delta.get(0, 0) == 1
+        and delta == dict(zip(map(neg, delta), delta.values()))
+        and _first_overshoot(old_counts, delta, shared, default, values) is None
+        and (max(delta.values(), default=0) <= 1 or all(
+            n in exempt or (d == 2 and not old_counts.get(n, 0) and allowed_double(n))
+            for n, d in delta.items() if d > 1
+        ))
+        and old_counts.get(t, 0) + delta.get(t, 0) >= copy_index + 1
+    ):
+        return
 
     def count(n: int) -> int:
         return old_counts.get(n, 0) + delta.get(n, 0)

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, Optional, Union
 
 from .builder_unique import (
@@ -187,31 +187,37 @@ class MultisetOrdering:
     Entry (n, c) is emitted at diagonal level max(spiral position of n, c),
     so every copy of every value appears at a finite position even when
     some counts are infinite.  Iteration yields (n, copy_index) pairs.
+
+    Once the level reaches a finite default, only the explicit values
+    above it still have copies at that level, so a level costs
+    O(explicit values above the default), not O(level).
     """
 
     target: TargetFunction
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
+        value_at, default = self.target.value_at, self.target.default
+        # (spiral position, n, f(n)) of the explicit values above the default
+        above = sorted(
+            (spiral_index(n), n, v) for n, v in self.target.values.items() if v > default
+        )
         level = 0
         while True:
             n = spiral(level)
-            fv = self.target.value_at(n)
+            fv = value_at(n)
             cap = level + 1 if fv == INFINITY else min(level + 1, int(fv))
             for c in range(cap):
                 yield (n, c)
-            for i in range(level):
-                m = spiral(i)
-                if self.target.value_at(m) > level:
-                    yield (m, level)
+            if default > level:
+                yield from ((m, level) for m in map(spiral, range(level)) if value_at(m) > level)
+            else:
+                above = [e for e in above if e[2] > level]
+                yield from ((m, level) for i, m, _ in above if i < level)
             level += 1
 
     def entries(self, count: int) -> list[tuple[int, int]]:
-        out = []
-        for entry in self:
-            out.append(entry)
-            if len(out) >= count:
-                break
-        return out
+        """The first ``count`` entries; a negative count raises ValueError."""
+        return list(islice(self, count))
 
 
 def _scheduled_before(entry: tuple[int, int]) -> range:

@@ -5,6 +5,7 @@ bitmasks, exact rationals) so library outputs can be cross-checked against
 a second route.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -205,3 +206,59 @@ def target_violation(target, frozen, counts, entry, delta):
     if counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
         return ("target-copy-missed", t)
     return None
+
+
+def diff_step_violation(old_counts, delta, target_fn, entry, allowed_double, exempt=frozenset()):
+    """Message of the first reason a difference-form step breaks an
+    invariant, walking delta value by value, or None.  Same order and
+    messages as builder_diff._check_diff_step."""
+    t, copy_index = entry
+
+    def count(n):
+        return old_counts.get(n, 0) + delta.get(n, 0)
+
+    if count(0) != 1:
+        return f"count at 0 is {count(0)}, expected 1"
+    for n in delta:
+        c = count(n)
+        if c != count(-n):
+            return f"counts not even-symmetric at {n}: {c} vs {count(-n)}"
+    n = first_overshoot(old_counts, delta, target_fn.default, target_fn.values)
+    if n is not None:
+        return f"count {count(n)} exceeds target {target_fn.value_at(n)} at {n}"
+    for n, d in delta.items():
+        if n in exempt:
+            continue
+        if d > 2:
+            return f"count jumped by {d} at {n}"
+        if d == 2:
+            old = old_counts.get(n, 0)
+            if old != 0:
+                return f"count rose by 2 at {n} on top of {old} existing classes"
+            if not allowed_double(n):
+                return f"unexpected double increment at {n}"
+    if count(t) < copy_index + 1:
+        return f"target {t} copy {copy_index} still uncovered after the step"
+    return None
+
+
+def multiset_walk(target):
+    """The fair multiset ordering, rescanning spiral(0) .. spiral(L-1) at
+    every level L: (n, c) comes at level max(spiral position of n, c)."""
+    level = 0
+    while True:
+        n = spiral(level)
+        fv = target.value_at(n)
+        cap = level + 1 if fv == math.inf else min(level + 1, int(fv))
+        for c in range(cap):
+            yield (n, c)
+        for i in range(level):
+            m = spiral(i)
+            if target.value_at(m) > level:
+                yield (m, level)
+        level += 1
+
+
+def spiral(index):
+    """The integer at `index` in 0, 1, -1, 2, -2, ..."""
+    return (index + 1) // 2 if index % 2 else -(index // 2)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linrep import (
     DIFFERENCE_FORM,
@@ -24,6 +26,8 @@ from linrep.errors import (
     SequenceExhaustedError,
     SupplyExhaustedError,
 )
+
+from oracles import diff_step_violation
 
 
 def even_values(pairs):
@@ -85,6 +89,39 @@ class TestThreeRepObstruction:
         assert not check_three_rep_obstruction(t).ok
 
 
+ALLOWED_DOUBLE = {"yes": lambda v: True, "no": lambda v: False, "odd": lambda v: v % 2 == 1}
+
+
+@st.composite
+def diff_steps(draw):
+    """(old counts, delta, target, entry, allowed-double kind, exempt?) of a
+    difference-form step: the old counts are even-symmetric with one class at
+    0, and the delta is symmetric or has one broken mirror."""
+    def mirrored(halves):
+        return {**halves, **{-n: c for n, c in halves.items()}}
+
+    halves = st.dictionaries(st.integers(1, 8), st.integers(1, 3), max_size=5)
+    old = {**mirrored(draw(halves)), 0: 1}
+    delta = mirrored(draw(halves))
+    if draw(st.integers(0, 7)) == 0:
+        delta[0] = 1
+    if delta and draw(st.booleans()):
+        n = draw(st.sampled_from(sorted(delta)))
+        bump = draw(st.sampled_from([None, 1, 2]))
+        if bump is None:
+            del delta[-n]
+        else:
+            delta[-n] += bump
+    counts = st.sampled_from([1, 2, 3, 4, 6, INFINITY])
+    values = draw(st.dictionaries(st.integers(-12, 12).filter(bool), counts, max_size=4))
+    target = TargetFunction.make((-12, 12), values, draw(st.sampled_from([1, 2, INFINITY])))
+    t = draw(st.sampled_from(sorted(delta) or [0]) | st.integers(-8, 8))
+    # copies 0 .. 3 of t: covered or not, depending on its new count
+    entry = (t, draw(st.integers(0, 3)))
+    allowed = draw(st.sampled_from(sorted(ALLOWED_DOUBLE)))
+    return old, delta, target, entry, allowed, draw(st.booleans())
+
+
 class TestCheckDiffStep:
     @pytest.mark.parametrize(
         "delta, message",
@@ -102,6 +139,29 @@ class TestCheckDiffStep:
                 old, delta, delta.keys() & old.keys(), TargetFunction.make((-10, 10)),
                 (7, 0), allowed_double=lambda v: False,
             )
+
+    @given(diff_steps())
+    @settings(max_examples=400, deadline=None)
+    # only the mirror of 5 is missing
+    @example(({0: 1}, {5: 1}, TargetFunction.make((-12, 12), default=2), (5, 0), "no", False))
+    # a double increment on an existing class
+    @example(({0: 1, 3: 1, -3: 1}, {3: 2, -3: 2}, TargetFunction.make((-12, 12), default=3),
+              (3, 0), "yes", False))
+    # a symmetric step that leaves the entry's copy uncovered
+    @example(({0: 1}, {5: 1, -5: 1}, TargetFunction.make((-12, 12)), (5, 1), "yes", False))
+    def test_agrees_with_the_loop(self, step):
+        old, delta, target, entry, allowed, exempt = step
+        allowed_double = ALLOWED_DOUBLE[allowed]
+        exempt = frozenset((entry[0], -entry[0])) if exempt else frozenset()
+        expected = diff_step_violation(old, delta, target, entry, allowed_double, exempt)
+        try:
+            _check_diff_step(
+                old, delta, delta.keys() & old.keys(), target, entry, allowed_double, exempt
+            )
+        except ConstructionBugError as err:
+            assert str(err) == expected
+        else:
+            assert expected is None
 
 
 class TestPlentiful:

@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,13 @@ from linrep.errors import (
 )
 from linrep.forms import spiral
 
-from oracles import rational_box_values, scheduled_numbers, target_overshoots, target_violation
+from oracles import (
+    multiset_walk,
+    rational_box_values,
+    scheduled_numbers,
+    target_overshoots,
+    target_violation,
+)
 
 
 class TestTargetFunction:
@@ -134,6 +141,31 @@ class TestMultisetOrdering:
         t = TargetFunction.make((-6, 6), zeros=(3, -3))
         entries = enumerate_multiset(t).entries(30)
         assert all(n not in (3, -3) for n, _ in entries)
+
+    def test_entries_count_is_exact(self):
+        ordering = enumerate_multiset(TargetFunction.make((-10, 10)))
+        assert ordering.entries(0) == []
+        with pytest.raises(ValueError):
+            ordering.entries(-3)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            TargetFunction.make((-6, 6), values={2: 1}, default=INFINITY),
+            TargetFunction.make((-6, 6), values={-3: INFINITY}),
+            TargetFunction.make((-6, 6), values={1: 1}, default=3),
+            TargetFunction.make((-6, 6), values={4: 2}, zeros=(-1,)),
+        ],
+        ids=["inf-default", "inf-value", "default-3", "zero"],
+    )
+    def test_matches_the_quadratic_walk_named(self, target):
+        assert enumerate_multiset(target).entries(300) == list(islice(multiset_walk(target), 300))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_quadratic_walk(self, data):
+        target, k = data.draw(small_targets), data.draw(st.integers(0, 300))
+        assert enumerate_multiset(target).entries(k) == list(islice(multiset_walk(target), k))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
