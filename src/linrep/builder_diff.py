@@ -243,54 +243,44 @@ def _check_diff_step(
 
     ``old_counts`` are even-symmetric: the seed count is {0: 1} and every
     accepted step was checked.  So the new counts are even-symmetric exactly
-    when ``delta`` is, the step is tested in bulk, and the values are walked
-    one by one only to name a violation.
+    when ``delta`` is, and the per-value mirror and increment loops run only
+    when the bulk test of their phase fails, to name the violation.
     """
     t, copy_index = entry
-    default, values = target_fn.default, target_fn.values
-    if (
-        old_counts.get(0, 0) + delta.get(0, 0) == 1
-        and delta == dict(zip(map(neg, delta), delta.values()))
-        and _first_overshoot(old_counts, delta, shared, default, values) is None
-        and (max(delta.values(), default=0) <= 1 or all(
-            n in exempt or (d == 2 and not old_counts.get(n, 0) and allowed_double(n))
-            for n, d in delta.items() if d > 1
-        ))
-        and old_counts.get(t, 0) + delta.get(t, 0) >= copy_index + 1
-    ):
-        return
 
     def count(n: int) -> int:
         return old_counts.get(n, 0) + delta.get(n, 0)
 
     if count(0) != 1:
         raise ConstructionBugError(f"count at 0 is {count(0)}, expected 1")
-    for n in delta:
-        c = count(n)
-        if c != count(-n):
-            raise ConstructionBugError(
-                f"counts not even-symmetric at {n}: {c} vs {count(-n)}"
-            )
+    if delta != dict(zip(map(neg, delta), delta.values())):
+        for n in delta:
+            c = count(n)
+            if c != count(-n):
+                raise ConstructionBugError(
+                    f"counts not even-symmetric at {n}: {c} vs {count(-n)}"
+                )
     n = _first_overshoot(old_counts, delta, shared, target_fn.default, target_fn.values)
     if n is not None:
         raise ConstructionBugError(
             f"count {count(n)} exceeds target {target_fn.value_at(n)} at {n}"
         )
-    for n, d in delta.items():
-        if n in exempt:
-            continue
-        if d > 2:
-            raise ConstructionBugError(f"count jumped by {d} at {n}")
-        if d == 2:
-            old = old_counts.get(n, 0)
-            if old != 0:
-                raise ConstructionBugError(
-                    f"count rose by 2 at {n} on top of {old} existing classes"
-                )
-            if not allowed_double(n):
-                raise ConstructionBugError(
-                    f"unexpected double increment at {n}"
-                )
+    if max(delta.values(), default=0) > 1:
+        for n, d in delta.items():
+            if n in exempt:
+                continue
+            if d > 2:
+                raise ConstructionBugError(f"count jumped by {d} at {n}")
+            if d == 2:
+                old = old_counts.get(n, 0)
+                if old != 0:
+                    raise ConstructionBugError(
+                        f"count rose by 2 at {n} on top of {old} existing classes"
+                    )
+                if not allowed_double(n):
+                    raise ConstructionBugError(
+                        f"unexpected double increment at {n}"
+                    )
     if count(t) < copy_index + 1:
         raise ConstructionBugError(
             f"target {t} copy {copy_index} still uncovered after the step"

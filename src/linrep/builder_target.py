@@ -188,19 +188,18 @@ class MultisetOrdering:
     so every copy of every value appears at a finite position even when
     some counts are infinite.  Iteration yields (n, copy_index) pairs.
 
-    Once the level reaches a finite default, only the explicit values
-    above it still have copies at that level, so a level costs
-    O(explicit values above the default), not O(level).
+    Each level visits only the earlier positions whose count still exceeds
+    it, so past a finite default a level costs O(explicit values above the
+    default), not O(level).
     """
 
     target: TargetFunction
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        value_at, default = self.target.value_at, self.target.default
-        # (spiral position, n, f(n)) of the explicit values above the default
-        above = sorted(
-            (spiral_index(n), n, v) for n, v in self.target.values.items() if v > default
-        )
+        value_at = self.target.value_at
+        # (spiral(i), f(spiral(i))) for i < level, in spiral order; a pair
+        # leaves once the level reaches its count
+        live: list[tuple[int, Count]] = []
         level = 0
         while True:
             n = spiral(level)
@@ -208,11 +207,9 @@ class MultisetOrdering:
             cap = level + 1 if fv == INFINITY else min(level + 1, int(fv))
             for c in range(cap):
                 yield (n, c)
-            if default > level:
-                yield from ((m, level) for m in map(spiral, range(level)) if value_at(m) > level)
-            else:
-                above = [e for e in above if e[2] > level]
-                yield from ((m, level) for i, m, _ in above if i < level)
+            live = [(m, v) for m, v in live if v > level]
+            yield from ((m, level) for m, _ in live)
+            live.append((n, fv))
             level += 1
 
     def entries(self, count: int) -> list[tuple[int, int]]:
