@@ -265,15 +265,16 @@ def cmd_diff_realize(args) -> int:
 def cmd_verify(args) -> int:
     form = LinearForm.parse(args.form)
     ground = GroundSet.from_json(_read(args.set))
-    counts = class_counts(form, ground, args.budget)
     if args.window is not None:
         lo, hi = args.window
         if lo > hi:
             raise PreconditionViolationError("window", f"{lo} > {hi}")
+    target = TargetFunction.from_json(_read(args.target)) if args.target else ALL_ONES
+    # every input is valid before the count, which may exceed the budget
+    counts = class_counts(form, ground, args.budget)
     if args.profile:
         window = None if args.window is None else tuple(args.window)
         _write(args.profile, RepProfile(counts, window).to_json() + "\n")
-    target = TargetFunction.from_json(_read(args.target)) if args.target else ALL_ONES
     violations = [
         {"n": str(n), "count": c, "allowed": "inf" if allowed == float("inf") else allowed}
         for n, c, allowed in TargetReport.of(counts, target).overshoots

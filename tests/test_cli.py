@@ -395,3 +395,19 @@ class TestVerifyProfile:
             "-5",
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [
+            # a malformed target is a parse error, before the count meets the budget
+            (["--target", "target.json", "--budget", "2"], 2),
+            (["--window", "5", "1", "--budget", "3"], 3),
+        ],
+    )
+    def test_input_checked_before_counting(self, capsys, tmp_path, monkeypatch, extra, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "A.json").write_text(GroundSet.of([1, 3]).to_json())
+        (tmp_path / "target.json").write_text('{"window": [-5, 5], "values": [2]}')
+        argv = ["verify", "--form", "1,1", "--set", "A.json", "--profile", "p.json"]
+        assert run(capsys, *argv, *extra)[0] == code
+        assert not (tmp_path / "p.json").exists()
