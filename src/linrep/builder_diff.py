@@ -27,7 +27,7 @@ from operator import neg
 from typing import Callable, Mapping, Optional, Union
 
 from .builder_target import TargetFunction, enumerate_multiset
-from .builder_unique import ConstructionState, _first_overshoot, _grow
+from .builder_unique import ConstructionState, Tally, _grow
 from .errors import (
     ConstructionBugError,
     InsufficientPairsError,
@@ -224,9 +224,7 @@ def _assert_diff_preconditions(target: TargetFunction) -> None:
 
 
 def _check_diff_step(
-    old_counts: dict[int, int],
-    delta: dict[int, int],
-    shared: set[int],
+    tally: Tally,
     target_fn: TargetFunction,
     entry: tuple[int, int],
     allowed_double: Callable[[int], bool],
@@ -234,36 +232,32 @@ def _check_diff_step(
 ) -> None:
     """Shared oracle checks after one difference-form step; raises on failure.
 
-    ``old_counts`` were verified by the previous step and ``delta`` holds
-    the step's new classes, so only the values in ``delta`` (and their
-    mirrors) can break an invariant; ``shared`` holds those already
-    counted (see ``_first_overshoot``).  ``exempt`` values skip the
-    increment-size analysis (a batch step fills its target value all the
-    way in one go; the caller checks the exact fill separately).
+    ``tally.counts`` were verified by the previous step and
+    ``tally.delta`` holds the step's new classes, so only the values in the
+    delta (and their mirrors) can break an invariant.  ``exempt`` values
+    skip the increment-size analysis (a batch step fills its target value
+    all the way in one go; the caller checks the exact fill separately).
 
-    ``old_counts`` are even-symmetric: the seed count is {0: 1} and every
-    accepted step was checked.  So the new counts are even-symmetric exactly
-    when ``delta`` is, and the per-value mirror and increment loops run only
-    when the bulk test of their phase fails, to name the violation.
+    The verified counts are even-symmetric: the seed count is {0: 1} and
+    every accepted step was checked.  So the new counts are even-symmetric
+    exactly when the delta is, and the per-value mirror and increment loops
+    run only when the bulk test of their phase fails, to name the violation.
     """
     t, copy_index = entry
-
-    def count(n: int) -> int:
-        return old_counts.get(n, 0) + delta.get(n, 0)
-
-    if count(0) != 1:
-        raise ConstructionBugError(f"count at 0 is {count(0)}, expected 1")
+    delta = tally.delta
+    if tally.count(0) != 1:
+        raise ConstructionBugError(f"count at 0 is {tally.count(0)}, expected 1")
     if delta != dict(zip(map(neg, delta), delta.values())):
         for n in delta:
-            c = count(n)
-            if c != count(-n):
+            c = tally.count(n)
+            if c != tally.count(-n):
                 raise ConstructionBugError(
-                    f"counts not even-symmetric at {n}: {c} vs {count(-n)}"
+                    f"counts not even-symmetric at {n}: {c} vs {tally.count(-n)}"
                 )
-    n = _first_overshoot(old_counts, delta, shared, target_fn.default, target_fn.values)
+    n = tally.overshoot(target_fn.default, target_fn.values)
     if n is not None:
         raise ConstructionBugError(
-            f"count {count(n)} exceeds target {target_fn.value_at(n)} at {n}"
+            f"count {tally.count(n)} exceeds target {target_fn.value_at(n)} at {n}"
         )
     if max(delta.values(), default=0) > 1:
         for n, d in delta.items():
@@ -272,7 +266,7 @@ def _check_diff_step(
             if d > 2:
                 raise ConstructionBugError(f"count jumped by {d} at {n}")
             if d == 2:
-                old = old_counts.get(n, 0)
+                old = tally.counts.get(n, 0)
                 if old != 0:
                     raise ConstructionBugError(
                         f"count rose by 2 at {n} on top of {old} existing classes"
@@ -281,7 +275,7 @@ def _check_diff_step(
                     raise ConstructionBugError(
                         f"unexpected double increment at {n}"
                     )
-    if count(t) < copy_index + 1:
+    if tally.count(t) < copy_index + 1:
         raise ConstructionBugError(
             f"target {t} copy {copy_index} still uncovered after the step"
         )
@@ -367,10 +361,8 @@ def build_infinite_case(
             k, case, t, copy_index, m_bound, 1, block, witness, support, reps
         )
 
-    def accept(state, counts, entry, block, delta, shared):
-        _check_diff_step(
-            counts, delta, shared, target, entry, allowed_double=lambda v: abs(v) in sigma_all
-        )
+    def accept(state, tally, entry, block):
+        _check_diff_step(tally, target, entry, allowed_double=lambda v: abs(v) in sigma_all)
 
     return _grow(state, enumerate_multiset(target), steps, propose, accept, budget)
 
@@ -462,19 +454,17 @@ def build_unbounded_case(
             k, "batch", t, copy_index, m_bound, gamma, block, None, support, tuple(zip(xs, ys))
         )
 
-    def accept(state, counts, entry, block, delta, shared):
+    def accept(state, tally, entry, block):
         t = entry[0]
         _check_diff_step(
-            counts,
-            delta,
-            shared,
+            tally,
             target,
             entry,
             allowed_double=lambda v: target.value_at(v) > 1,
             exempt=frozenset((t, -t)),
         )
         fv = target.value_at(t)
-        got = (counts.get(t, 0) + delta.get(t, 0), counts.get(-t, 0) + delta.get(-t, 0))
+        got = (tally.count(t), tally.count(-t))
         if got != (fv, fv):
             raise ConstructionBugError(
                 f"step {state.step + 1}: counts at +-{t} are {got}, expected {fv}"

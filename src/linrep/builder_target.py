@@ -23,8 +23,8 @@ from .builder_unique import (
     DEFAULT_RETRY_CAP,
     ConstructionState,
     StepRecord,
+    Tally,
     Violation,
-    _first_overshoot,
     _grow,
     _propose,
     default_growth_constant,
@@ -305,11 +305,9 @@ def check_counts_against_target(
 def _accept_target(
     target: TargetFunction,
     state: ConstructionState,
-    counts: dict[int, int],
+    tally: Tally,
     entry: tuple[int, int],
     block: tuple[int, ...],
-    delta: dict[int, int],
-    shared: set[int],
 ) -> Optional[Violation]:
     """Never overshoot, leave the numbers scheduled before the entry
     untouched and cover the entry's copy.  A zero of the target carries
@@ -317,13 +315,13 @@ def _accept_target(
     unrepresented, the zeros ``_scheduled_before`` spans included.
     """
     t, copy_index = entry
-    n = _first_overshoot(counts, delta, shared, target.default, target.values)
+    n = tally.overshoot(target.default, target.values)
     if n is not None:
         return Violation("count-exceeds-target", n)
-    frozen = (delta.keys() & _scheduled_before(entry)) - {t}
+    frozen = (tally.delta.keys() & _scheduled_before(entry)) - {t}
     if frozen:
-        return Violation("frozen-count-changed", next(n for n in delta if n in frozen))
-    if counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
+        return Violation("frozen-count-changed", next(n for n in tally.delta if n in frozen))
+    if tally.count(t) < copy_index + 1:
         return Violation("target-copy-missed", t)
     return None
 

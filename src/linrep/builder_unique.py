@@ -31,7 +31,6 @@ from .repcount import (
     GroundSet,
     class_count_delta,
     class_counts,
-    merge_counts,
 )
 
 if TYPE_CHECKING:
@@ -181,64 +180,87 @@ class ConstructionState:
         return [r.to_json_obj() for r in self.records]
 
 
+class Tally:
+    """The step loop's running count, with one staged delta.
+
+    ``counts`` is always verified: a staged ``delta`` (the classes a
+    candidate block adds) joins it only through ``merge``, after the step's
+    check has accepted it.  ``stage`` finds once the values both count, for
+    the check and the merge.
+    """
+
+    def __init__(self, counts: dict[int, int]):
+        self.counts = counts
+        self.stage({})
+
+    def stage(self, delta: dict[int, int]) -> None:
+        """Stage the classes a candidate block adds, replacing any staged ones."""
+        self.delta = delta
+        self._shared = delta.keys() & self.counts.keys()
+
+    def count(self, n: int) -> int:
+        """The count at n once the staged delta joins."""
+        return self.counts.get(n, 0) + self.delta.get(n, 0)
+
+    def overshoot(self, default: float, values: Mapping[int, float]) -> Optional[int]:
+        """The first n, in delta order, whose count would exceed
+        ``values.get(n, default)``, or None: every builder's overshoot rule.
+
+        ``counts`` were verified already, so unless a delta exceeds the
+        default, or a value with an explicit bound or an old count exceeds
+        its bound, nothing overshoots and the delta is not walked.
+        """
+        counts, delta = self.counts, self.delta
+        if max(delta.values(), default=0) <= default and all(
+            counts.get(n, 0) + delta[n] <= values.get(n, default)
+            for n in (delta.keys() & values.keys()) | self._shared
+        ):
+            return None
+        for n, d in delta.items():
+            if counts.get(n, 0) + d > values.get(n, default):
+                return n
+        return None
+
+    def merge(self) -> None:
+        """Add the staged delta into ``counts`` in place and clear the stage.
+
+        New keys land in delta order; the shared ones keep their place, and
+        their old counts are added back after the bulk update.
+        """
+        counts = self.counts
+        old = {n: counts[n] for n in self._shared}
+        counts.update(self.delta)
+        for n, c in old.items():
+            counts[n] += c
+        self.stage({})
+
+
 Propose = Callable[
     [ConstructionState, dict[int, int], Entry, int, int], tuple[tuple[int, ...], Callable]
 ]
-Accept = Callable[
-    [ConstructionState, dict[int, int], Entry, tuple[int, ...], dict[int, int], set[int]],
-    Optional[Violation],
-]
+Accept = Callable[[ConstructionState, Tally, Entry, tuple[int, ...]], Optional[Violation]]
 
 
 def _check_block(
     state: ConstructionState,
-    counts: dict[int, int],
+    tally: Tally,
     entry: Entry,
     block: tuple[int, ...],
     accept: Accept,
     budget: int,
-) -> tuple[Optional[Violation], Optional[dict[int, int]], Optional[set[int]]]:
-    """(violation, count delta, shared values) of a candidate block.
+) -> Optional[Violation]:
+    """The reason a candidate block is rejected, or None.
 
-    Rejects repeated entries and elements already in the set, then counts
-    the classes the block adds and hands them, with the verified ``counts``
-    of the set and the values both already represent, to the builder's
-    check.
+    Rejects repeated entries and elements already in the set, then stages
+    the block's classes on ``tally`` and hands it to the builder's check.
     """
     if len(set(block)) != len(block):
-        return Violation("duplicate-in-block"), None, None
+        return Violation("duplicate-in-block")
     for v in block:
         if v in state.elements:
-            return Violation("collision-with-existing", v), None, None
-    delta = class_count_delta(state.builder_form, state.elements, block, budget)
-    shared = delta.keys() & counts.keys()
-    return accept(state, counts, entry, block, delta, shared), delta, shared
-
-
-def _first_overshoot(
-    counts: dict[int, int],
-    delta: dict[int, int],
-    shared: set[int],
-    default: float,
-    values: Mapping[int, float],
-) -> Optional[int]:
-    """The first n, in ``delta`` order, whose count would exceed
-    ``values.get(n, default)``, or None: every builder's overshoot rule.
-
-    ``counts`` were verified already and ``shared`` holds the values of
-    ``delta`` they count, so unless a new count exceeds the default, or an
-    explicit or shared value its bound, nothing overshoots and the delta
-    is not walked.
-    """
-    if max(delta.values(), default=0) <= default and all(
-        counts.get(n, 0) + delta[n] <= values.get(n, default)
-        for n in (delta.keys() & values.keys()) | shared
-    ):
-        return None
-    for n, d in delta.items():
-        if counts.get(n, 0) + d > values.get(n, default):
-            return n
-    return None
+            return Violation("collision-with-existing", v)
+    tally.stage(class_count_delta(state.builder_form, state.elements, block, budget))
+    return accept(state, tally, entry, block)
 
 
 def _grow(
@@ -255,27 +277,28 @@ def _grow(
     """The greedy step loop every builder runs.
 
     The loop counts the classes of the starting set once and keeps that
-    running count up to date.  Each step takes the next entry (n, c)
-    whose copy is still uncovered (count of n at most c), asks
-    ``propose(state, counts, entry, m, attempt)`` for a block and a record
-    maker, and checks the block (``_check_block``, which calls
-    ``accept(state, counts, entry, block, delta, shared)``).  A rejected block
-    doubles the growth constant ``m`` and is reproposed; more than
+    running count in a ``Tally``, whose ``counts`` are always verified.
+    Each step takes the next entry (n, c) whose copy is still uncovered
+    (count of n at most c), asks ``propose(state, tally.counts, entry, m,
+    attempt)`` for a block and a record maker, and checks the block:
+    ``_check_block`` stages its classes and calls ``accept(state, tally,
+    entry, block)``.  A rejected block, whose classes never reach the
+    count, doubles the growth constant ``m`` and is reproposed; more than
     ``retry_cap`` rejections in one step raise RetryExhaustedError with the
-    whole retry trail.  An accepted block's classes join the count and
-    ``record(step, support_size)`` joins the state.
+    whole retry trail.  An accepted block's classes join the count
+    (``Tally.merge``) and ``record(step, support_size)`` joins the state.
     """
-    counts = class_counts(state.builder_form, state.elements, budget)
+    tally = Tally(class_counts(state.builder_form, state.elements, budget))
     entries = iter(entries)
     trail: list[str] = []
     for k in range(1, steps + 1):
         for entry in entries:
-            if counts.get(entry[0], 0) <= entry[1]:
+            if tally.counts.get(entry[0], 0) <= entry[1]:
                 break
         retries = 0
         while True:
-            block, record = propose(state, counts, entry, m, retries)
-            violation, delta, shared = _check_block(state, counts, entry, block, accept, budget)
+            block, record = propose(state, tally.counts, entry, m, retries)
+            violation = _check_block(state, tally, entry, block, accept, budget)
             if violation is None:
                 break
             retries += 1
@@ -286,8 +309,8 @@ def _grow(
                     "trace:\n" + "\n".join(trail)
                 )
             m *= 2
-        merge_counts(counts, delta, shared)
-        state = state.extended(record(k, len(counts)))
+        tally.merge()
+        state = state.extended(record(k, len(tally.counts)))
     return state
 
 
@@ -358,21 +381,19 @@ def _propose(
 def _accept_unique(
     half_line: Optional[int],
     state: ConstructionState,
-    counts: dict[int, int],
+    tally: Tally,
     entry: Entry,
     block: tuple[int, ...],
-    delta: dict[int, int],
-    shared: set[int],
 ) -> Optional[Violation]:
     """Every count stays at most 1, the target gets its class, and every
     element clears the half-line bound."""
     if half_line is not None and min(block) < half_line:
         return Violation("below-half-line-bound", min(block))
-    n = _first_overshoot(counts, delta, shared, 1, {})
+    n = tally.overshoot(1, {})
     if n is not None:
         return Violation("double-representation", n)
     target = entry[0]
-    if counts.get(target, 0) + delta.get(target, 0) != 1:
+    if tally.count(target) != 1:
         return Violation("target-unrepresented", target)
     return None
 

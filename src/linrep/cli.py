@@ -270,7 +270,7 @@ def cmd_verify(args) -> int:
         if lo > hi:
             raise PreconditionViolationError("window", f"{lo} > {hi}")
     target = TargetFunction.from_json(_read(args.target)) if args.target else ALL_ONES
-    # every input is valid before the count, which may exceed the budget
+    # check every input before counting, which may exceed the budget
     counts = class_counts(form, ground, args.budget)
     if args.profile:
         window = None if args.window is None else tuple(args.window)

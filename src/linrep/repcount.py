@@ -27,7 +27,10 @@ support meets B, so ``class_count_delta`` counts only assignments with a
 value in B, split by the first slot holding one.  A general delta lists
 its sums in the order a walk of the tuples with a block entry first meets
 them (split by the first block position, then ``itertools.product``
-order); that order decides which doubled value a retry trail names.
+order); that order decides which doubled value a retry trail names.  The
+builders' step loop keeps its running count in a ``builder_unique.Tally``:
+the count is always verified, and a staged delta joins it only through
+``Tally.merge``, once the step's check has accepted it.
 Forms with equal coefficients keep a path that enumerates value
 multisets, keyed in multiset order, because it is faster: it streams the
 sums into the count (``_multiset_sums``), and through the Moebius kernel a
@@ -206,20 +209,6 @@ def class_count_delta(
     if len(set(coeffs)) == 1:
         return _uniform_delta(coeffs[0], len(coeffs), base.elements, new)
     return _general_delta(coeffs, base.elements, new)
-
-
-def merge_counts(counts: dict[int, int], delta: dict[int, int], shared: set[int]) -> None:
-    """Add a ``class_count_delta`` result into ``counts`` in place.
-
-    ``shared`` must be ``delta.keys() & counts.keys()``, which the step
-    loop finds once for its check and this merge.  New keys land in
-    ``delta`` order; the shared ones keep their place, and their old
-    counts are added back after the bulk update.
-    """
-    old = {n: counts[n] for n in shared}
-    counts.update(delta)
-    for n, c in old.items():
-        counts[n] += c
 
 
 def _uniform_delta(

@@ -19,6 +19,7 @@ from linrep import (
     window_plentiful_supply,
 )
 from linrep.builder_diff import _check_diff_step, check_even_normalized
+from linrep.builder_unique import Tally
 from linrep.errors import (
     ConstructionBugError,
     InsufficientPairsError,
@@ -122,6 +123,13 @@ def diff_steps(draw):
     return old, delta, target, entry, allowed, draw(st.booleans())
 
 
+def staged(counts, delta):
+    """A tally of the verified ``counts`` with ``delta`` staged on it."""
+    tally = Tally(counts)
+    tally.stage(delta)
+    return tally
+
+
 class TestCheckDiffStep:
     @pytest.mark.parametrize(
         "delta, message",
@@ -136,8 +144,8 @@ class TestCheckDiffStep:
         old = {0: 1, 4: 1, -4: 1}
         with pytest.raises(ConstructionBugError, match=message):
             _check_diff_step(
-                old, delta, delta.keys() & old.keys(), TargetFunction.make((-10, 10)),
-                (7, 0), allowed_double=lambda v: False,
+                staged(old, delta), TargetFunction.make((-10, 10)), (7, 0),
+                allowed_double=lambda v: False,
             )
 
     @given(diff_steps())
@@ -155,9 +163,7 @@ class TestCheckDiffStep:
         exempt = frozenset((entry[0], -entry[0])) if exempt else frozenset()
         expected = diff_step_violation(old, delta, target, entry, allowed_double, exempt)
         try:
-            _check_diff_step(
-                old, delta, delta.keys() & old.keys(), target, entry, allowed_double, exempt
-            )
+            _check_diff_step(staged(old, delta), target, entry, allowed_double, exempt)
         except ConstructionBugError as err:
             assert str(err) == expected
         else:

@@ -22,7 +22,7 @@ from linrep.builder_target import (
     _scheduled_before,
     check_counts_against_target,
 )
-from linrep.builder_unique import ConstructionState
+from linrep.builder_unique import ConstructionState, Tally
 from linrep.errors import (
     NotPartitionRegularError,
     NotPrimitiveError,
@@ -270,8 +270,9 @@ def target_check(target, counts, entry, delta):
     """The builder's check and the oracle's, which walks the ordering up to
     ``entry`` for the numbers scheduled before it."""
     state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
-    shared = delta.keys() & counts.keys()
-    violation = _accept_target(target, state, counts, entry, (0, 1), delta, shared)
+    tally = Tally(counts)
+    tally.stage(delta)
+    violation = _accept_target(target, state, tally, entry, (0, 1))
     frozen = scheduled_numbers(enumerate_multiset(target), entry)
     return (
         None if violation is None else (violation.kind, violation.value),
@@ -382,18 +383,18 @@ class TestBuildForTarget:
         # overlap is non-empty and the merge must add the old count back
         accepted = []
 
-        def spy(target, state, counts, entry, block, delta, shared):
-            violation = _accept_target(target, state, counts, entry, block, delta, shared)
+        def spy(target, state, tally, entry, block):
+            violation = _accept_target(target, state, tally, entry, block)
             if violation is None:
-                accepted.append((counts, set(shared)))
+                accepted.append((tally, tally.delta.keys() & tally.counts.keys()))
             return violation
 
         monkeypatch.setattr(builder_target, "_accept_target", spy)
         form = LinearForm.parse("1,1")
         target = TargetFunction.make((-20, 20), values={n: 2 for n in range(-20, 21)})
         state = build_for_target(form, target, 12)
-        assert any(shared for _, shared in accepted)
-        running = accepted[-1][0]  # the step loop's one count, merged in place
+        assert any(overlap for _, overlap in accepted)
+        running = accepted[-1][0].counts  # the step loop's one count, merged in place
         assert running == class_counts(form, state.elements)
 
     def test_zero_set_avoided_every_prefix(self):

@@ -4,12 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrep import INFINITY, GroundSet, LinearForm, MixedSignRequiredError, build, class_counts
+from linrep import (
+    INFINITY,
+    GroundSet,
+    LinearForm,
+    MixedSignRequiredError,
+    TargetFunction,
+    build,
+    build_for_target,
+    class_counts,
+)
+from linrep import builder_target, builder_unique
 from linrep.builder_unique import (
     ConstructionState,
+    Tally,
+    Violation,
     _accept_unique,
     _check_block,
-    _first_overshoot,
     _propose,
     mixed_sign_last,
 )
@@ -17,7 +28,7 @@ from linrep.errors import NotPrimitiveError
 from linrep.forms import bezout_witness, spiral
 from linrep.repcount import DEFAULT_TUPLE_BUDGET
 
-from oracles import brute_counts, first_overshoot, unique_violation
+from oracles import brute_counts, first_overshoot, merged, unique_violation
 
 ACCEPTANCE_FORMS = ["1,1", "1,1,1", "2,3", "1,-2", "3,-2", "1,2,-3"]
 
@@ -25,12 +36,16 @@ ACCEPTANCE_FORMS = ["1,1", "1,1,1", "2,3", "1,-2", "3,-2", "1,2,-3"]
 def verify_block(form, block, target, d0=1):
     """The unique builder's check of one block on top of the set {d0}."""
     state = ConstructionState.initial(form, d0)
-    counts = class_counts(form, state.elements)
+    tally = Tally(class_counts(form, state.elements))
     accept = partial(_accept_unique, None)
-    violation, _, _ = _check_block(
-        state, counts, (target, 0), block, accept, DEFAULT_TUPLE_BUDGET
-    )
-    return violation
+    return _check_block(state, tally, (target, 0), block, accept, DEFAULT_TUPLE_BUDGET)
+
+
+def staged(counts, delta):
+    """A tally of the verified ``counts`` with ``delta`` staged on it."""
+    tally = Tally(counts)
+    tally.stage(delta)
+    return tally
 
 
 class TestProposeBlock:
@@ -120,8 +135,7 @@ class TestAcceptUnique:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_the_loop(self, counts, delta, target):
         state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
-        shared = delta.keys() & counts.keys()
-        violation = _accept_unique(None, state, counts, (target, 0), (0, 1), delta, shared)
+        violation = _accept_unique(None, state, staged(counts, delta), (target, 0), (0, 1))
         assert as_pair(violation) == unique_violation(counts, target, delta)
 
     @pytest.mark.parametrize(
@@ -136,8 +150,7 @@ class TestAcceptUnique:
     )
     def test_named_cases(self, counts, delta, target, expected):
         state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
-        shared = delta.keys() & counts.keys()
-        violation = _accept_unique(None, state, counts, (target, 0), (0, 1), delta, shared)
+        violation = _accept_unique(None, state, staged(counts, delta), (target, 0), (0, 1))
         assert as_pair(violation) == expected == unique_violation(counts, target, delta)
 
 
@@ -161,8 +174,7 @@ class TestFirstOvershoot:
     )
     @settings(max_examples=400, deadline=None)
     def test_agrees_with_the_loop(self, default, values, counts, delta):
-        shared = delta.keys() & counts.keys()
-        assert _first_overshoot(counts, delta, shared, default, values) == first_overshoot(
+        assert staged(counts, delta).overshoot(default, values) == first_overshoot(
             counts, delta, default, values
         )
 
@@ -170,10 +182,75 @@ class TestFirstOvershoot:
         # the largest new count equals the default, and a shared value with
         # an explicit bound reaches it
         delta = UnwalkedDict({3: 1, 4: 2})
-        assert _first_overshoot({3: 1}, delta, {3}, 2, {3: 2}) is None
+        assert staged({3: 1}, delta).overshoot(2, {3: 2}) is None
 
     def test_a_shared_value_is_tested_at_its_old_count(self):
-        assert _first_overshoot({5: 1}, {4: 1, 5: 1}, {5}, 1, {}) == 5
+        assert staged({5: 1}, {4: 1, 5: 1}).overshoot(1, {}) == 5
+
+
+count_maps = st.dictionaries(st.integers(-8, 8), st.integers(1, 3), max_size=8)
+
+
+class TestTally:
+    @given(count_maps, st.lists(st.tuples(count_maps, st.booleans()), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_count_is_the_verified_count_plus_the_stage(self, counts, steps):
+        # each step stages a delta, and only an accepted one is merged;
+        # merging moves the delta into the count, so no count changes
+        model = dict(counts)
+        tally = Tally(counts)
+        for delta, accepted in steps:
+            tally.stage(delta)
+            expected = {n: model.get(n, 0) + delta.get(n, 0) for n in [*model, *delta, 99]}
+            assert {n: tally.count(n) for n in expected} == expected
+            if accepted:
+                tally.merge()
+                model = merged(model, delta)
+                assert {n: tally.count(n) for n in expected} == expected
+            assert list(tally.counts.items()) == list(model.items())
+
+
+def reject_first_proposals(monkeypatch, module, name):
+    """Make the builder's check ``module.name`` reject the first proposal
+    of every step; returns the list of tallies the check is handed."""
+    check = getattr(module, name)
+    tallies, rejected = [], set()
+
+    def first_rejected(bound, state, tally, entry, block):
+        tallies.append(tally)
+        if state.step in rejected:
+            return check(bound, state, tally, entry, block)
+        rejected.add(state.step)
+        return Violation("first-proposal")
+
+    monkeypatch.setattr(module, name, first_rejected)
+    return tallies
+
+
+@pytest.mark.parametrize(
+    "module, name, run",
+    [
+        (builder_unique, "_accept_unique", lambda: build(LinearForm.parse("1,2"), 8)),
+        (
+            builder_target,
+            "_accept_target",
+            lambda: build_for_target(
+                LinearForm.parse("1,1"),
+                TargetFunction.make((-20, 20), values={n: 2 for n in range(-20, 21)}),
+                12,
+            ),
+        ),
+    ],
+)
+def test_a_rejected_block_never_reaches_the_running_count(monkeypatch, module, name, run):
+    tallies = reject_first_proposals(monkeypatch, module, name)
+    state = run()
+    form = state.builder_form
+    assert all(r.retries >= 1 for r in state.records)
+    for k, record in enumerate(state.records, start=1):
+        prefix = GroundSet.of(v for blk in state.blocks[: k + 1] for v in blk)
+        assert record.support_size == len(class_counts(form, prefix))
+    assert tallies[-1].counts == class_counts(form, state.elements)
 
 
 class TestNextTarget:

@@ -1,6 +1,8 @@
 """The surfaces other code relies on: the package namespace, the README's
-library example and the names the benchmark's tracer binds."""
+library example and the names the benchmark's tracer binds; and no module
+imports a name it never uses."""
 
+import ast
 import importlib.util
 import re
 import types
@@ -63,3 +65,33 @@ def test_tracer_names_resolve():
     replacements = tracer.Tracer()._replacements()
     # the step loop's seed count runs through builder_unique's binding
     assert builder_unique.class_counts in replacements
+
+
+def unused_imports(source):
+    """(line, name) of every name ``source`` imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports the names it exports
+    modules = sorted((ROOT / "src" / "linrep").glob("*.py"))
+    found = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"))
+        for path in modules
+        if path.name != "__init__.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert unused_imports("import json\nfrom typing import Mapping, Optional\nOptional") == [
+        (1, "json"),
+        (2, "Mapping"),
+    ]

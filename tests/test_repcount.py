@@ -17,8 +17,8 @@ from linrep.repcount import (
     class_count_delta,
     count_at,
     int_from_json,
-    merge_counts,
 )
+from linrep.builder_unique import Tally
 
 from oracles import (
     brute_counts,
@@ -248,10 +248,16 @@ def split_sets(max_size):
     )
 
 
+def merge(counts, delta):
+    """Merge ``delta`` into ``counts`` in place through the step loop's tally."""
+    tally = Tally(counts)
+    tally.stage(delta)
+    tally.merge()
+
+
 def merged_counts(form, base, block):
     counts = brute_counts(form.coefficients, base.elements)
-    delta = class_count_delta(form, base, block)
-    merge_counts(counts, delta, delta.keys() & counts.keys())
+    merge(counts, class_count_delta(form, base, block))
     return counts
 
 
@@ -276,8 +282,7 @@ class TestDeltaCounting:
         rest = values[1:]
         for size in sizes:
             block, rest = tuple(rest[:size]), rest[size:]
-            delta = class_count_delta(form, ground, block)
-            merge_counts(counts, delta, delta.keys() & counts.keys())
+            merge(counts, class_count_delta(form, ground, block))
             ground = ground.union(block)
             assert counts == brute_counts(form.coefficients, ground.elements)
 
@@ -455,12 +460,12 @@ class TestMergeCounts:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_plain_loop(self, counts, delta):
         expected = merged(counts, delta)
-        merge_counts(counts, delta, delta.keys() & counts.keys())
+        merge(counts, delta)
         assert list(counts.items()) == list(expected.items())
 
     def test_shared_keys_keep_their_place(self):
         counts = {5: 1, -2: 2, 9: 1}
-        merge_counts(counts, {7: 1, -2: 3, 0: 2, 5: 1}, {-2, 5})
+        merge(counts, {7: 1, -2: 3, 0: 2, 5: 1})
         assert list(counts.items()) == [(5, 2), (-2, 5), (9, 1), (7, 1), (0, 2)]
 
 
@@ -521,7 +526,7 @@ class TestStreamedConvolution:
 
     @pytest.mark.parametrize("coeffs", REPEATING_FORMS + [(1, 2, -3), (3, 3)])
     def test_delta_is_a_plain_dict(self, coeffs):
-        # merge_counts relies on dict.update replacing values; a Counter adds them
+        # Tally.merge relies on dict.update replacing values; a Counter adds them
         form = LinearForm(coeffs)
         assert type(class_count_delta(form, GroundSet.of([0, 2, 5]), (-4, 9))) is dict
         assert type(class_counts(form, GroundSet.of([1, 2, 3, 7]))) is dict
