@@ -206,7 +206,7 @@ class Tally:
         """The first n, in delta order, whose count would exceed
         ``values.get(n, default)``, or None: every builder's overshoot rule.
 
-        ``counts`` were verified already, so unless a delta exceeds the
+        ``counts`` were verified already, so unless a delta value exceeds the
         default, or a value with an explicit bound or an old count exceeds
         its bound, nothing overshoots and the delta is not walked.
         """

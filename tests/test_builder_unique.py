@@ -241,6 +241,7 @@ def reject_first_proposals(monkeypatch, module, name):
             ),
         ),
     ],
+    ids=["build", "build_for_target"],
 )
 def test_a_rejected_block_never_reaches_the_running_count(monkeypatch, module, name, run):
     tallies = reject_first_proposals(monkeypatch, module, name)
