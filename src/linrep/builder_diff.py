@@ -197,7 +197,7 @@ class DiffStepRecord:
     block: tuple[int, ...]
     witness: Optional[int]
     support_size: int
-    representations: tuple[tuple[int, int], ...]  # ledger of the target after the step
+    representations: tuple[tuple[int, int], ...]  # the target's chain after the step
 
     def to_json_obj(self) -> dict:
         return {
@@ -299,11 +299,14 @@ def build_infinite_case(
     SequenceExhaustedError.
 
     Per step, the first multiset entry (n, c) whose copy is uncovered
-    becomes the target t.  A fresh pair (x, x - t) with
+    becomes the target t.  The classes at t are the set's pairs
+    (x, x - t), read by ``state.chain(t)``.  A fresh pair with
     x > 2|t| + 3*max|B| is used when t has no class yet; otherwise x is
     chained onto t's largest anchor by the minimal sufficient partial sum
-    of ``seq``, keeping every anchor gap a contiguous partial sum.  Every
-    step is verified exhaustively; failures are bug signals, not retries.
+    of ``seq`` after that anchor's witness (0 for a pair no step recorded,
+    such as one the seed forms with an early element), keeping every anchor
+    gap a contiguous partial sum.  Every step is verified exhaustively;
+    failures are bug signals, not retries.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -329,17 +332,12 @@ def build_infinite_case(
         t, copy_index = entry
         m_bound = state.elements.max_abs()
         bound = 2 * abs(t) + 3 * m_bound
-        p = counts.get(t, 0)
-        chain = state.ledger.get(t, ())
-        if p == 0:
+        chain = state.chain(t)
+        if not chain:
             x = bound + 1
             case = "fresh"
             witness: Optional[int] = 1 if target.value_at(t) > 1 else None
         else:
-            if len(chain) != p:
-                raise ConstructionBugError(
-                    f"ledger for {t} has {len(chain)} entries, count is {p}"
-                )
             a_p, _, m_p = chain[-1]
             sigma = 0
             m_next = m_p
@@ -355,7 +353,7 @@ def build_infinite_case(
             case = "chained"
             witness = m_next
         block = (x, x - t)
-        # the ledger gains the pair exactly when the step has a witness
+        # the chain gains the pair exactly when the step has a witness
         reps = tuple((a, b) for a, b, _ in chain) + ((block,) if witness is not None else ())
         return block, lambda k, support: DiffStepRecord(
             k, case, t, copy_index, m_bound, 1, block, witness, support, reps

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import count
+from itertools import count, pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -101,7 +101,8 @@ class ConstructionState:
     so the last two have opposite signs; representation functions are
     invariant under coefficient permutation, so every set-level guarantee
     transfers).  ``gap_sequence`` is the plentiful sequence an
-    infinite-value difference-form build chains along.
+    infinite-value difference-form build chains along; ``chain(n)`` reads
+    the chain at n from the set.
     """
 
     form: LinearForm
@@ -146,35 +147,38 @@ class ConstructionState:
         """(target, copy index) of every step."""
         return tuple((r.target, r.copy_index) for r in self.records)
 
-    @property
-    def ledger(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        """Chained representations (anchor, partner, witness) per value.
+    def chain(self, n: int) -> tuple[tuple[int, int, int], ...]:
+        """Every pair (x, x - n, witness) of the set at difference n, anchors
+        x increasing: for the difference form and n != 0, the classes at n.
 
-        Only infinite-value difference-form builds keep one: each value with
-        more than one allowed class lists its pairs, anchors strictly
-        increasing; consecutive anchors differ by the partial sum of
-        ``gap_sequence`` between the two witnesses (lower exclusive, upper
-        inclusive).  Mirrored entries are kept for both signs.
+        A record for target t with block (x, y) and witness w gives x the
+        witness w at t, and y the witness w at -t.  A pair no step recorded
+        (the seed and an early element may form one) has witness 0, so a
+        chain on it starts at the sequence's first term.
         """
-        if self.gap_sequence is None:
-            return {}
-        ledger: dict[int, list[tuple[int, int, int]]] = {}
+        witness = {}
         for r in self.records:
-            if r.witness is not None:
+            if r.witness is not None and abs(r.target) == abs(n):
                 x, y = r.block
-                ledger.setdefault(r.target, []).append((x, y, r.witness))
-                ledger.setdefault(-r.target, []).append((y, x, r.witness))
-        return {n: tuple(v) for n, v in ledger.items()}
+                witness[x if r.target == n else y] = r.witness
+        return tuple(
+            (x, x - n, witness.get(x, 0)) for x in self.elements if x - n in self.elements
+        )
 
     def ledger_gaps_ok(self) -> bool:
-        """Recompute every ledger gap from the gap sequence and compare."""
-        for entries in self.ledger.values():
-            for (a1, _, m1), (a2, _, m2) in zip(entries, entries[1:]):
-                if not 0 < m1 < m2:
-                    return False
-                if a2 - a1 != self.gap_sequence.partial_sum(m1 + 1, m2):
-                    return False
-        return True
+        """Every chain at +-each witnessed target follows ``gap_sequence``:
+        witnesses rise strictly from 0 up, and consecutive anchors differ by
+        the partial sum between their witnesses (lower exclusive, upper
+        inclusive).  So an unrecorded pair can only be its chain's lowest
+        anchor, and two of them fail the check."""
+        if self.gap_sequence is None:
+            return True
+        witnessed = {r.target for r in self.records if r.witness is not None}
+        return all(
+            0 <= m1 < m2 and a2 - a1 == self.gap_sequence.partial_sum(m1 + 1, m2)
+            for n in witnessed | {-t for t in witnessed}
+            for (a1, _, m1), (a2, _, m2) in pairwise(self.chain(n))
+        )
 
     def trace_records(self) -> list[dict]:
         return [r.to_json_obj() for r in self.records]

@@ -18,8 +18,8 @@ from linrep import (
     is_plentiful,
     window_plentiful_supply,
 )
-from linrep.builder_diff import _check_diff_step, check_even_normalized
-from linrep.builder_unique import Tally
+from linrep.builder_diff import DiffStepRecord, _check_diff_step, check_even_normalized
+from linrep.builder_unique import ConstructionState, Tally
 from linrep.errors import (
     ConstructionBugError,
     InsufficientPairsError,
@@ -28,7 +28,7 @@ from linrep.errors import (
     SupplyExhaustedError,
 )
 
-from oracles import diff_step_violation
+from oracles import brute_counts, diff_step_violation
 
 
 def even_values(pairs):
@@ -294,7 +294,10 @@ class TestBuildInfiniteCase:
         target = inf_off_zero()
         seq = PlentifulSequence(tuple(2**i for i in range(1, 200)))
         state = build_infinite_case(target, seq, 10)
-        for entries in state.ledger.values():
+        witnessed = {r.target for r in state.records if r.witness is not None}
+        assert witnessed
+        for n in witnessed | {-t for t in witnessed}:
+            entries = state.chain(n)
             anchors = [a for a, _, _ in entries]
             assert anchors == sorted(anchors)
             witnesses = [m for _, _, m in entries]
@@ -309,6 +312,78 @@ class TestBuildInfiniteCase:
         assert n is not None
         extracted = extract_plentiful(state.elements, n, counts[n] - 1)
         assert is_plentiful(extracted, counts)
+
+
+def brute_chain(state, n):
+    """(x, x - n, witness) for every pair of the set at difference n, by a
+    nested scan; the witness is the record's, or 0 for an unrecorded pair."""
+    recorded = {}
+    for r in state.records:
+        if r.witness is not None:
+            x, y = r.block
+            recorded[(r.target, x)] = r.witness
+            recorded[(-r.target, y)] = r.witness
+    elements = sorted(state.elements)
+    return tuple(
+        (x, y, recorded.get((n, x), 0)) for x in elements for y in elements if x - y == n
+    )
+
+
+def hand_built_state(elements, records):
+    seq = PlentifulSequence((2, 4, 8))  # partial sums 2, 4, 6, 8, 12, 14
+    return ConstructionState(
+        DIFFERENCE_FORM, DIFFERENCE_FORM, GroundSet.of(elements), (2,), records, gap_sequence=seq
+    )
+
+
+class TestChain:
+    @pytest.mark.parametrize(
+        "window, values, first, d0, steps, unrecorded",
+        [
+            # the golden diff-infinite-unrecorded-anchor-at-* shapes: the seed
+            # 1 and the element 5 (or 6) form an unrecorded pair at 4 (or 5),
+            # and the seed 2 and the element 8 one at 6
+            (4, {}, 2, 1, 22, 4),
+            (6, {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: INFINITY}, 14, 1, 4, 5),
+            (5, {1: 3, 2: 1, 3: 3, 4: 1, 5: 1}, 11, 2, 10, 6),
+        ],
+    )
+    def test_matches_a_brute_anchor_scan(self, window, values, first, d0, steps, unrecorded):
+        target = TargetFunction.make(
+            (-window, window), values={0: 1, **even_values(values.items())}, default=INFINITY
+        )
+        seq = PlentifulSequence(tuple(first * 2**i for i in range(50)))
+        state = build_infinite_case(target, seq, steps, d0=d0)
+        counts = brute_counts(DIFFERENCE_FORM.coefficients, state.elements.elements)
+        witnessed = {r.target for r in state.records if r.witness is not None}
+        for n in (set(range(-12, 13)) - {0}) | witnessed | {-t for t in witnessed}:
+            chain = state.chain(n)
+            assert chain == brute_chain(state, n), n
+            assert len(chain) == counts.get(n, 0)
+        assert unrecorded in witnessed and state.chain(unrecorded)[0][2] == 0
+        assert state.ledger_gaps_ok()
+
+    def test_an_unrecorded_pair_starts_the_chain(self):
+        # (3, 2) is unrecorded; the step's anchor 9 is 6 = 2 + 4 above it
+        record = DiffStepRecord(1, "chained", 1, 1, 3, 1, (9, 8), 2, 7, ((3, 2), (9, 8)))
+        state = hand_built_state([2, 3, 8, 9], (record,))
+        assert state.chain(1) == ((3, 2, 0), (9, 8, 2))
+        assert state.chain(-1) == ((2, 3, 0), (8, 9, 2))
+        assert state.ledger_gaps_ok()
+
+    def test_two_unrecorded_pairs_fail_the_gap_check(self):
+        # (3, 2) and (6, 5) are both unrecorded at the witnessed difference
+        # 1, and their anchor gap 3 is no partial sum of the sequence
+        record = DiffStepRecord(1, "chained", 1, 1, 6, 1, (9, 8), 2, 7, ((9, 8),))
+        state = hand_built_state([2, 3, 5, 6, 8, 9], (record,))
+        assert [w for _, _, w in state.chain(1)] == [0, 0, 2]
+        assert not state.ledger_gaps_ok()
+
+    def test_gap_check_passes_without_a_gap_sequence(self):
+        state = build_unbounded_case(
+            TargetFunction.make((-10, 10)), lambda *a: PlentifulSequence(()), 3
+        )
+        assert state.gap_sequence is None and state.ledger_gaps_ok()
 
 
 class TestBuildUnboundedCase:
