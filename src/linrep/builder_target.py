@@ -375,11 +375,11 @@ def build_for_target(
 
     def propose(state, counts, entry, m, attempt):
         t, copy_index = entry
-        block, deltas, eps, remainder, shift = _propose(
+        block, deltas, *_ = _propose(
             form, bez, t, m, prev_max_abs=state.elements.max_abs(), attempt=attempt
         )
         return block, lambda k, support: StepRecord(
-            k, t, m, attempt, deltas, eps, remainder, shift, block, support, copy_index
+            k, t, m, attempt, deltas, block, support, copy_index
         )
 
     return _grow(

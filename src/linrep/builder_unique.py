@@ -68,9 +68,6 @@ class StepRecord:
     m: int
     retries: int
     deltas: tuple[int, ...]
-    epsilon: int
-    remainder: int
-    shift: int
     block: tuple[int, ...]
     support_size: int
     copy_index: Optional[int] = None
@@ -451,7 +448,7 @@ def build(
 
     def propose(state, counts, entry, m, attempt):
         target = entry[0]
-        block, deltas, eps, remainder, shift = _propose(
+        block, deltas, *_ = _propose(
             builder_form,
             bez,
             target,
@@ -461,7 +458,7 @@ def build(
             attempt=attempt,
         )
         return block, lambda k, support: StepRecord(
-            k, target, m, attempt, deltas, eps, remainder, shift, block, support
+            k, target, m, attempt, deltas, block, support
         )
 
     return _grow(

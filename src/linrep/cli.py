@@ -204,9 +204,7 @@ def cmd_realize(args) -> int:
         "ok": check.ok,
         "elements": len(state.elements),
         "steps": state.step,
-        "covered": [
-            {"target": str(r.target), "copy": r.copy_index} for r in state.records
-        ],
+        "covered": [{"target": str(t), "copy": c} for t, c in state.covered],
         "violations": str(check) if not check.ok else None,
     }
     _emit(
