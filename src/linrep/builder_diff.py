@@ -197,7 +197,9 @@ class DiffStepRecord:
     block: tuple[int, ...]
     witness: Optional[int]
     support_size: int
-    representations: tuple[tuple[int, int], ...]  # the target's chain after the step
+    # the target's chain after a witnessed step, a batch step's own pairs,
+    # and () after a fresh step without a witness
+    representations: tuple[tuple[int, int], ...]
 
     def to_json_obj(self) -> dict:
         return {
@@ -353,7 +355,7 @@ def build_infinite_case(
             case = "chained"
             witness = m_next
         block = (x, x - t)
-        # the chain gains the pair exactly when the step has a witness
+        # a value allowed one class gets no witness, and its record no chain
         reps = tuple((a, b) for a, b, _ in chain) + ((block,) if witness is not None else ())
         return block, lambda k, support: DiffStepRecord(
             k, case, t, copy_index, m_bound, 1, block, witness, support, reps

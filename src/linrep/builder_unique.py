@@ -163,17 +163,17 @@ class ConstructionState:
         )
 
     def ledger_gaps_ok(self) -> bool:
-        """Every chain at +-each witnessed target follows ``gap_sequence``:
+        """Every chain at a witnessed target follows ``gap_sequence``:
         witnesses rise strictly from 0 up, and consecutive anchors differ by
         the partial sum between their witnesses (lower exclusive, upper
         inclusive).  So an unrecorded pair can only be its chain's lowest
-        anchor, and two of them fail the check."""
+        anchor, and two of them fail the check.  chain(-n) mirrors chain(n)
+        pair by pair, so one sign of each target covers both."""
         if self.gap_sequence is None:
             return True
-        witnessed = {r.target for r in self.records if r.witness is not None}
         return all(
             0 <= m1 < m2 and a2 - a1 == self.gap_sequence.partial_sum(m1 + 1, m2)
-            for n in witnessed | {-t for t in witnessed}
+            for n in {r.target for r in self.records if r.witness is not None}
             for (a1, _, m1), (a2, _, m2) in pairwise(self.chain(n))
         )
 

@@ -360,16 +360,20 @@ class TestChain:
             chain = state.chain(n)
             assert chain == brute_chain(state, n), n
             assert len(chain) == counts.get(n, 0)
+            # the gap check walks one sign of each target
+            assert state.chain(-n) == tuple((y, x, w) for x, y, w in chain)
         assert unrecorded in witnessed and state.chain(unrecorded)[0][2] == 0
         assert state.ledger_gaps_ok()
 
-    def test_an_unrecorded_pair_starts_the_chain(self):
-        # (3, 2) is unrecorded; the step's anchor 9 is 6 = 2 + 4 above it
-        record = DiffStepRecord(1, "chained", 1, 1, 3, 1, (9, 8), 2, 7, ((3, 2), (9, 8)))
+    @pytest.mark.parametrize("witness, ok", [(2, True), (1, False), (3, False)])
+    def test_an_unrecorded_pair_starts_the_chain(self, witness, ok):
+        # (3, 2) is unrecorded; the step's anchor 9 is 6 = 2 + 4 above it,
+        # which is the partial sum up to witness 2 and no other
+        record = DiffStepRecord(1, "chained", 1, 1, 3, 1, (9, 8), witness, 7, ((3, 2), (9, 8)))
         state = hand_built_state([2, 3, 8, 9], (record,))
-        assert state.chain(1) == ((3, 2, 0), (9, 8, 2))
-        assert state.chain(-1) == ((2, 3, 0), (8, 9, 2))
-        assert state.ledger_gaps_ok()
+        assert state.chain(1) == ((3, 2, 0), (9, 8, witness))
+        assert state.chain(-1) == ((2, 3, 0), (8, 9, witness))
+        assert state.ledger_gaps_ok() is ok
 
     def test_two_unrecorded_pairs_fail_the_gap_check(self):
         # (3, 2) and (6, 5) are both unrecorded at the witnessed difference
