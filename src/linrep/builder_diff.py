@@ -22,9 +22,8 @@ raises a bug signal instead of looping.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from operator import neg
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .builder_target import TargetFunction, enumerate_multiset
 from .builder_unique import ConstructionState, Tally, _grow
@@ -35,7 +34,7 @@ from .errors import (
     SequenceExhaustedError,
     SupplyExhaustedError,
 )
-from .forms import LinearForm
+from .forms import Frozen, LinearForm
 from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts, int_from_json
 
 DIFFERENCE_FORM = LinearForm((1, -1))
@@ -43,8 +42,7 @@ DIFFERENCE_FORM = LinearForm((1, -1))
 DEFAULT_QUOTIENT_BOUND = 24  # 8 * (1 + 2) for the two-variable difference form
 
 
-@dataclass(frozen=True)
-class PlentifulSequence:
+class PlentifulSequence(Frozen):
     """A finite sequence of positive integers queried by partial sums.
 
     partial_sum(l, m) is the 1-based inclusive sum of terms l..m.  The
@@ -52,12 +50,14 @@ class PlentifulSequence:
     has f(s) > 1.
     """
 
-    terms: tuple[int, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        for t in self.terms:
+    def __init__(self, terms: Iterable[int]):
+        terms = tuple(terms)
+        for t in terms:
             if not isinstance(t, int) or isinstance(t, bool) or t <= 0:
                 raise ValueError("plentiful sequence terms must be positive integers")
+        self._init(terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -87,8 +87,7 @@ class PlentifulSequence:
         return json.dumps([str(t) for t in self.terms])
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(NamedTuple):
     """Named violations from a difference-form admissibility check."""
 
     violations: tuple[tuple[str, int], ...]
@@ -184,8 +183,7 @@ def extract_plentiful(
     return seq
 
 
-@dataclass(frozen=True)
-class DiffStepRecord:
+class DiffStepRecord(NamedTuple):
     """Audit record for one accepted difference-form step."""
 
     step: int
@@ -322,12 +320,11 @@ def build_infinite_case(
             "build_unbounded_case (strictly bounded targets are an open case "
             "and are not attempted)",
         )
-    if not is_plentiful(seq, target):
+    sigma_all = seq.all_partial_sums()  # built once: the check and every step read it
+    if not all(target.value_at(s) > 1 for s in sigma_all):
         raise PreconditionViolationError(
             "plentiful", "supplied sequence is not plentiful for the target"
         )
-
-    sigma_all = seq.all_partial_sums()
     state = ConstructionState.initial(DIFFERENCE_FORM, d0, gap_sequence=seq)
 
     def propose(state, counts, entry, m, attempt):

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .builder_unique import (
     DEFAULT_RETRY_CAP,
@@ -34,7 +33,7 @@ from .errors import (
     NotPrimitiveError,
     PreconditionViolationError,
 )
-from .forms import LinearForm, bezout_witness, is_partition_regular, is_primitive
+from .forms import Frozen, LinearForm, bezout_witness, is_partition_regular, is_primitive
 from .forms import spiral, spiral_index
 from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts, int_from_json
 
@@ -61,45 +60,41 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
-class TargetFunction:
+class TargetFunction(Frozen):
     """A prescribed count for every integer: window values plus a default.
 
     ``values`` fixes counts inside the window; every other integer takes
     ``default``.  Zeros may occur only at the listed ``zero_set`` positions,
     which must lie inside the window and take no non-zero value; the
     default is never zero, so the zero set is always finite and explicit.
+    ``values`` is a dict, so a target function is not hashable.
     """
 
-    window_lo: int
-    window_hi: int
-    values: dict[int, Count]
-    default: Count
-    zero_set: frozenset[int]
+    __slots__ = ("window_lo", "window_hi", "values", "default", "zero_set")
 
-    def __post_init__(self):
-        if self.window_lo > self.window_hi:
+    def __init__(
+        self, window_lo: int, window_hi: int, values: dict, default: Count, zero_set: frozenset
+    ):
+        if window_lo > window_hi:
             raise ValueError("window lower bound exceeds upper bound")
-        default = _validate_count(self.default, "default")
+        default = _validate_count(default, "default")
         if default == 0:
             raise ValueError("default count must never be zero")
-        zeros = frozenset(self.zero_set)
-        values = dict(self.values)
+        zeros = frozenset(zero_set)
+        values = dict(values)
         for n in zeros:
-            if not self.window_lo <= n <= self.window_hi:
+            if not window_lo <= n <= window_hi:
                 raise ValueError(f"zero at {n} lies outside the window")
             if values.setdefault(n, 0) != 0:
                 raise ValueError(f"zero at {n} also has the non-zero value {values[n]}")
         for n, v in values.items():
-            if not self.window_lo <= n <= self.window_hi:
+            if not window_lo <= n <= window_hi:
                 raise ValueError(f"explicit value at {n} lies outside the window")
             v = _validate_count(v, f"value at {n}")
             if v == 0 and n not in zeros:
                 raise ValueError(f"zero value at {n} missing from the zero list")
             values[n] = v
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "zero_set", zeros)
-        object.__setattr__(self, "default", default)
+        self._init(window_lo, window_hi, values, default, zeros)
 
     @classmethod
     def make(
@@ -180,8 +175,7 @@ class TargetFunction:
         return json.dumps(obj, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class MultisetOrdering:
+class MultisetOrdering(Frozen):
     """Fair enumeration of the multiset holding f(n) copies of n.
 
     Entry (n, c) is emitted at diagonal level max(spiral position of n, c),
@@ -193,7 +187,10 @@ class MultisetOrdering:
     default), not O(level).
     """
 
-    target: TargetFunction
+    __slots__ = ("target",)
+
+    def __init__(self, target: TargetFunction):
+        self._init(target)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         value_at = self.target.value_at
@@ -258,8 +255,7 @@ def compute_X(n: int, l: int, m: int, p: int) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TargetReport:
+class TargetReport(NamedTuple):
     """Outcome of checking a set's counts against a target function."""
 
     overshoots: tuple[tuple[int, int, Count], ...]  # (n, count, allowed)

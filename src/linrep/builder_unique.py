@@ -15,10 +15,11 @@ entry ordering, their proposals and their acceptance checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import count, pairwise
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+)
 
 from .errors import (
     MixedSignRequiredError,
@@ -46,8 +47,7 @@ def default_growth_constant(form: LinearForm) -> int:
     return 4 * sum(abs(c) for c in form.coefficients) * (form.arity + 1)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A named reason a candidate block was rejected."""
 
     kind: str
@@ -59,8 +59,7 @@ class Violation:
         return f"{self.kind}: {self.value}"
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Everything needed to audit one accepted construction step."""
 
     step: int
@@ -86,8 +85,7 @@ class StepRecord:
         return obj
 
 
-@dataclass(frozen=True)
-class ConstructionState:
+class ConstructionState(NamedTuple):
     """Immutable snapshot of a construction after some number of steps.
 
     Every builder returns one: the set, the seed block it started from and
@@ -122,8 +120,8 @@ class ConstructionState:
         return cls(form, form, GroundSet.of([]), (), trivial_whole_line=True)
 
     def extended(self, record) -> "ConstructionState":
-        return replace(
-            self, elements=self.elements.union(record.block), records=self.records + (record,)
+        return self._replace(
+            elements=self.elements.union(record.block), records=self.records + (record,)
         )
 
     @property

@@ -10,33 +10,70 @@ module answers the structural questions the set constructions depend on:
 * existence of a non-trivial substitution automorphism,
 * the equal-subset-sum obstruction to ordered unique bases,
 * the spiral enumeration 0, 1, -1, 2, -2, ... of the integers.
+
+``Frozen`` is the base of the package's read-only value types.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import FormParseError, NotPrimitiveError, SearchSpaceTooLargeError
 
 DEFAULT_AUTOMORPHISM_ARITY_CAP = 5
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Coefficient vector of a linear form; every entry is non-zero."""
+class Frozen:
+    """Base of the read-only value types.  ``__init__`` sets each field
+    in ``__slots__`` once through ``_init``; equality, hashing, repr and
+    pickling go by the fields whose names do not start with ``_``, and
+    setting or deleting an attribute raises AttributeError."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coefficients) < 1:
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = zip((n for n in self.__slots__ if n[0] != "_"), self._key())
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class LinearForm(Frozen):
+    """Coefficient vector of a linear form; every entry is a non-zero int."""
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: Iterable[int]):
+        coefficients = tuple(coefficients)
+        if not coefficients:
             raise FormParseError("a form needs at least one coefficient")
-        for pos, c in enumerate(self.coefficients, start=1):
+        for pos, c in enumerate(coefficients, start=1):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise FormParseError(f"coefficient at position {pos} is not an integer: {c!r}")
             if c == 0:
                 raise FormParseError(f"coefficient at position {pos} is zero")
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
+        self._init(coefficients)
 
     @property
     def arity(self) -> int:
@@ -65,8 +102,7 @@ class LinearForm:
         return ",".join(str(c) for c in self.coefficients)
 
 
-@dataclass(frozen=True)
-class AutomorphismWitness:
+class AutomorphismWitness(NamedTuple):
     """A pair of substitution maps witnessing a form automorphism.
 
     ``psi`` and ``chi`` map each variable position (0-based) either to a

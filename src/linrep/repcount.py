@@ -44,14 +44,13 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, cycle, repeat
 from math import factorial, prod
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .forms import LinearForm
+from .forms import Frozen, LinearForm
 
 DEFAULT_TUPLE_BUDGET = 10**8
 
@@ -70,21 +69,24 @@ def int_from_json(value: object, what: str) -> int:
     raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """A finite set of distinct integers, stored sorted ascending."""
+class GroundSet(Frozen):
+    """A finite set of distinct integers, stored sorted ascending.  Every
+    entry must be of type ``int``: a bool or a float raises ValueError."""
 
-    elements: tuple[int, ...]
-    _members: frozenset[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("elements", "_members")
+
+    def __init__(self, elements: Iterable[int]):
+        elements = tuple(elements)
+        if not {*map(type, elements)} <= {int}:  # one C-level pass per union
+            bad = next(v for v in elements if type(v) is not int)
+            raise ValueError(f"ground set entry {bad!r} is not an integer")
+        members = frozenset(elements)
+        # distinct union input comes nearly sorted: far faster than hash order
+        self._init(tuple(sorted(members if len(members) < len(elements) else elements)), members)
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "GroundSet":
-        return cls(tuple(int(v) for v in values))
-
-    def __post_init__(self):
-        members = frozenset(self.elements)
-        object.__setattr__(self, "elements", tuple(sorted(members)))
-        object.__setattr__(self, "_members", members)
+        return cls(values)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -119,8 +121,7 @@ class GroundSet:
         return json.dumps([str(e) for e in self.elements])
 
 
-@dataclass
-class RepProfile:
+class RepProfile(NamedTuple):
     """Class counts of a ground set under a form.
 
     ``counts`` is exhaustive over the full support (every represented

@@ -252,6 +252,26 @@ class TestBuildInfiniteCase:
         with pytest.raises(PreconditionViolationError, match="plentiful"):
             build_infinite_case(t, PlentifulSequence((1,)), 2)
 
+    def test_partial_sums_are_built_once_per_build(self, monkeypatch):
+        calls = []
+        original = PlentifulSequence.all_partial_sums
+
+        def spy(seq):
+            calls.append(seq)
+            return original(seq)
+
+        monkeypatch.setattr(PlentifulSequence, "all_partial_sums", spy)
+        seq = PlentifulSequence(tuple(2**i for i in range(1, 60)))
+        state = build_infinite_case(inf_off_zero(), seq, 5)
+        assert state.step == 5 and calls == [seq]
+        # the plentiful precondition reads the same sums, and still fails
+        t = TargetFunction.make(
+            (-6, 6), values={0: 1, 5: INFINITY, -5: INFINITY, 6: 2, -6: 2}, default=1
+        )
+        with pytest.raises(PreconditionViolationError, match="plentiful"):
+            build_infinite_case(t, PlentifulSequence((1,)), 2)
+        assert len(calls) == 2
+
     def test_sequence_exhaustion(self):
         target = inf_off_zero()
         with pytest.raises(SequenceExhaustedError):

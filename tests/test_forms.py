@@ -40,6 +40,15 @@ class TestParsing:
         with pytest.raises(FormParseError):
             LinearForm(())
 
+    @pytest.mark.parametrize("coeffs", [(1.7, 2), (True, 2), (1, 2.0), (1, "2")])
+    def test_non_int_coefficient_rejected_not_truncated(self, coeffs):
+        with pytest.raises(FormParseError, match="not an integer"):
+            LinearForm(coeffs)
+
+    def test_any_iterable_of_ints_is_accepted(self):
+        assert LinearForm([1, -2]) == LinearForm((1, -2)) == LinearForm(iter((1, -2)))
+        assert LinearForm((2**70, 1)).coefficients == (2**70, 1)
+
 
 class TestPrimitivity:
     def test_unit_coefficient(self):

@@ -4,7 +4,10 @@ imports a name it never uses."""
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -95,3 +98,20 @@ def test_no_module_imports_a_name_it_never_uses():
         (1, "json"),
         (2, "Mapping"),
     ]
+
+
+def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
+    # each CLI call pays for its imports, and dataclasses alone pulls in
+    # inspect, ast, dis and tokenize
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import linrep.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", child], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "linrep.cli" in out
+    assert {"dataclasses", "inspect"} & set(out) == set()

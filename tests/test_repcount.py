@@ -87,6 +87,13 @@ class TestGroundSet:
         assert u == GroundSet.of(list(base) + block)
         assert u.max_abs() == max((abs(v) for v in u), default=0)
 
+    @pytest.mark.parametrize("values", [[1.9, 2], [True, 2], [1, 1.0], ["3"]])
+    def test_non_int_entry_rejected_not_truncated(self, values):
+        with pytest.raises(ValueError, match="not an integer"):
+            GroundSet.of(values)
+        with pytest.raises(ValueError, match="not an integer"):
+            GroundSet.of([0]).union(values)
+
     def test_membership_cache_leaves_identity_alone(self):
         g = GroundSet((5, -2, 5))
         assert g == GroundSet.of([-2, 5]) and hash(g) == hash(GroundSet.of([-2, 5]))
