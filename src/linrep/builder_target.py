@@ -27,6 +27,7 @@ from .builder_unique import (
     _grow,
     _propose,
     default_growth_constant,
+    mixed_sign_last,
 )
 from .errors import (
     NotPartitionRegularError,
@@ -175,6 +176,11 @@ class TargetFunction(Frozen):
         return json.dumps(obj, sort_keys=True)
 
 
+# every count at most 1: the target of build, and the final check of build
+# and of verify without --target
+ALL_ONES = TargetFunction.make((0, 0))
+
+
 class MultisetOrdering(Frozen):
     """Fair enumeration of the multiset holding f(n) copies of n.
 
@@ -300,16 +306,20 @@ def check_counts_against_target(
 
 def _accept_target(
     target: TargetFunction,
+    half_line: Optional[int],
     state: ConstructionState,
     tally: Tally,
     entry: tuple[int, int],
     block: tuple[int, ...],
 ) -> Optional[Violation]:
-    """Never overshoot, leave the numbers scheduled before the entry
-    untouched and cover the entry's copy.  A zero of the target carries
-    the explicit value 0, so the overshoot rule keeps the zero set
-    unrepresented, the zeros ``_scheduled_before`` spans included.
+    """Keep every element at or above ``half_line`` (when set), never
+    overshoot, leave the numbers scheduled before the entry untouched and
+    cover the entry's copy.  A zero of the target carries the explicit
+    value 0, so the overshoot rule keeps the zero set unrepresented, the
+    zeros ``_scheduled_before`` spans included.
     """
+    if half_line is not None and min(block) < half_line:
+        return Violation("below-half-line-bound", min(block))
     t, copy_index = entry
     n = tally.overshoot(target.default, target.values)
     if n is not None:
@@ -362,17 +372,36 @@ def build_for_target(
             "forbids; choose a different d0",
         )
 
-    bez = bezout_witness(form)
-    m = m0 if m0 is not None else default_growth_constant(form)
+    return _realize(form, target, steps, m0, d0, budget)
+
+
+def _realize(
+    form: LinearForm,
+    target: TargetFunction,
+    steps: int,
+    m0: Optional[int],
+    d0: int,
+    budget: int,
+    half_line: Optional[int] = None,
+) -> ConstructionState:
+    """The step body of ``build_for_target`` and ``build``, past their
+    preconditions.  With ``half_line`` set, it reorders the coefficients so
+    the last two have opposite signs and keeps every element at or above it.
+    """
+    builder_form = form if half_line is None else mixed_sign_last(form)
+    if half_line is not None and d0 < half_line:
+        d0 = max(half_line, 1)
+    bez = bezout_witness(builder_form)
+    m = m0 if m0 is not None else default_growth_constant(builder_form)
     if m < 1:
         raise ValueError("growth constant must be positive")
 
-    state = ConstructionState.initial(form, d0)
+    state = ConstructionState.initial(form, d0, builder_form=builder_form)
 
     def propose(state, counts, entry, m, attempt):
         t, copy_index = entry
         block, deltas, *_ = _propose(
-            form, bez, t, m, prev_max_abs=state.elements.max_abs(), attempt=attempt
+            builder_form, bez, t, m, state.elements.max_abs(), half_line, attempt
         )
         return block, lambda k, support: StepRecord(
             k, t, m, attempt, deltas, block, support, copy_index
@@ -383,7 +412,7 @@ def build_for_target(
         enumerate_multiset(target),
         steps,
         propose,
-        partial(_accept_target, target),
+        partial(_accept_target, target, half_line),
         budget,
         m=m,
         retry_cap=DEFAULT_RETRY_CAP,

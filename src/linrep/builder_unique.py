@@ -1,10 +1,11 @@
 """Step-by-step construction of unique representation bases.
 
-Each step appends a block of ``arity`` integers that represents exactly one
-new target integer (the spiral-least one not yet represented) while keeping
-every representation count at most 1.  Blocks are proposed from a ladder of
-rapidly growing positive offsets plus a Bezout correction; correctness is
-not argued from the growth constant but checked outright by the exhaustive
+A unique representation basis realizes the target f = 1, so ``build`` runs
+the target builder's body: each step appends a block of ``arity`` integers
+that represents the spiral-least integer not yet represented while keeping
+every count at most 1.  Blocks are proposed from a ladder of rapidly
+growing positive offsets plus a Bezout correction; correctness is not
+argued from the growth constant but checked outright by the exhaustive
 counting oracle (each step counts the classes its block adds), with the
 growth constant doubled and the block reproposed whenever the check fails.
 
@@ -15,8 +16,7 @@ entry ordering, their proposals and their acceptance checks.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import count, pairwise
+from itertools import pairwise
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 )
@@ -26,7 +26,7 @@ from .errors import (
     NotPrimitiveError,
     RetryExhaustedError,
 )
-from .forms import LinearForm, bezout_witness, is_primitive, spiral
+from .forms import LinearForm, is_primitive
 from .repcount import (
     DEFAULT_TUPLE_BUDGET,
     GroundSet,
@@ -271,7 +271,6 @@ def _grow(
     budget: int,
     m: int = 1,
     retry_cap: int = 0,
-    describe: Callable[[Entry], str] = "entry {}".format,
 ) -> ConstructionState:
     """The greedy step loop every builder runs.
 
@@ -304,7 +303,7 @@ def _grow(
             trail.append(f"step {k} retry {retries} (M={m}): {violation}")
             if retries > retry_cap:
                 raise RetryExhaustedError(
-                    f"step {k} {describe(entry)} exhausted {retry_cap} retries; "
+                    f"step {k} entry {entry} exhausted {retry_cap} retries; "
                     "trace:\n" + "\n".join(trail)
                 )
             m *= 2
@@ -377,26 +376,6 @@ def _propose(
     return block, tuple(deltas), epsilon, remainder, shift
 
 
-def _accept_unique(
-    half_line: Optional[int],
-    state: ConstructionState,
-    tally: Tally,
-    entry: Entry,
-    block: tuple[int, ...],
-) -> Optional[Violation]:
-    """Every count stays at most 1, the target gets its class, and every
-    element clears the half-line bound."""
-    if half_line is not None and min(block) < half_line:
-        return Violation("below-half-line-bound", min(block))
-    n = tally.overshoot(1, {})
-    if n is not None:
-        return Violation("double-representation", n)
-    target = entry[0]
-    if tally.count(target) != 1:
-        return Violation("target-unrepresented", target)
-    return None
-
-
 def build(
     form: LinearForm,
     steps: int,
@@ -405,19 +384,19 @@ def build(
     half_line: Optional[int] = None,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> ConstructionState:
-    """Run `steps` accepted target/propose/verify iterations.
+    """Realize f = 1 in `steps` steps of the target builder's body.
 
-    Requires a primitive form.  One-variable forms short-circuit to the
-    whole-line state (every integer is its own unique representation).
-    With ``half_line`` set, all produced elements are kept at or above the
-    bound; this requires coefficients of both signs and may internally
-    reorder them (see ConstructionState.builder_form).  Targets run over
-    the spiral 0, 1, -1, 2, ... of all of Z, skipping represented integers.
-    The growth constant starts at ``m0`` (default: 4*sum|a|*(arity+1)), is
-    doubled after every rejected proposal, and carries over between steps;
-    exceeding DEFAULT_RETRY_CAP rejections in one step raises
-    RetryExhaustedError, which would contradict the existence guarantee
-    and is therefore reported with the full retry trace.
+    Requires a primitive form, but not a partition regular one.  One-variable
+    forms short-circuit to the whole-line state (every integer is its own
+    unique representation).  With ``half_line`` set, all produced elements
+    are kept at or above the bound; this requires coefficients of both
+    signs and may internally reorder them (see ConstructionState.builder_form).
+    Targets run over the spiral 0, 1, -1, 2, ... of all of Z, skipping
+    represented integers.  The growth constant starts at ``m0`` (default:
+    4*sum|a|*(arity+1)), is doubled after every rejected proposal, and
+    carries over between steps; exceeding DEFAULT_RETRY_CAP rejections in
+    one step raises RetryExhaustedError, which would contradict the
+    existence guarantee and is therefore reported with the full retry trace.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -431,42 +410,10 @@ def build(
             )
     if form.arity == 1:
         return ConstructionState.whole_line(form)
-
-    builder_form = form if half_line is None else mixed_sign_last(form)
     if d0 == 0:
         raise ValueError("d0 must be non-zero")
-    if half_line is not None and d0 < half_line:
-        d0 = max(half_line, 1)
-    bez = bezout_witness(builder_form)
-    m = m0 if m0 is not None else default_growth_constant(builder_form)
-    if m < 1:
-        raise ValueError("growth constant must be positive")
+    # builder_target imports this module, so its body is imported at call time
+    from .builder_target import ALL_ONES, _realize
 
-    state = ConstructionState.initial(form, d0, builder_form=builder_form)
-
-    def propose(state, counts, entry, m, attempt):
-        target = entry[0]
-        block, deltas, *_ = _propose(
-            builder_form,
-            bez,
-            target,
-            m,
-            prev_max_abs=state.elements.max_abs(),
-            half_line=half_line,
-            attempt=attempt,
-        )
-        return block, lambda k, support: StepRecord(
-            k, target, m, attempt, deltas, block, support
-        )
-
-    return _grow(
-        state,
-        ((spiral(i), 0) for i in count()),
-        steps,
-        propose,
-        partial(_accept_unique, half_line),
-        budget,
-        m=m,
-        retry_cap=DEFAULT_RETRY_CAP,
-        describe=lambda entry: f"target {entry[0]}",
-    )
+    state = _realize(form, ALL_ONES, steps, m0, d0, budget, half_line)
+    return state._replace(records=tuple(r._replace(copy_index=None) for r in state.records))

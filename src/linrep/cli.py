@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import builder_diff, builder_target, builder_unique
 from .builder_diff import DIFFERENCE_FORM, PlentifulSequence
-from .builder_target import TargetFunction, TargetReport
+from .builder_target import ALL_ONES, TargetFunction, TargetReport
 from .errors import (
     BudgetExceededError,
     ConstructionBugError,
@@ -41,9 +41,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_RETRY = 5
-
-# the final check of build, and of verify without --target: every count <= 1
-ALL_ONES = TargetFunction.make((0, 0))
 
 # (exception type, exit code, reported error name or None for the type's
 # own name); the first row that matches wins.  ValueError covers

@@ -1,17 +1,28 @@
-"""Seeded differential fuzz of ``diff-realize --case infinite`` through the CLI.
+"""Seeded differential fuzz of ``diff-realize --case infinite`` and ``build``
+through the CLI.
 
-Each run draws an even target with f(0) = 1, window values 1, 2, 3 or inf
-and default inf, a geometric gap sequence of ratio 2 or 3, a step count
-and a seed element, and runs ``linrep.cli.main`` in process.  A run passes
-when it exits 0 or 3 without raising, and on exit 0 when the report says
-``"ledger_coherent": true`` and a brute-force recount of the written set
-(``oracles.brute_counts``, which shares no code with the library's
-counting kernel) has count 1 at 0 and every count within the target.
+Each run draws its arguments and runs ``linrep.cli.main`` in process.  The
+written set is recounted by brute force (``oracles.brute_counts``, which
+shares no code with the library's counting kernel).
+
+- ``diff-realize``: an even target with f(0) = 1, window values 1, 2, 3 or
+  inf and default inf, a geometric gap sequence of ratio 2 or 3, a step
+  count and a seed element.  A run passes when it exits 0 or 3 without
+  raising, and on exit 0 when the report says ``"ledger_coherent": true``
+  and the recount has count 1 at 0 and every count within the target.
+- ``build``: a primitive form of arity 2 or 3 with coefficients in
+  +-1..+-5, 3 to 10 steps, ``--m0`` at its default or 1 to 3, and
+  ``--half-line`` absent or in -50..50.  A run passes when it exits 0
+  without raising, or exits 3 for a single-signed form under
+  ``--half-line``; on exit 0 when |A|^h <= 3*10^5, the recount must have
+  every count at most 1, count 1 at every traced target, and no element
+  below the half-line bound.
 
 As a script it prints the exit-code histogram and every failing run, and
 exits 1 if any run failed:
 
     PYTHONPATH=src python tests/diff_fuzz.py --seed 11 --runs 400
+    PYTHONPATH=src python tests/diff_fuzz.py --command build --seed 11 --runs 400
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import random
 import sys
 import tempfile
@@ -33,6 +45,7 @@ from linrep.cli import main
 from oracles import brute_counts
 
 D0_CHOICES = (1, 1, 1, 2, 2, -1, 3, -3, 50)
+RECOUNT_LIMIT = 3 * 10**5  # tuples the brute-force recount of a build may visit
 
 
 def draw_case(rng: random.Random) -> dict:
@@ -46,12 +59,26 @@ def draw_case(rng: random.Random) -> dict:
     first, ratio = rng.randint(1, 3 * w), rng.choice((2, 3))
     # a chained step takes one or two terms, so some runs exhaust the sequence
     terms = [first * ratio**i for i in range(rng.randint(steps + 8, 2 * steps + 16))]
+    d0 = rng.choice(D0_CHOICES)
     return {
         "target": TargetFunction.make((-w, w), values=values, default=INFINITY),
         "seq": PlentifulSequence(tuple(terms)),
         "steps": steps,
-        "d0": rng.choice(D0_CHOICES),
+        "d0": d0,
+        "label": f"window {w}, steps {steps}, d0 {d0}",
     }
+
+
+def call_main(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout) of one in-process CLI call, or (-1, the
+    traceback) if it raised."""
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+    except Exception:
+        return -1, traceback.format_exc(limit=3)
+    return code, stdout.getvalue()
 
 
 def run_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
@@ -69,18 +96,15 @@ def run_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
         "--out", str(out),
         "--format", "json",
     ]
-    stdout = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(stdout):
-            code = main(argv)
-    except Exception:
-        return -1, [f"raised: {traceback.format_exc(limit=3)}"], False
+    code, output = call_main(argv)
+    if code == -1:
+        return code, [f"raised: {output}"], False
     if code not in (0, 3):
-        return code, [f"exit {code}: {stdout.getvalue().strip()}"], False
+        return code, [f"exit {code}: {output.strip()}"], False
     if code != 0:
         return code, [], False
     problems = []
-    if json.loads(stdout.getvalue())["ledger_coherent"] is not True:
+    if json.loads(output)["ledger_coherent"] is not True:
         problems.append("ledger_coherent is not true")
     elements = GroundSet.from_json(out.read_text()).elements
     counts = brute_counts(DIFFERENCE_FORM.coefficients, elements)
@@ -95,33 +119,94 @@ def run_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
     return code, problems, True
 
 
-def sweep(seed: int, runs: int, workdir: Path) -> tuple[Counter, list[str], int]:
-    """(exit-code histogram, failing runs, recounts) of ``runs`` seeded runs."""
+def draw_build_case(rng: random.Random) -> dict:
+    """One build run's primitive form, step count, growth constant and bound."""
+    while True:
+        coeffs = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(rng.randint(2, 3))]
+        if math.gcd(*coeffs) == 1:
+            break
+    steps = rng.randint(3, 10)
+    m0 = rng.choice((None, 1, 2, 3))
+    half_line = rng.choice((None, rng.randint(-50, 50)))
+    return {
+        "coeffs": tuple(coeffs),
+        "steps": steps,
+        "m0": m0,
+        "half_line": half_line,
+        "label": f"form {','.join(map(str, coeffs))}, steps {steps}, m0 {m0}, "
+        f"half-line {half_line}",
+    }
+
+
+def run_build_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
+    """(exit code, problems, whether the set was recounted) for one build run."""
+    out, trace = workdir / "set.json", workdir / "trace.jsonl"
+    out.unlink(missing_ok=True)
+    trace.unlink(missing_ok=True)
+    coeffs, half_line = case["coeffs"], case["half_line"]
+    argv = [
+        "build", "--form=" + ",".join(map(str, coeffs)),
+        "--steps", str(case["steps"]),
+        "--out", str(out), "--trace", str(trace), "--format", "json",
+    ]
+    if case["m0"] is not None:
+        argv += ["--m0", str(case["m0"])]
+    if half_line is not None:
+        argv.append(f"--half-line={half_line}")
+    code, output = call_main(argv)
+    if code == -1:
+        return code, [f"raised: {output}"], False
+    single_signed = len({c > 0 for c in coeffs}) == 1
+    if code == 3 and half_line is not None and single_signed:
+        return code, [], False
+    if code != 0:
+        return code, [f"exit {code}: {output.strip()}"], False
+    elements = GroundSet.from_json(out.read_text()).elements
+    if len(elements) ** len(coeffs) > RECOUNT_LIMIT:
+        return code, [], False
+    counts = brute_counts(coeffs, elements)
+    problems = [f"brute count {c} exceeds 1 at {n}" for n, c in counts.items() if c > 1]
+    targets = [int(json.loads(line)["target"]) for line in trace.read_text().splitlines()]
+    problems += [f"target {t} has brute count {counts.get(t, 0)}" for t in targets
+                 if counts.get(t, 0) != 1]
+    if half_line is not None:
+        problems += [f"element {e} lies below {half_line}" for e in elements if e < half_line]
+    return code, problems, True
+
+
+COMMANDS = {"diff-realize": (draw_case, run_case), "build": (draw_build_case, run_build_case)}
+
+
+def sweep(
+    seed: int, runs: int, workdir: Path, command: str = "diff-realize"
+) -> tuple[Counter, list[str], int]:
+    """(exit-code histogram, failing runs, recounts) of ``runs`` seeded runs
+    of ``command``."""
+    draw_case_of, run_case_of = COMMANDS[command]
     rng = random.Random(seed)
     histogram: Counter = Counter()
     failures: list[str] = []
     recounts = 0
     for i in range(runs):
-        case = draw_case(rng)
-        code, problems, recounted = run_case(case, workdir)
+        case = draw_case_of(rng)
+        code, problems, recounted = run_case_of(case, workdir)
         histogram[code] += 1
         recounts += recounted
         if problems:
-            failures.append(
-                f"run {i} (window {case['target'].window_hi}, steps {case['steps']}, "
-                f"d0 {case['d0']}): " + "; ".join(problems)
-            )
+            failures.append(f"run {i} ({case['label']}): " + "; ".join(problems))
     return histogram, failures, recounts
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--command", choices=sorted(COMMANDS), default="diff-realize")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--runs", type=int, default=400)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        histogram, failures, recounts = sweep(args.seed, args.runs, Path(tmp))
+        histogram, failures, recounts = sweep(args.seed, args.runs, Path(tmp), args.command)
     print(json.dumps({
+        "command": args.command,
         "seed": args.seed,
         "runs": args.runs,
         "exit_codes": {str(k): v for k, v in sorted(histogram.items())},

@@ -272,7 +272,7 @@ def target_check(target, counts, entry, delta):
     state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
     tally = Tally(counts)
     tally.stage(delta)
-    violation = _accept_target(target, state, tally, entry, (0, 1))
+    violation = _accept_target(target, None, state, tally, entry, (0, 1))
     frozen = scheduled_numbers(enumerate_multiset(target), entry)
     return (
         None if violation is None else (violation.kind, violation.value),
@@ -383,8 +383,8 @@ class TestBuildForTarget:
         # overlap is non-empty and the merge must add the old count back
         accepted = []
 
-        def spy(target, state, tally, entry, block):
-            violation = _accept_target(target, state, tally, entry, block)
+        def spy(target, half_line, state, tally, entry, block):
+            violation = _accept_target(target, half_line, state, tally, entry, block)
             if violation is None:
                 accepted.append((tally, tally.delta.keys() & tally.counts.keys()))
             return violation

@@ -14,17 +14,17 @@ from linrep import (
     build_for_target,
     class_counts,
 )
-from linrep import builder_target, builder_unique
+from linrep import builder_target
+from linrep.builder_target import ALL_ONES, _accept_target, _scheduled_before
 from linrep.builder_unique import (
     ConstructionState,
     Tally,
     Violation,
-    _accept_unique,
     _check_block,
     _propose,
     mixed_sign_last,
 )
-from linrep.errors import NotPrimitiveError
+from linrep.errors import NotPrimitiveError, RetryExhaustedError
 from linrep.forms import bezout_witness, spiral
 from linrep.repcount import DEFAULT_TUPLE_BUDGET
 
@@ -37,7 +37,7 @@ def verify_block(form, block, target, d0=1):
     """The unique builder's check of one block on top of the set {d0}."""
     state = ConstructionState.initial(form, d0)
     tally = Tally(class_counts(form, state.elements))
-    accept = partial(_accept_unique, None)
+    accept = partial(_accept_target, ALL_ONES, None)
     return _check_block(state, tally, (target, 0), block, accept, DEFAULT_TUPLE_BUDGET)
 
 
@@ -116,7 +116,7 @@ class TestVerifyBlock:
     def test_double_representation_named(self):
         # 3 + (-1) = 2 = 1 + 1: the doubled integer is reported
         violation = verify_block(LinearForm.parse("1,1"), (3, -1), target=2)
-        assert violation.kind == "double-representation"
+        assert violation.kind == "count-exceeds-target"
         assert violation.value == 2
 
 
@@ -124,8 +124,32 @@ def as_pair(violation):
     return None if violation is None else (violation.kind, violation.value)
 
 
+# the unique-basis oracle's violation kinds, as the target check names them
+TARGET_KINDS = {
+    "double-representation": "count-exceeds-target",
+    "target-unrepresented": "target-copy-missed",
+}
+
+
+def settled(counts, target):
+    """``counts`` as the step loop holds them when it takes the entry
+    (target, 0): every number scheduled before it has count 1 or more, and
+    the target itself has none."""
+    scheduled = {n: 1 for n in _scheduled_before((target, 0))}
+    return {n: c for n, c in (scheduled | counts).items() if n != target}
+
+
+def unique_check(counts, delta, target):
+    """The target check at f = 1 of the entry (target, 0), and the
+    unique-basis oracle's verdict in the target check's names."""
+    state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
+    violation = _accept_target(ALL_ONES, None, state, staged(counts, delta), (target, 0), (0, 1))
+    expected = unique_violation(counts, target, delta)
+    return as_pair(violation), expected and (TARGET_KINDS[expected[0]], expected[1])
+
+
 class TestAcceptUnique:
-    """The bulk check must name the same violation as the value-by-value loop."""
+    """At f = 1 the target check decides as the unique-basis oracle does."""
 
     @given(
         st.dictionaries(st.integers(-12, 12), st.integers(1, 2), max_size=8),
@@ -134,24 +158,28 @@ class TestAcceptUnique:
     )
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_the_loop(self, counts, delta, target):
-        state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
-        violation = _accept_unique(None, state, staged(counts, delta), (target, 0), (0, 1))
-        assert as_pair(violation) == unique_violation(counts, target, delta)
+        found, expected = unique_check(settled(counts, target), delta, target)
+        assert found == expected
 
     @pytest.mark.parametrize(
         "counts, delta, target, expected",
         [
-            ({1: 1}, {4: 1, 0: 1}, 4, None),
-            ({1: 1}, {4: 1, 1: 1, 7: 1}, 4, ("double-representation", 1)),
-            ({1: 1}, {4: 1, 7: 2, 9: 2}, 4, ("double-representation", 7)),
-            ({1: 1}, {3: 1}, 4, ("target-unrepresented", 4)),
-            ({}, {}, 0, ("target-unrepresented", 0)),
+            # 4 comes after every number of -3 .. 3
+            ({9: 1}, {4: 1, 10: 1}, 4, None),
+            ({}, {4: 1, 1: 1, 7: 1}, 4, ("count-exceeds-target", 1)),
+            ({9: 1}, {4: 1, 7: 2, 9: 1}, 4, ("count-exceeds-target", 7)),
+            ({}, {5: 1}, 4, ("target-copy-missed", 4)),
+            ({}, {}, 0, ("target-copy-missed", 0)),
         ],
     )
     def test_named_cases(self, counts, delta, target, expected):
-        state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
-        violation = _accept_unique(None, state, staged(counts, delta), (target, 0), (0, 1))
-        assert as_pair(violation) == expected == unique_violation(counts, target, delta)
+        assert unique_check(settled(counts, target), delta, target) == (expected, expected)
+
+    def test_off_the_loop_invariant_the_frozen_rule_decides_first(self):
+        # 0 comes before 4 yet has no count, which the step loop never holds
+        found, expected = unique_check({}, {0: 1, 4: 1}, 4)
+        assert found == ("frozen-count-changed", 0)
+        assert expected is None
 
 
 class UnwalkedDict(dict):
@@ -210,41 +238,38 @@ class TestTally:
             assert list(tally.counts.items()) == list(model.items())
 
 
-def reject_first_proposals(monkeypatch, module, name):
-    """Make the builder's check ``module.name`` reject the first proposal
-    of every step; returns the list of tallies the check is handed."""
-    check = getattr(module, name)
+def reject_first_proposals(monkeypatch):
+    """Make the target check, which every ``build`` and ``build_for_target``
+    step runs, reject the first proposal of every step; returns the list of
+    tallies the check is handed."""
+    check = builder_target._accept_target
     tallies, rejected = [], set()
 
-    def first_rejected(bound, state, tally, entry, block):
+    def first_rejected(target, half_line, state, tally, entry, block):
         tallies.append(tally)
         if state.step in rejected:
-            return check(bound, state, tally, entry, block)
+            return check(target, half_line, state, tally, entry, block)
         rejected.add(state.step)
         return Violation("first-proposal")
 
-    monkeypatch.setattr(module, name, first_rejected)
+    monkeypatch.setattr(builder_target, "_accept_target", first_rejected)
     return tallies
 
 
 @pytest.mark.parametrize(
-    "module, name, run",
+    "run",
     [
-        (builder_unique, "_accept_unique", lambda: build(LinearForm.parse("1,2"), 8)),
-        (
-            builder_target,
-            "_accept_target",
-            lambda: build_for_target(
-                LinearForm.parse("1,1"),
-                TargetFunction.make((-20, 20), values={n: 2 for n in range(-20, 21)}),
-                12,
-            ),
+        lambda: build(LinearForm.parse("1,2"), 8),
+        lambda: build_for_target(
+            LinearForm.parse("1,1"),
+            TargetFunction.make((-20, 20), values={n: 2 for n in range(-20, 21)}),
+            12,
         ),
     ],
     ids=["build", "build_for_target"],
 )
-def test_a_rejected_block_never_reaches_the_running_count(monkeypatch, module, name, run):
-    tallies = reject_first_proposals(monkeypatch, module, name)
+def test_a_rejected_block_never_reaches_the_running_count(monkeypatch, run):
+    tallies = reject_first_proposals(monkeypatch)
     state = run()
     form = state.builder_form
     assert all(r.retries >= 1 for r in state.records)
@@ -324,6 +349,24 @@ class TestBuild:
         counts = brute_counts(form.coefficients, state.elements.elements)
         assert max(counts.values()) <= 1
         assert all(counts.get(t, 0) == 1 for t in state.covered_targets)
+
+    def test_retry_exhaustion_names_the_entry_and_the_target_checks(self, monkeypatch):
+        # a proposal held at M = 1 and attempt 0 overshoots at 1 on every retry
+        propose = builder_target._propose
+        monkeypatch.setattr(
+            builder_target,
+            "_propose",
+            lambda form, bez, t, m, prev, half_line, attempt: propose(
+                form, bez, t, 1, prev, half_line, 0
+            ),
+        )
+        with pytest.raises(RetryExhaustedError) as exc:
+            build(LinearForm.parse("1,-1"), 12, m0=1)
+        header, *trail = str(exc.value).splitlines()
+        assert header == "step 1 entry (1, 0) exhausted 64 retries; trace:"
+        assert trail == [
+            f"step 1 retry {r} (M={2 ** (r - 1)}): count-exceeds-target: 1" for r in range(1, 66)
+        ]
 
     def test_blocks_disjoint_and_union(self):
         form = LinearForm.parse("1,-2")
