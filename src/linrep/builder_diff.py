@@ -354,8 +354,8 @@ def build_infinite_case(
         block = (x, x - t)
         # a value allowed one class gets no witness, and its record no chain
         reps = tuple((a, b) for a, b, _ in chain) + ((block,) if witness is not None else ())
-        return block, lambda k, support: DiffStepRecord(
-            k, case, t, copy_index, m_bound, 1, block, witness, support, reps
+        return DiffStepRecord(
+            state.step + 1, case, t, copy_index, m_bound, 1, block, witness, 0, reps
         )
 
     def accept(state, tally, entry, block):
@@ -447,8 +447,8 @@ def build_unbounded_case(
             xs.append(xs[-1] + gap)
         ys = [x - t for x in xs]
         block = tuple(xs + ys)
-        return block, lambda k, support: DiffStepRecord(
-            k, "batch", t, copy_index, m_bound, gamma, block, None, support, tuple(zip(xs, ys))
+        return DiffStepRecord(
+            k, "batch", t, copy_index, m_bound, gamma, block, None, 0, tuple(zip(xs, ys))
         )
 
     def accept(state, tally, entry, block):

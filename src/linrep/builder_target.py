@@ -400,12 +400,10 @@ def _realize(
 
     def propose(state, counts, entry, m, attempt):
         t, copy_index = entry
-        block, deltas, *_ = _propose(
+        block, deltas = _propose(
             builder_form, bez, t, m, state.elements.max_abs(), half_line, attempt
         )
-        return block, lambda k, support: StepRecord(
-            k, t, m, attempt, deltas, block, support, copy_index
-        )
+        return StepRecord(state.step + 1, t, m, attempt, deltas, block, 0, copy_index)
 
     return _grow(
         state,

@@ -235,7 +235,7 @@ class Tally:
 
 
 Propose = Callable[
-    [ConstructionState, dict[int, int], Entry, int, int], tuple[tuple[int, ...], Callable]
+    [ConstructionState, dict[int, int], Entry, int, int], Union[StepRecord, "DiffStepRecord"]
 ]
 Accept = Callable[[ConstructionState, Tally, Entry, tuple[int, ...]], Optional[Violation]]
 
@@ -278,13 +278,13 @@ def _grow(
     running count in a ``Tally``, whose ``counts`` are always verified.
     Each step takes the next entry (n, c) whose copy is still uncovered
     (count of n at most c), asks ``propose(state, tally.counts, entry, m,
-    attempt)`` for a block and a record maker, and checks the block:
+    attempt)`` for step ``state.step + 1``'s record and checks its block:
     ``_check_block`` stages its classes and calls ``accept(state, tally,
     entry, block)``.  A rejected block, whose classes never reach the
     count, doubles the growth constant ``m`` and is reproposed; more than
     ``retry_cap`` rejections in one step raise RetryExhaustedError with the
     whole retry trail.  An accepted block's classes join the count
-    (``Tally.merge``) and ``record(step, support_size)`` joins the state.
+    (``Tally.merge``), and its record joins the state with the new support size.
     """
     tally = Tally(class_counts(state.builder_form, state.elements, budget))
     entries = iter(entries)
@@ -295,8 +295,8 @@ def _grow(
                 break
         retries = 0
         while True:
-            block, record = propose(state, tally.counts, entry, m, retries)
-            violation = _check_block(state, tally, entry, block, accept, budget)
+            record = propose(state, tally.counts, entry, m, retries)
+            violation = _check_block(state, tally, entry, record.block, accept, budget)
             if violation is None:
                 break
             retries += 1
@@ -308,7 +308,7 @@ def _grow(
                 )
             m *= 2
         tally.merge()
-        state = state.extended(record(k, len(tally.counts)))
+        state = state.extended(record._replace(support_size=len(tally.counts)))
     return state
 
 
@@ -340,8 +340,8 @@ def _propose(
     prev_max_abs: int,
     half_line: Optional[int] = None,
     attempt: int = 0,
-) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
-    """Raw block proposal; returns (block, deltas, epsilon, remainder, shift).
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Raw block proposal; returns (block, deltas).
 
     The offsets grow as delta_1 = m*base + 1 + attempt and
     delta_{i+1} = m*delta_i + 1, the smallest deterministic choice with all
@@ -373,7 +373,7 @@ def _propose(
         v + shift * s for v, s in zip(deltas + [epsilon], bezout)
     )
     assert sum(a * b for a, b in zip(coeffs, block)) == target
-    return block, tuple(deltas), epsilon, remainder, shift
+    return block, tuple(deltas)
 
 
 def build(

@@ -43,10 +43,12 @@ EXIT_BUDGET = 4
 EXIT_RETRY = 5
 
 # (exception type, exit code, reported error name or None for the type's
-# own name); the first row that matches wins.  ValueError covers
-# FormParseError and json.JSONDecodeError.
+# own name); the first row that matches wins.  OSError covers every other
+# path that cannot be read or written, and ValueError covers FormParseError
+# and json.JSONDecodeError.
 _FAILURES = (
     (FileNotFoundError, EXIT_PARSE, "FileNotFound"),
+    (OSError, EXIT_PARSE, None),
     (ValueError, EXIT_PARSE, None),
     (BudgetExceededError, EXIT_BUDGET, "BudgetExceeded"),
     (RetryExhaustedError, EXIT_RETRY, None),
@@ -57,10 +59,6 @@ _FAILURES = (
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _emit(obj, as_json: bool, text: str) -> None:
-    print(_dump(obj) if as_json else text)
 
 
 def _read(path: str) -> str:
@@ -79,7 +77,23 @@ def _write_outputs(args, elements: GroundSet, trace: list[dict]) -> None:
         _write(args.trace, lines)
 
 
-def cmd_analyze(args) -> int:
+def _realized(args, form: LinearForm, state, target: TargetFunction) -> tuple[dict, TargetReport]:
+    """Write a target build's set and trace, recount the set, report the shared keys."""
+    _write_outputs(args, state.elements, state.trace_records())
+    check = builder_target.check_counts_against_target(
+        form, state.elements, target, args.budget
+    )
+    report = {
+        "ok": check.ok,
+        "elements": len(state.elements),
+        "steps": state.step,
+        "covered": [{"target": str(t), "copy": c} for t, c in state.covered],
+        "violations": str(check) if not check.ok else None,
+    }
+    return report, check
+
+
+def cmd_analyze(args) -> tuple[dict, str]:
     form = LinearForm.parse(args.form)
     primitive = is_primitive(form)
     certificate = zero_sum_certificate(form)
@@ -112,31 +126,25 @@ def cmd_analyze(args) -> int:
         "ordered_unique_obstruction": obstruction,
         "bezout": None if bezout is None else [str(s) for s in bezout],
     }
-    if args.format == "json":
-        print(_dump(report))
+    lines = [f"form: {form}", f"primitive: {primitive}", f"partition regular: {regular}"]
+    if certificate is not None:
+        coeffs = ", ".join(str(form.coefficients[i]) for i in certificate)
+        lines[-1] += f" (zero-sum subset {{{coeffs}}})"
+    if witness_state == "found":
+        psi = ", ".join(f"psi(x{i + 1})={sub(t)}" for i, t in enumerate(witness.psi))
+        chi = ", ".join(f"chi(x{i + 1})={sub(t)}" for i, t in enumerate(witness.chi))
+        lines.append(f"non-trivial automorphism: {psi}; {chi}")
     else:
-        print(f"form: {form}")
-        print(f"primitive: {primitive}")
-        line = f"partition regular: {regular}"
-        if certificate is not None:
-            coeffs = ", ".join(str(form.coefficients[i]) for i in certificate)
-            line += f" (zero-sum subset {{{coeffs}}})"
-        print(line)
-        if witness_state == "found":
-            psi = ", ".join(f"psi(x{i + 1})={sub(t)}" for i, t in enumerate(witness.psi))
-            chi = ", ".join(f"chi(x{i + 1})={sub(t)}" for i, t in enumerate(witness.chi))
-            print(f"non-trivial automorphism: {psi}; {chi}")
-        else:
-            print(f"non-trivial automorphism: {witness_state}")
-        print(f"ordered unique-basis obstruction: {obstruction}")
-        if bezout is not None:
-            print(f"bezout witness: ({', '.join(str(s) for s in bezout)})")
-        else:
-            print("bezout witness: none (form is not primitive)")
-    return EXIT_OK
+        lines.append(f"non-trivial automorphism: {witness_state}")
+    lines.append(f"ordered unique-basis obstruction: {obstruction}")
+    if bezout is not None:
+        lines.append(f"bezout witness: ({', '.join(str(s) for s in bezout)})")
+    else:
+        lines.append("bezout witness: none (form is not primitive)")
+    return report, "\n".join(lines)
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> tuple[dict, str]:
     form = LinearForm.parse(args.form)
     state = builder_unique.build(
         form,
@@ -147,12 +155,10 @@ def cmd_build(args) -> int:
         budget=args.budget,
     )
     if state.trivial_whole_line:
-        _emit(
+        return (
             {"ok": True, "trivial_whole_line": True},
-            args.format == "json",
             "one-variable form: the unique representation basis is all of Z",
         )
-        return EXIT_OK
     _write_outputs(args, state.elements, state.trace_records())
     counts = class_counts(form, state.elements, args.budget)
     over = [n for n, _, _ in TargetReport.of(counts, ALL_ONES).overshoots]
@@ -174,15 +180,13 @@ def cmd_build(args) -> int:
             "below_half_line": [str(e) for e in below],
         },
     }
-    text = (
+    return report, (
         f"built {len(state.elements)} elements in {state.step} steps; "
         + ("all counts <= 1" if ok else f"VIOLATIONS: {report['violations']}")
     )
-    _emit(report, args.format == "json", text)
-    return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> tuple[dict, str]:
     form = LinearForm.parse(args.form)
     target = TargetFunction.from_json(_read(args.target))
     state = builder_target.build_for_target(
@@ -193,27 +197,14 @@ def cmd_realize(args) -> int:
         d0=args.d0,
         budget=args.budget,
     )
-    _write_outputs(args, state.elements, state.trace_records())
-    check = builder_target.check_counts_against_target(
-        form, state.elements, target, args.budget
-    )
-    report = {
-        "ok": check.ok,
-        "elements": len(state.elements),
-        "steps": state.step,
-        "covered": [{"target": str(t), "copy": c} for t, c in state.covered],
-        "violations": str(check) if not check.ok else None,
-    }
-    _emit(
-        report,
-        args.format == "json",
+    report, check = _realized(args, form, state, target)
+    return report, (
         f"realized {state.step} multiset entries with {len(state.elements)} elements; "
-        + ("counts within target" if check.ok else f"VIOLATIONS: {check}"),
+        + ("counts within target" if check.ok else f"VIOLATIONS: {check}")
     )
-    return EXIT_OK if check.ok else EXIT_VERIFY
 
 
-def cmd_diff_realize(args) -> int:
+def cmd_diff_realize(args) -> tuple[dict, str]:
     target = TargetFunction.from_json(_read(args.target))
     if args.case == "infinite":
         if not args.seq:
@@ -234,30 +225,16 @@ def cmd_diff_realize(args) -> int:
             quotient_bound=args.ratio,
             budget=args.budget,
         )
-    _write_outputs(args, state.elements, state.trace_records())
-    check = builder_target.check_counts_against_target(
-        DIFFERENCE_FORM, state.elements, target, args.budget
-    )
-    ledger_ok = state.ledger_gaps_ok()
-    ok = check.ok and ledger_ok
-    report = {
-        "ok": ok,
-        "elements": len(state.elements),
-        "steps": state.step,
-        "covered": [{"target": str(t), "copy": c} for t, c in state.covered],
-        "ledger_coherent": ledger_ok,
-        "violations": str(check) if not check.ok else None,
-    }
-    _emit(
-        report,
-        args.format == "json",
+    report, check = _realized(args, DIFFERENCE_FORM, state, target)
+    ledger_ok = report["ledger_coherent"] = state.ledger_gaps_ok()
+    ok = report["ok"] = check.ok and ledger_ok
+    return report, (
         f"difference-form build of {state.step} steps, {len(state.elements)} elements; "
-        + ("verified" if ok else f"VIOLATIONS: {check}; ledger ok: {ledger_ok}"),
+        + ("verified" if ok else f"VIOLATIONS: {check}; ledger ok: {ledger_ok}")
     )
-    return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, str]:
     form = LinearForm.parse(args.form)
     ground = GroundSet.from_json(_read(args.set))
     if args.window is not None:
@@ -276,18 +253,15 @@ def cmd_verify(args) -> int:
     ]
     ok = not violations
     report = {"ok": ok, "violations": violations, "support_size": len(counts)}
-    _emit(
-        report,
-        args.format == "json",
+    return report, (
         "all counts within bounds"
         if ok
         else "violations: "
-        + "; ".join(f"n={v['n']} count={v['count']} allowed={v['allowed']}" for v in violations),
+        + "; ".join(f"n={v['n']} count={v['count']} allowed={v['allowed']}" for v in violations)
     )
-    return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> tuple[dict, str]:
     form = LinearForm.parse(args.form)
     if form.coefficients != DIFFERENCE_FORM.coefficients:
         raise PreconditionViolationError(
@@ -297,12 +271,10 @@ def cmd_extract(args) -> int:
     seq = builder_diff.extract_plentiful(ground, args.n, args.length, args.budget)
     if args.out:
         _write(args.out, seq.to_json() + "\n")
-    _emit(
+    return (
         {"ok": True, "terms": [str(t) for t in seq.terms]},
-        args.format == "json",
         f"gap sequence: ({', '.join(str(t) for t in seq.terms)})",
     )
-    return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -400,12 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, print its report or its error, and return the exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse reads "-1,2" as an option
+        if argv[i] == "--form" and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit():
+            argv[i : i + 2] = ["--form=" + argv[i + 1]]
+    args = build_parser().parse_args(argv)
     try:
         if args.budget < 0:
             raise ValueError(f"--budget must be non-negative, got {args.budget}")
-        return args.func(args)
+        report, text = args.func(args)
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         _, code, name = next(row for row in _FAILURES if isinstance(exc, row[0]))
         report = {"ok": False, "error": name or type(exc).__name__, "message": str(exc)}
@@ -413,6 +389,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             report["required"] = str(exc.required)
         print(_dump(report))
         return code
+    print(_dump(report) if args.format == "json" else text)
+    return EXIT_OK if report.get("ok", True) else EXIT_VERIFY
 
 
 if __name__ == "__main__":

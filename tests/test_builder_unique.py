@@ -48,29 +48,40 @@ def staged(counts, delta):
     return tally
 
 
+def raw_last_entry(coeffs, deltas):
+    """(epsilon, remainder) of a proposal, recomputed from its ladder: the
+    floored epsilon that puts head + a_last*epsilon = remainder in
+    [0, |a_last|), head being the ladder's part of the raw sum."""
+    head = sum(a * d for a, d in zip(coeffs, deltas))
+    q, remainder = divmod(head, abs(coeffs[-1]))
+    return (-q if coeffs[-1] > 0 else q), remainder
+
+
 class TestProposeBlock:
     def test_worked_example(self):
         # B0 = {1}, growth constant 10, target 0: offsets (11,), epsilon -11
         form = LinearForm.parse("1,1")
-        block, _, _, _, _ = _propose(
-            form, bezout_witness(form), target=0, m=10, prev_max_abs=1
-        )
+        block, deltas = _propose(form, bezout_witness(form), target=0, m=10, prev_max_abs=1)
+        assert deltas == (11,)
+        assert raw_last_entry(form.coefficients, deltas) == (-11, 0)
         assert block == (11, -11)
         assert sum(a * b for a, b in zip(form.coefficients, block)) == 0
 
     def test_two_three_remainder(self):
         # head = 2*11 = 22, so epsilon must land the remainder in [0, 3)
         form = LinearForm.parse("2,3")
-        block, deltas, eps, remainder, shift = _propose(
-            form, bezout_witness(form), target=0, m=10, prev_max_abs=1
-        )
+        bez = bezout_witness(form)
+        block, deltas = _propose(form, bez, target=0, m=10, prev_max_abs=1)
         assert deltas == (11,)
+        eps, remainder = raw_last_entry(form.coefficients, deltas)
         assert eps == -7
         assert remainder == 1
         # two-candidate check: of eps and eps-1 only eps lands in range
         head = 2 * 11
         assert 0 <= head + 3 * eps < 3
         assert not 0 <= head + 3 * (eps - 1) < 3
+        # the Bezout witness shifts the raw block (11, eps) onto the target
+        assert block == tuple(v + (0 - remainder) * s for v, s in zip((11, eps), bez))
 
     @given(
         st.lists(st.integers(-7, 7).filter(bool), min_size=2, max_size=4),
@@ -85,11 +96,15 @@ class TestProposeBlock:
             return
         form = LinearForm(tuple(coeffs))
         bez = bezout_witness(form)
-        block, deltas, eps, remainder, _ = _propose(
-            form, bez, target, m, prev_max_abs=3
-        )
+        block, deltas = _propose(form, bez, target, m, prev_max_abs=3)
+        eps, remainder = raw_last_entry(coeffs, deltas)
         assert 0 <= remainder < abs(coeffs[-1])
+        head = sum(a * d for a, d in zip(coeffs, deltas))
+        assert head + coeffs[-1] * eps == remainder
+        assert not 0 <= head + coeffs[-1] * (eps - 1) < abs(coeffs[-1])
         assert sum(a * b for a, b in zip(coeffs, block)) == target
+        raw = deltas + (eps,)
+        assert block == tuple(v + (target - remainder) * s for v, s in zip(raw, bez))
         # ladder ratios exceed m
         assert deltas[0] > m * 3
         for lo, hi in zip(deltas, deltas[1:]):

@@ -110,6 +110,13 @@ class TestBuildVerifyRoundTrip:
         assert code == 0
         assert "all of Z" in out
 
+    def test_negative_leading_coefficient_as_its_own_argument(self, capsys):
+        # argparse alone would read "-1,2" as an option and exit with usage
+        joined = run(capsys, "build", "--form=-1,2", "--steps", "3", "--format", "json")
+        split = run(capsys, "build", "--form", "-1,2", "--steps", "3", "--format", "json")
+        assert split == joined
+        assert joined[0] == 0 and json.loads(joined[1])["steps"] == 3
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = []
         for tag in ("a", "b"):
