@@ -228,15 +228,15 @@ def _check_diff_step(
     target_fn: TargetFunction,
     entry: tuple[int, int],
     allowed_double: Callable[[int], bool],
-    exempt: frozenset[int] = frozenset(),
+    fill: bool = False,
 ) -> None:
     """Shared oracle checks after one difference-form step; raises on failure.
 
-    ``tally.counts`` were verified by the previous step and
+    The tally's counts were verified by the previous step and
     ``tally.delta`` holds the step's new classes, so only the values in the
-    delta (and their mirrors) can break an invariant.  ``exempt`` values
-    skip the increment-size analysis (a batch step fills its target value
-    all the way in one go; the caller checks the exact fill separately).
+    delta (and their mirrors) can break an invariant.  A ``fill`` step
+    brings the entry's value t all the way to f(t) in one go: +-t skip the
+    increment-size analysis, and both counts must end at exactly f(t).
 
     The verified counts are even-symmetric: the seed count is {0: 1} and
     every accepted step was checked.  So the new counts are even-symmetric
@@ -261,12 +261,12 @@ def _check_diff_step(
         )
     if max(delta.values(), default=0) > 1:
         for n, d in delta.items():
-            if n in exempt:
+            if fill and abs(n) == abs(t):
                 continue
             if d > 2:
                 raise ConstructionBugError(f"count jumped by {d} at {n}")
             if d == 2:
-                old = tally.counts.get(n, 0)
+                old = tally.count(n) - d
                 if old != 0:
                     raise ConstructionBugError(
                         f"count rose by 2 at {n} on top of {old} existing classes"
@@ -279,6 +279,10 @@ def _check_diff_step(
         raise ConstructionBugError(
             f"target {t} copy {copy_index} still uncovered after the step"
         )
+    if fill:
+        fv, got = target_fn.value_at(t), (tally.count(t), tally.count(-t))
+        if got != (fv, fv):
+            raise ConstructionBugError(f"counts at +-{t} are {got}, expected {fv}")
 
 
 def build_infinite_case(
@@ -327,7 +331,7 @@ def build_infinite_case(
         )
     state = ConstructionState.initial(DIFFERENCE_FORM, d0, gap_sequence=seq)
 
-    def propose(state, counts, entry, m, attempt):
+    def propose(state, tally, entry, m, attempt):
         t, copy_index = entry
         m_bound = state.elements.max_abs()
         bound = 2 * abs(t) + 3 * m_bound
@@ -413,11 +417,11 @@ def build_unbounded_case(
 
     state = ConstructionState.initial(DIFFERENCE_FORM, d0)
 
-    def propose(state, counts, entry, m, attempt):
+    def propose(state, tally, entry, m, attempt):
         t, copy_index = entry
         k = state.step + 1
         m_bound = state.elements.max_abs()
-        gamma = int(target.value_at(t)) - counts.get(t, 0)
+        gamma = int(target.value_at(t)) - tally.count(t)
         if gamma < 1:
             raise ConstructionBugError(f"step {k}: non-positive gamma {gamma}")
         x1 = 2 * abs(t) + 3 * m_bound + 1
@@ -452,20 +456,7 @@ def build_unbounded_case(
         )
 
     def accept(state, tally, entry, block):
-        t = entry[0]
-        _check_diff_step(
-            tally,
-            target,
-            entry,
-            allowed_double=lambda v: target.value_at(v) > 1,
-            exempt=frozenset((t, -t)),
-        )
-        fv = target.value_at(t)
-        got = (tally.count(t), tally.count(-t))
-        if got != (fv, fv):
-            raise ConstructionBugError(
-                f"step {state.step + 1}: counts at +-{t} are {got}, expected {fv}"
-            )
+        _check_diff_step(tally, target, entry, lambda v: target.value_at(v) > 1, fill=True)
 
     return _grow(state, enumerate_multiset(target), steps, propose, accept, budget)
 

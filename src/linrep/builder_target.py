@@ -385,23 +385,24 @@ def _realize(
     half_line: Optional[int] = None,
 ) -> ConstructionState:
     """The step body of ``build_for_target`` and ``build``, past their
-    preconditions.  With ``half_line`` set, it reorders the coefficients so
-    the last two have opposite signs and keeps every element at or above it.
+    preconditions.  With ``half_line`` set, it keeps every element at or
+    above it and proposes under coefficients reordered so the last two have
+    opposite signs; counts do not depend on the order, so they use ``form``.
     """
-    builder_form = form if half_line is None else mixed_sign_last(form)
+    ordered = form if half_line is None else mixed_sign_last(form)
     if half_line is not None and d0 < half_line:
         d0 = max(half_line, 1)
-    bez = bezout_witness(builder_form)
-    m = m0 if m0 is not None else default_growth_constant(builder_form)
+    bez = bezout_witness(ordered)
+    m = m0 if m0 is not None else default_growth_constant(ordered)
     if m < 1:
         raise ValueError("growth constant must be positive")
 
-    state = ConstructionState.initial(form, d0, builder_form=builder_form)
+    state = ConstructionState.initial(form, d0)
 
-    def propose(state, counts, entry, m, attempt):
+    def propose(state, tally, entry, m, attempt):
         t, copy_index = entry
         block, deltas = _propose(
-            builder_form, bez, t, m, state.elements.max_abs(), half_line, attempt
+            ordered, bez, t, m, state.elements.max_abs(), half_line, attempt
         )
         return StepRecord(state.step + 1, t, m, attempt, deltas, block, 0, copy_index)
 

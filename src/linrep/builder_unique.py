@@ -90,34 +90,26 @@ class ConstructionState(NamedTuple):
 
     Every builder returns one: the set, the seed block it started from and
     one record per accepted step (a ``StepRecord``, or a ``DiffStepRecord``
-    for the difference form).  ``form`` is the form as given by the caller;
-    ``builder_form`` is the coefficient order actually used internally
-    (these differ only for half-line builds, which may reorder coefficients
-    so the last two have opposite signs; representation functions are
-    invariant under coefficient permutation, so every set-level guarantee
-    transfers).  ``gap_sequence`` is the plentiful sequence an
-    infinite-value difference-form build chains along; ``chain(n)`` reads
-    the chain at n from the set.
+    for the difference form).  ``form`` is the form as given by the caller,
+    and every count is taken under it.  ``gap_sequence`` is the plentiful
+    sequence an infinite-value difference-form build chains along;
+    ``chain(n)`` reads the chain at n from the set.
     """
 
     form: LinearForm
-    builder_form: LinearForm
     elements: GroundSet
     seed: tuple[int, ...]
     records: tuple[Union[StepRecord, DiffStepRecord], ...] = ()
-    trivial_whole_line: bool = False
     gap_sequence: Optional[PlentifulSequence] = None
 
     @classmethod
-    def initial(
-        cls, form: LinearForm, d0: int, builder_form: Optional[LinearForm] = None, **extras
-    ) -> "ConstructionState":
-        return cls(form, builder_form or form, GroundSet.of([d0]), (d0,), **extras)
+    def initial(cls, form: LinearForm, d0: int, **extras) -> "ConstructionState":
+        return cls(form, GroundSet.of([d0]), (d0,), **extras)
 
-    @classmethod
-    def whole_line(cls, form: LinearForm) -> "ConstructionState":
-        """Designated state for one-variable forms: the basis is all of Z."""
-        return cls(form, form, GroundSet.of([]), (), trivial_whole_line=True)
+    @property
+    def trivial_whole_line(self) -> bool:
+        """A one-variable form's basis is all of Z, so its build has no steps."""
+        return self.form.arity == 1
 
     def extended(self, record) -> "ConstructionState":
         return self._replace(
@@ -174,9 +166,6 @@ class ConstructionState(NamedTuple):
             for n in {r.target for r in self.records if r.witness is not None}
             for (a1, _, m1), (a2, _, m2) in pairwise(self.chain(n))
         )
-
-    def trace_records(self) -> list[dict]:
-        return [r.to_json_obj() for r in self.records]
 
 
 class Tally:
@@ -235,7 +224,7 @@ class Tally:
 
 
 Propose = Callable[
-    [ConstructionState, dict[int, int], Entry, int, int], Union[StepRecord, "DiffStepRecord"]
+    [ConstructionState, Tally, Entry, int, int], Union[StepRecord, "DiffStepRecord"]
 ]
 Accept = Callable[[ConstructionState, Tally, Entry, tuple[int, ...]], Optional[Violation]]
 
@@ -258,7 +247,7 @@ def _check_block(
     for v in block:
         if v in state.elements:
             return Violation("collision-with-existing", v)
-    tally.stage(class_count_delta(state.builder_form, state.elements, block, budget))
+    tally.stage(class_count_delta(state.form, state.elements, block, budget))
     return accept(state, tally, entry, block)
 
 
@@ -277,8 +266,8 @@ def _grow(
     The loop counts the classes of the starting set once and keeps that
     running count in a ``Tally``, whose ``counts`` are always verified.
     Each step takes the next entry (n, c) whose copy is still uncovered
-    (count of n at most c), asks ``propose(state, tally.counts, entry, m,
-    attempt)`` for step ``state.step + 1``'s record and checks its block:
+    (count of n at most c), asks ``propose(state, tally, entry, m, attempt)``
+    for step ``state.step + 1``'s record and checks its block:
     ``_check_block`` stages its classes and calls ``accept(state, tally,
     entry, block)``.  A rejected block, whose classes never reach the
     count, doubles the growth constant ``m`` and is reproposed; more than
@@ -286,16 +275,16 @@ def _grow(
     whole retry trail.  An accepted block's classes join the count
     (``Tally.merge``), and its record joins the state with the new support size.
     """
-    tally = Tally(class_counts(state.builder_form, state.elements, budget))
+    tally = Tally(class_counts(state.form, state.elements, budget))
     entries = iter(entries)
     trail: list[str] = []
     for k in range(1, steps + 1):
         for entry in entries:
-            if tally.counts.get(entry[0], 0) <= entry[1]:
+            if tally.count(entry[0]) <= entry[1]:
                 break
         retries = 0
         while True:
-            record = propose(state, tally.counts, entry, m, retries)
+            record = propose(state, tally, entry, m, retries)
             violation = _check_block(state, tally, entry, record.block, accept, budget)
             if violation is None:
                 break
@@ -387,10 +376,10 @@ def build(
     """Realize f = 1 in `steps` steps of the target builder's body.
 
     Requires a primitive form, but not a partition regular one.  One-variable
-    forms short-circuit to the whole-line state (every integer is its own
-    unique representation).  With ``half_line`` set, all produced elements
-    are kept at or above the bound; this requires coefficients of both
-    signs and may internally reorder them (see ConstructionState.builder_form).
+    forms short-circuit to a state with no elements and no steps (every
+    integer is its own unique representation).  With ``half_line`` set, all
+    produced elements are kept at or above the bound; this requires
+    coefficients of both signs.
     Targets run over the spiral 0, 1, -1, 2, ... of all of Z, skipping
     represented integers.  The growth constant starts at ``m0`` (default:
     4*sum|a|*(arity+1)), is doubled after every rejected proposal, and
@@ -409,7 +398,7 @@ def build(
                 f"half-line construction needs mixed-sign coefficients, got {form}"
             )
     if form.arity == 1:
-        return ConstructionState.whole_line(form)
+        return ConstructionState(form, GroundSet.of([]), ())
     if d0 == 0:
         raise ValueError("d0 must be non-zero")
     # builder_target imports this module, so its body is imported at call time

@@ -9,7 +9,9 @@ strings; identical invocations produce byte-identical outputs.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -69,17 +71,16 @@ def _write(path: str, content: str) -> None:
     Path(path).write_text(content, encoding="utf-8")
 
 
-def _write_outputs(args, elements: GroundSet, trace: list[dict]) -> None:
+def _write_outputs(args, state) -> None:
     if getattr(args, "out", None):
-        _write(args.out, elements.to_json() + "\n")
+        _write(args.out, state.elements.to_json() + "\n")
     if getattr(args, "trace", None):
-        lines = "".join(_dump(rec) + "\n" for rec in trace)
-        _write(args.trace, lines)
+        _write(args.trace, "".join(_dump(r.to_json_obj()) + "\n" for r in state.records))
 
 
 def _realized(args, form: LinearForm, state, target: TargetFunction) -> tuple[dict, TargetReport]:
     """Write a target build's set and trace, recount the set, report the shared keys."""
-    _write_outputs(args, state.elements, state.trace_records())
+    _write_outputs(args, state)
     check = builder_target.check_counts_against_target(
         form, state.elements, target, args.budget
     )
@@ -159,7 +160,7 @@ def cmd_build(args) -> tuple[dict, str]:
             {"ok": True, "trivial_whole_line": True},
             "one-variable form: the unique representation basis is all of Z",
         )
-    _write_outputs(args, state.elements, state.trace_records())
+    _write_outputs(args, state)
     counts = class_counts(form, state.elements, args.budget)
     over = [n for n, _, _ in TargetReport.of(counts, ALL_ONES).overshoots]
     missed = sorted(t for t in state.covered_targets if counts.get(t, 0) != 1)
@@ -381,6 +382,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.budget < 0:
             raise ValueError(f"--budget must be non-negative, got {args.budget}")
+        for path in filter(None, (getattr(args, k, None) for k in ("out", "trace", "profile"))):
+            # refuse a path the write would refuse, with its error, before the work
+            if Path(path).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            try:
+                Path(path).parent.stat()
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
         report, text = args.func(args)
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         _, code, name = next(row for row in _FAILURES if isinstance(exc, row[0]))

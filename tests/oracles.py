@@ -208,10 +208,11 @@ def target_violation(target, frozen, counts, entry, delta):
     return None
 
 
-def diff_step_violation(old_counts, delta, target_fn, entry, allowed_double, exempt=frozenset()):
+def diff_step_violation(old_counts, delta, target_fn, entry, allowed_double, fill=False):
     """Message of the first reason a difference-form step breaks an
     invariant, walking delta value by value, or None.  Same order and
-    messages as builder_diff._check_diff_step."""
+    messages as builder_diff._check_diff_step; a fill step exempts +-t from
+    the increment checks and must end with both counts at exactly f(t)."""
     t, copy_index = entry
 
     def count(n):
@@ -227,7 +228,7 @@ def diff_step_violation(old_counts, delta, target_fn, entry, allowed_double, exe
     if n is not None:
         return f"count {count(n)} exceeds target {target_fn.value_at(n)} at {n}"
     for n, d in delta.items():
-        if n in exempt:
+        if fill and n in (t, -t):
             continue
         if d > 2:
             return f"count jumped by {d} at {n}"
@@ -239,6 +240,9 @@ def diff_step_violation(old_counts, delta, target_fn, entry, allowed_double, exe
                 return f"unexpected double increment at {n}"
     if count(t) < copy_index + 1:
         return f"target {t} copy {copy_index} still uncovered after the step"
+    fv = target_fn.value_at(t)
+    if fill and (count(t), count(-t)) != (fv, fv):
+        return f"counts at +-{t} are {(count(t), count(-t))}, expected {fv}"
     return None
 
 

@@ -95,7 +95,7 @@ ALLOWED_DOUBLE = {"yes": lambda v: True, "no": lambda v: False, "odd": lambda v:
 
 @st.composite
 def diff_steps(draw):
-    """(old counts, delta, target, entry, allowed-double kind, exempt?) of a
+    """(old counts, delta, target, entry, allowed-double kind, fill?) of a
     difference-form step: the old counts are even-symmetric with one class at
     0, and the delta is symmetric or has one broken mirror."""
     def mirrored(halves):
@@ -158,12 +158,11 @@ class TestCheckDiffStep:
     # a symmetric step that leaves the entry's copy uncovered
     @example(({0: 1}, {5: 1, -5: 1}, TargetFunction.make((-12, 12)), (5, 1), "yes", False))
     def test_agrees_with_the_loop(self, step):
-        old, delta, target, entry, allowed, exempt = step
+        old, delta, target, entry, allowed, fill = step
         allowed_double = ALLOWED_DOUBLE[allowed]
-        exempt = frozenset((entry[0], -entry[0])) if exempt else frozenset()
-        expected = diff_step_violation(old, delta, target, entry, allowed_double, exempt)
+        expected = diff_step_violation(old, delta, target, entry, allowed_double, fill)
         try:
-            _check_diff_step(staged(old, delta), target, entry, allowed_double, exempt)
+            _check_diff_step(staged(old, delta), target, entry, allowed_double, fill)
         except ConstructionBugError as err:
             assert str(err) == expected
         else:
@@ -352,7 +351,7 @@ def brute_chain(state, n):
 def hand_built_state(elements, records):
     seq = PlentifulSequence((2, 4, 8))  # partial sums 2, 4, 6, 8, 12, 14
     return ConstructionState(
-        DIFFERENCE_FORM, DIFFERENCE_FORM, GroundSet.of(elements), (2,), records, gap_sequence=seq
+        DIFFERENCE_FORM, GroundSet.of(elements), (2,), records, gap_sequence=seq
     )
 
 

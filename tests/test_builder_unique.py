@@ -280,13 +280,15 @@ def reject_first_proposals(monkeypatch):
             TargetFunction.make((-20, 20), values={n: 2 for n in range(-20, 21)}),
             12,
         ),
+        # proposes under 2,-1,3, and counts under -1,2,3
+        lambda: build(LinearForm.parse("-1,2,3"), 5, half_line=3),
     ],
-    ids=["build", "build_for_target"],
+    ids=["build", "build_for_target", "build_half_line_reordered"],
 )
 def test_a_rejected_block_never_reaches_the_running_count(monkeypatch, run):
     tallies = reject_first_proposals(monkeypatch)
     state = run()
-    form = state.builder_form
+    form = state.form
     assert all(r.retries >= 1 for r in state.records)
     for k, record in enumerate(state.records, start=1):
         prefix = GroundSet.of(v for blk in state.blocks[: k + 1] for v in blk)
@@ -403,7 +405,7 @@ class TestBuild:
     def test_trace_records_shape(self):
         form = LinearForm.parse("1,1")
         state = build(form, 3)
-        recs = state.trace_records()
+        recs = [r.to_json_obj() for r in state.records]
         assert [r["step"] for r in recs] == [1, 2, 3]
         for r in recs:
             assert set(r) >= {"step", "target", "M", "retries", "block", "support_size"}
@@ -436,7 +438,7 @@ class TestHalfLine:
         # must verify against the form as given
         form = LinearForm.parse("-1,2,3")
         state = build(form, 5, half_line=3)
-        assert state.builder_form.coefficients != form.coefficients
+        assert mixed_sign_last(form) != form
         assert state.form == form
         counts = class_counts(form, state.elements)
         assert max(counts.values()) <= 1

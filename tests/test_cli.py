@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from linrep import GroundSet, INFINITY, PlentifulSequence, TargetFunction
+from linrep import GroundSet, INFINITY, PlentifulSequence, TargetFunction, builder_unique
 from linrep.cli import main
 
 
@@ -104,6 +104,22 @@ class TestBuildVerifyRoundTrip:
         code, out = run(capsys, "build", "--form", "1,1", "--steps", "2", "--budget", "-1")
         assert code == 2
         assert "--budget" in json.loads(out)["message"]
+
+    @pytest.mark.parametrize(
+        "flag, path, error",
+        [("--out", ".", "IsADirectoryError"), ("--trace", "missing/t.jsonl", "FileNotFound")],
+    )
+    def test_bad_output_path_refused_before_the_build(
+        self, capsys, tmp_path, monkeypatch, flag, path, error
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the build ran")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(builder_unique, "build", unreachable)
+        code, out = run(capsys, "build", "--form", "1,2,-3", "--steps", "20", flag, path)
+        assert code == 2
+        assert json.loads(out)["error"] == error
 
     def test_one_variable_build(self, capsys):
         code, out = run(capsys, "build", "--form", "1", "--steps", "3")

@@ -116,13 +116,12 @@ def test_repr_text():
     assert repr(enumerate_multiset(target())) == f"MultisetOrdering(target={t})"
     assert repr(built()) == (
         "ConstructionState(form=LinearForm(coefficients=(1, 2)), "
-        "builder_form=LinearForm(coefficients=(1, 2)), "
         "elements=GroundSet(elements=(-648, -18, 1, 36, 1297)), seed=(1,), "
         "records=(StepRecord(step=1, target=0, m=36, retries=0, deltas=(37,), "
         "block=(36, -18), support_size=9, copy_index=None), "
         "StepRecord(step=2, target=1, m=36, retries=0, deltas=(1297,), "
         "block=(1297, -648), support_size=25, copy_index=None)), "
-        "trivial_whole_line=False, gap_sequence=None)"
+        "gap_sequence=None)"
     )
     assert repr(diff_built().records[1]) == (
         "DiffStepRecord(step=2, case='chained', target=1, copy_index=1, m_bound=6, "
