@@ -169,57 +169,69 @@ class ConstructionState(NamedTuple):
 
 
 class Tally:
-    """The step loop's running count, with one staged delta.
+    """The step loop's running count, kept in layers, with one staged delta.
 
-    ``counts`` is always verified: a staged ``delta`` (the classes a
-    candidate block adds) joins it only through ``merge``, after the step's
-    check has accepted it.  ``stage`` finds once the values both count, for
-    the check and the merge.
+    The verified count is the sum of ``layers``: the starting set's count,
+    then each accepted delta as the kernel returned it.  ``lo`` and ``hi``
+    bound its support, whose size ``size`` is kept as deltas join.  A staged
+    ``delta`` (the classes a candidate block adds) joins only through
+    ``merge``, after the step's check has accepted it.  ``stage`` finds once
+    the old count of every value both count: only a delta value inside
+    [lo, hi] can have one, and only those are looked up in the layers.
+    Every count is positive.
     """
 
     def __init__(self, counts: dict[int, int]):
-        self.counts = counts
-        self.stage({})
+        self.layers: list[dict[int, int]] = []
+        self.lo, self.hi, self.size = 0, -1, 0
+        self.stage(counts)
+        self.merge()
 
     def stage(self, delta: dict[int, int]) -> None:
         """Stage the classes a candidate block adds, replacing any staged ones."""
         self.delta = delta
-        self._shared = delta.keys() & self.counts.keys()
+        inside = filter(range(self.lo, self.hi + 1).__contains__, delta)
+        self._old = {n: c for n in inside if (c := self._verified(n))}
+
+    def _verified(self, n: int) -> int:
+        return sum(layer.get(n, 0) for layer in self.layers)
 
     def count(self, n: int) -> int:
         """The count at n once the staged delta joins."""
-        return self.counts.get(n, 0) + self.delta.get(n, 0)
+        d = self.delta.get(n)
+        if d is None:
+            return self._verified(n) if self.lo <= n <= self.hi else 0
+        return self._old.get(n, 0) + d
 
     def overshoot(self, default: float, values: Mapping[int, float]) -> Optional[int]:
         """The first n, in delta order, whose count would exceed
         ``values.get(n, default)``, or None: every builder's overshoot rule.
 
-        ``counts`` were verified already, so unless a delta value exceeds the
+        The layers were verified already, so unless a delta value exceeds the
         default, or a value with an explicit bound or an old count exceeds
         its bound, nothing overshoots and the delta is not walked.
         """
-        counts, delta = self.counts, self.delta
+        old, delta = self._old, self.delta
         if max(delta.values(), default=0) <= default and all(
-            counts.get(n, 0) + delta[n] <= values.get(n, default)
-            for n in (delta.keys() & values.keys()) | self._shared
+            old.get(n, 0) + delta[n] <= values.get(n, default)
+            for n in (delta.keys() & values.keys()) | old.keys()
         ):
             return None
         for n, d in delta.items():
-            if counts.get(n, 0) + d > values.get(n, default):
+            if old.get(n, 0) + d > values.get(n, default):
                 return n
         return None
 
     def merge(self) -> None:
-        """Add the staged delta into ``counts`` in place and clear the stage.
-
-        New keys land in delta order; the shared ones keep their place, and
-        their old counts are added back after the bulk update.
-        """
-        counts = self.counts
-        old = {n: counts[n] for n in self._shared}
-        counts.update(self.delta)
-        for n, c in old.items():
-            counts[n] += c
+        """Add the staged delta to the count as a new layer and clear the stage."""
+        delta = self.delta
+        if delta:
+            lo, hi = min(delta), max(delta)
+            if self.layers:
+                lo, hi = min(lo, self.lo), max(hi, self.hi)
+            self.lo, self.hi = lo, hi
+            self.size += len(delta) - len(self._old)
+            self.layers.append(delta)
         self.stage({})
 
 
@@ -264,7 +276,7 @@ def _grow(
     """The greedy step loop every builder runs.
 
     The loop counts the classes of the starting set once and keeps that
-    running count in a ``Tally``, whose ``counts`` are always verified.
+    running count in a ``Tally``, whose layers are always verified.
     Each step takes the next entry (n, c) whose copy is still uncovered
     (count of n at most c), asks ``propose(state, tally, entry, m, attempt)``
     for step ``state.step + 1``'s record and checks its block:
@@ -272,8 +284,9 @@ def _grow(
     entry, block)``.  A rejected block, whose classes never reach the
     count, doubles the growth constant ``m`` and is reproposed; more than
     ``retry_cap`` rejections in one step raise RetryExhaustedError with the
-    whole retry trail.  An accepted block's classes join the count
-    (``Tally.merge``), and its record joins the state with the new support size.
+    whole retry trail.  An accepted block's classes join the count as a
+    layer (``Tally.merge``), and its record joins the state with the new
+    support size, which the tally keeps (``Tally.size``).
     """
     tally = Tally(class_counts(state.form, state.elements, budget))
     entries = iter(entries)
@@ -297,7 +310,7 @@ def _grow(
                 )
             m *= 2
         tally.merge()
-        state = state.extended(record._replace(support_size=len(tally.counts)))
+        state = state.extended(record._replace(support_size=tally.size))
     return state
 
 

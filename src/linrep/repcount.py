@@ -28,9 +28,10 @@ value in B, split by the first slot holding one.  A general delta lists
 its sums in the order a walk of the tuples with a block entry first meets
 them (split by the first block position, then ``itertools.product``
 order); that order decides which doubled value a retry trail names.  The
-builders' step loop keeps its running count in a ``builder_unique.Tally``:
-the count is always verified, and a staged delta joins it only through
-``Tally.merge``, once the step's check has accepted it.
+builders' step loop keeps its running count in a ``builder_unique.Tally``,
+one layer per accepted delta: the count is always verified, and a staged
+delta joins it only through ``Tally.merge``, once the step's check has
+accepted it.
 Forms with equal coefficients keep a path that enumerates value
 multisets, keyed in multiset order, and streams their sums into the count
 (``_multiset_sums``).  Against the Moebius kernel (in process, best of 7),

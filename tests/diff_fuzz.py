@@ -1,5 +1,5 @@
-"""Seeded differential fuzz of ``diff-realize --case infinite`` and ``build``
-through the CLI.
+"""Seeded differential fuzz of ``diff-realize --case infinite``, ``build``
+and ``realize`` through the CLI.
 
 Each run draws its arguments and runs ``linrep.cli.main`` in process.  The
 written set is recounted by brute force (``oracles.brute_counts``, which
@@ -17,12 +17,23 @@ shares no code with the library's counting kernel).
   ``--half-line``; on exit 0 when |A|^h <= 3*10^5, the recount must have
   every count at most 1, count 1 at every traced target, and no element
   below the half-line bound.
+- ``realize``: a primitive, partition-regular form of arity 2 or 3 with
+  coefficients in +-1..+-3, a target with window values 1, 2 or inf on
+  [-w, w] (w from 1 to 6) and default 1, 2 or inf, 2 to 8 steps, ``--d0``
+  and ``--m0`` drawn as above.  A run passes when it exits 0, 1 or a code
+  in ``cli._FAILURES`` without raising; exit 5, a known forced-collision
+  defect, is counted and not failed.  On exit 0 when |A|^h <= 3*10^5, the
+  recount must keep every count within the target and cover every traced
+  entry, each traced block must evaluate to its target, and each traced
+  ``support_size`` must be the size of the brute-force support of the set
+  up to that step.
 
 As a script it prints the exit-code histogram and every failing run, and
 exits 1 if any run failed:
 
     PYTHONPATH=src python tests/diff_fuzz.py --seed 11 --runs 400
     PYTHONPATH=src python tests/diff_fuzz.py --command build --seed 11 --runs 400
+    PYTHONPATH=src python tests/diff_fuzz.py --command realize --seed 11 --runs 400
 """
 
 from __future__ import annotations
@@ -39,8 +50,17 @@ import traceback
 from collections import Counter
 from pathlib import Path
 
-from linrep import INFINITY, DIFFERENCE_FORM, GroundSet, PlentifulSequence, TargetFunction
-from linrep.cli import main
+from linrep import (
+    INFINITY,
+    DIFFERENCE_FORM,
+    GroundSet,
+    PlentifulSequence,
+    TargetFunction,
+    is_partition_regular,
+    is_primitive,
+)
+from linrep.cli import _FAILURES, main
+from linrep.forms import LinearForm
 
 from oracles import brute_counts
 
@@ -174,7 +194,85 @@ def run_build_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
     return code, problems, True
 
 
-COMMANDS = {"diff-realize": (draw_case, run_case), "build": (draw_build_case, run_build_case)}
+def draw_realize_case(rng: random.Random) -> dict:
+    """One realize run's form, target, step count, seed element and growth constant."""
+    while True:
+        form = LinearForm(
+            tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(2, 3)))
+        )
+        if is_primitive(form) and is_partition_regular(form):
+            break
+    w = rng.randint(1, 6)
+    values = {n: rng.choice((1, 2, INFINITY)) for n in range(-w, w + 1)}
+    default = rng.choice((1, 2, INFINITY))
+    steps = rng.randint(2, 8)
+    d0, m0 = rng.choice(D0_CHOICES), rng.choice((None, 1, 2, 3))
+    return {
+        "form": form,
+        "target": TargetFunction.make((-w, w), values=values, default=default),
+        "steps": steps,
+        "d0": d0,
+        "m0": m0,
+        "label": f"form {form}, window {w}, default {default}, steps {steps}, d0 {d0}, "
+        f"m0 {m0}",
+    }
+
+
+def run_realize_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
+    """(exit code, problems, whether the set was recounted) for one realize run."""
+    out, trace = workdir / "set.json", workdir / "trace.jsonl"
+    out.unlink(missing_ok=True)
+    trace.unlink(missing_ok=True)
+    (workdir / "target.json").write_text(case["target"].to_json())
+    coeffs = case["form"].coefficients
+    argv = [
+        "realize", "--form=" + ",".join(map(str, coeffs)),
+        "--target", str(workdir / "target.json"),
+        "--steps", str(case["steps"]),
+        "--d0", str(case["d0"]),
+        "--out", str(out), "--trace", str(trace), "--format", "json",
+    ]
+    if case["m0"] is not None:
+        argv += ["--m0", str(case["m0"])]
+    code, output = call_main(argv)
+    if code == -1:
+        return code, [f"raised: {output}"], False
+    if code not in {0, 1} | {row[1] for row in _FAILURES}:
+        return code, [f"exit {code}: {output.strip()}"], False
+    if code != 0:
+        return code, [], False
+    elements = GroundSet.from_json(out.read_text()).elements
+    if len(elements) ** len(coeffs) > RECOUNT_LIMIT:
+        return code, [], False
+    target = case["target"]
+    counts = brute_counts(coeffs, elements)
+    problems = [
+        f"brute count {c} exceeds target {target.value_at(n)} at {n}"
+        for n, c in counts.items()
+        if c > target.value_at(n)
+    ]
+    prefix = [case["d0"]]
+    for line in trace.read_text().splitlines():
+        record = json.loads(line)
+        t, block = int(record["target"]), [int(b) for b in record["block"]]
+        if sum(a * b for a, b in zip(coeffs, block)) != t:
+            problems.append(f"step {record['step']} block {block} misses its target {t}")
+        if counts.get(t, 0) < record["copy"] + 1:
+            problems.append(f"target {t} copy {record['copy']} has brute count {counts.get(t, 0)}")
+        prefix += block
+        support = len(brute_counts(coeffs, prefix))
+        if record["support_size"] != support:
+            problems.append(
+                f"step {record['step']} support_size {record['support_size']}, brute {support}"
+            )
+    return code, problems, True
+
+
+COMMANDS = {
+    "diff-realize": (draw_case, run_case),
+    "build": (draw_build_case, run_build_case),
+    "realize": (draw_realize_case, run_realize_case),
+}
 
 
 def sweep(

@@ -380,13 +380,14 @@ class TestBuildForTarget:
 
     def test_running_count_matches_a_recount(self, monkeypatch):
         # a second copy lands on a value already counted, so the step's
-        # overlap is non-empty and the merge must add the old count back
+        # overlap is non-empty and its count must add up the layers
         accepted = []
 
         def spy(target, half_line, state, tally, entry, block):
             violation = _accept_target(target, half_line, state, tally, entry, block)
             if violation is None:
-                accepted.append((tally, tally.delta.keys() & tally.counts.keys()))
+                overlap = [n for n, d in tally.delta.items() if tally.count(n) > d]
+                accepted.append((tally, overlap))
             return violation
 
         monkeypatch.setattr(builder_target, "_accept_target", spy)
@@ -394,8 +395,10 @@ class TestBuildForTarget:
         target = TargetFunction.make((-20, 20), values={n: 2 for n in range(-20, 21)})
         state = build_for_target(form, target, 12)
         assert any(overlap for _, overlap in accepted)
-        running = accepted[-1][0].counts  # the step loop's one count, merged in place
-        assert running == class_counts(form, state.elements)
+        running = accepted[-1][0]  # the step loop's one tally, one layer per step
+        expected = class_counts(form, state.elements)
+        assert {n: running.count(n) for n in expected} == expected
+        assert running.size == len(expected)
 
     def test_zero_set_avoided_every_prefix(self):
         form = LinearForm.parse("1,1,1")

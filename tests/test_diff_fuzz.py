@@ -1,5 +1,5 @@
-"""Fixed-seed fuzzes of ``diff-realize --case infinite`` and ``build``
-through the CLI.
+"""Fixed-seed fuzzes of ``diff-realize --case infinite``, ``build`` and
+``realize`` through the CLI.
 
 The harness and its checks live in ``diff_fuzz``; CI runs a longer sweep
 of each at another seed.
@@ -20,3 +20,11 @@ def test_build_runs_exit_0_or_3_and_recount_unique(tmp_path):
     assert failures == []
     assert set(histogram) == {0, 3}
     assert recounts == histogram[0]
+
+
+def test_realize_runs_recount_within_target_with_traced_support_sizes(tmp_path):
+    # exit 5 is the known forced-collision defect, counted and not failed
+    histogram, failures, recounts = sweep(seed=7, runs=40, workdir=tmp_path, command="realize")
+    assert failures == []
+    assert set(histogram) <= {0, 3, 5}
+    assert recounts == histogram[0] >= 30

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrep import GroundSet, LinearForm, class_counts, rep_function
+from linrep import INFINITY, GroundSet, LinearForm, class_counts, rep_function
 from linrep.errors import BudgetExceededError
 from linrep.repcount import (
     RepProfile,
@@ -23,6 +23,7 @@ from linrep.builder_unique import Tally
 from oracles import (
     brute_counts,
     class_key,
+    first_overshoot,
     first_seen_sums,
     merged,
     multiset_delta,
@@ -255,17 +256,13 @@ def split_sets(max_size):
     )
 
 
-def merge(counts, delta):
-    """Merge ``delta`` into ``counts`` in place through the step loop's tally."""
-    tally = Tally(counts)
-    tally.stage(delta)
-    tally.merge()
-
-
 def merged_counts(form, base, block):
-    counts = brute_counts(form.coefficients, base.elements)
-    merge(counts, class_count_delta(form, base, block))
-    return counts
+    return merged(brute_counts(form.coefficients, base.elements), class_count_delta(form, base, block))
+
+
+def held(tally, keys):
+    """The count ``tally`` gives each of ``keys``."""
+    return {n: tally.count(n) for n in keys}
 
 
 class TestDeltaCounting:
@@ -284,14 +281,18 @@ class TestDeltaCounting:
     )
     @settings(max_examples=60, deadline=None)
     def test_block_growth(self, form, values, sizes):
+        # the step loop's tally, one layer per block
         ground = GroundSet.of(values[:1])
-        counts = class_counts(form, ground)
+        tally = Tally(class_counts(form, ground))
         rest = values[1:]
         for size in sizes:
             block, rest = tuple(rest[:size]), rest[size:]
-            merge(counts, class_count_delta(form, ground, block))
+            tally.stage(class_count_delta(form, ground, block))
+            tally.merge()
             ground = ground.union(block)
-            assert counts == brute_counts(form.coefficients, ground.elements)
+            expected = brute_counts(form.coefficients, ground.elements)
+            assert held(tally, [*expected, 10**6]) == {**expected, 10**6: 0}
+            assert tally.size == len(expected)
 
     def test_rejects_overlapping_or_repeated_block(self):
         form = LinearForm.parse("1,2")
@@ -460,20 +461,51 @@ class TestMultisetPath:
 
 
 count_maps = st.dictionaries(st.integers(-8, 8), st.integers(1, 3), max_size=10)
+# keys packed into a short range, so that most of a delta's keys are counted
+# already, with some outside the range the count has reached
+dense_maps = st.dictionaries(st.integers(-5, 5), st.integers(1, 3), max_size=11)
+deltas = st.one_of(dense_maps, dense_maps, count_maps)
+bounds = st.dictionaries(st.integers(-8, 8), st.integers(0, 6), max_size=6)
 
 
 class TestMergeCounts:
+    """The layered tally against one flat count (``oracles.merged``)."""
+
     @given(count_maps, count_maps)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_plain_loop(self, counts, delta):
         expected = merged(counts, delta)
-        merge(counts, delta)
-        assert list(counts.items()) == list(expected.items())
+        tally = Tally(dict(counts))
+        tally.stage(delta)
+        tally.merge()
+        assert held(tally, [*expected, 99]) == {**expected, 99: 0}
+        assert tally.size == len(expected)
 
-    def test_shared_keys_keep_their_place(self):
-        counts = {5: 1, -2: 2, 9: 1}
-        merge(counts, {7: 1, -2: 3, 0: 2, 5: 1})
-        assert list(counts.items()) == [(5, 2), (-2, 5), (9, 1), (7, 1), (0, 2)]
+    @given(
+        dense_maps,
+        st.lists(st.tuples(deltas, st.booleans()), max_size=8),
+        st.sampled_from([1, 2, 3, INFINITY]),
+        bounds,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_staged_accepted_and_rejected_deltas(self, counts, steps, default, values):
+        # each step stages a delta; an accepted one joins the flat model, a
+        # rejected one is replaced by the next stage
+        model = dict(counts)
+        tally = Tally(dict(counts))
+        for delta, accepted in steps:
+            tally.stage(delta)
+            staged = merged(model, delta)
+            assert held(tally, [*staged, 99]) == {**staged, 99: 0}
+            assert tally.overshoot(default, values) == first_overshoot(
+                model, delta, default, values
+            )
+            if accepted:
+                tally.merge()
+                model = staged
+            assert tally.size == len(model)
+        tally.stage({})
+        assert held(tally, [*model, 99]) == {**model, 99: 0}
 
 
 class TestDeltaShape:
@@ -533,7 +565,10 @@ class TestStreamedConvolution:
 
     @pytest.mark.parametrize("coeffs", REPEATING_FORMS + [(1, 2, -3), (3, 3)])
     def test_delta_is_a_plain_dict(self, coeffs):
-        # Tally.merge relies on dict.update replacing values; a Counter adds them
+        # the step loop keeps each accepted delta as a layer of its tally,
+        # and class_counts' result goes to callers as is: a plain dict's
+        # update replaces values and [n] raises on an absent key, where a
+        # Counter adds and answers 0
         form = LinearForm(coeffs)
         assert type(class_count_delta(form, GroundSet.of([0, 2, 5]), (-4, 9))) is dict
         assert type(class_counts(form, GroundSet.of([1, 2, 3, 7]))) is dict
