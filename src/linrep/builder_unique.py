@@ -190,8 +190,8 @@ class Tally:
     def stage(self, delta: dict[int, int]) -> None:
         """Stage the classes a candidate block adds, replacing any staged ones."""
         self.delta = delta
-        inside = filter(range(self.lo, self.hi + 1).__contains__, delta)
-        self._old = {n: c for n in inside if (c := self._verified(n))}
+        lo, hi = self.lo, self.hi
+        self._old = {n: c for n in delta if lo <= n <= hi and (c := self._verified(n))}
 
     def _verified(self, n: int) -> int:
         return sum(layer.get(n, 0) for layer in self.layers)

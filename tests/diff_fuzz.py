@@ -19,14 +19,14 @@ shares no code with the library's counting kernel).
   below the half-line bound.
 - ``realize``: a primitive, partition-regular form of arity 2 or 3 with
   coefficients in +-1..+-3, a target with window values 1, 2 or inf on
-  [-w, w] (w from 1 to 6) and default 1, 2 or inf, 2 to 8 steps, ``--d0``
-  and ``--m0`` drawn as above.  A run passes when it exits 0, 1 or a code
-  in ``cli._FAILURES`` without raising; exit 5, a known forced-collision
-  defect, is counted and not failed.  On exit 0 when |A|^h <= 3*10^5, the
-  recount must keep every count within the target and cover every traced
-  entry, each traced block must evaluate to its target, and each traced
-  ``support_size`` must be the size of the brute-force support of the set
-  up to that step.
+  [-w, w] (w from 1 to 6) and default 1, 2 or inf, 2 to 8 steps,
+  ``--d0`` drawn as for ``diff-realize`` and ``--m0`` as for ``build``.
+  A run passes when it exits 0, 1 or a code in ``cli._FAILURES`` without
+  raising; exit 5, a known forced-collision defect, is counted and not
+  failed.  On exit 0 when |A|^h <= 3*10^5, the recount must keep every
+  count within the target and cover every traced entry, each traced block
+  must evaluate to its target, and each traced ``support_size`` must be
+  the size of the brute-force support of the set up to that step.
 
 As a script it prints the exit-code histogram and every failing run, and
 exits 1 if any run failed:
@@ -54,13 +54,13 @@ from linrep import (
     INFINITY,
     DIFFERENCE_FORM,
     GroundSet,
+    LinearForm,
     PlentifulSequence,
     TargetFunction,
     is_partition_regular,
     is_primitive,
 )
 from linrep.cli import _FAILURES, main
-from linrep.forms import LinearForm
 
 from oracles import brute_counts
 

@@ -257,7 +257,8 @@ def split_sets(max_size):
 
 
 def merged_counts(form, base, block):
-    return merged(brute_counts(form.coefficients, base.elements), class_count_delta(form, base, block))
+    old = brute_counts(form.coefficients, base.elements)
+    return merged(old, class_count_delta(form, base, block))
 
 
 def held(tally, keys):
@@ -475,7 +476,7 @@ class TestMergeCounts:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_plain_loop(self, counts, delta):
         expected = merged(counts, delta)
-        tally = Tally(dict(counts))
+        tally = Tally(counts)
         tally.stage(delta)
         tally.merge()
         assert held(tally, [*expected, 99]) == {**expected, 99: 0}
@@ -491,8 +492,8 @@ class TestMergeCounts:
     def test_staged_accepted_and_rejected_deltas(self, counts, steps, default, values):
         # each step stages a delta; an accepted one joins the flat model, a
         # rejected one is replaced by the next stage
-        model = dict(counts)
-        tally = Tally(dict(counts))
+        model = counts
+        tally = Tally(counts)
         for delta, accepted in steps:
             tally.stage(delta)
             staged = merged(model, delta)
