@@ -6,21 +6,23 @@ The canonical datum of a class is therefore the finite map
 value -> coefficient-sum with zero sums removed.  A finite set represents
 finitely many integers, so the full support is always available.
 
-The general kernel counts classes as integers, one class type at a time.
-The type of a class is the multiset W of its weights; the types are the
-part sums of the partitions of the positions with no zero-weight part (a
-zero-weight part can join any other part without changing the class).
-The classes of type W at n number inj_W(n) / sym(W): inj_W counts the
-assignments of pairwise distinct values to W's weighted slots with sum n,
-and sym(W) is the product of m! over the multiplicities m of equal
-weights.  Moebius inversion on the partitions of the slots makes inj_W a
-signed sum of convolutions (G.-C. Rota, Z. Wahrsch. 2, 1964).  The empty
-class exists when the coefficients sum to 0 and the set is non-empty.
-Every count is a plain dict.  A convolution counts each distinct prefix
-sum against all of its values in one ``Counter.update`` stream, and only
-then adds the other copies of the few prefix sums with multiplicity above
-1; every later Moebius term and class type revisits only sums the first
-made, so they add into the first type's dict in place.
+The general kernel counts classes as integers, with one signed plan per
+form.  The type of a class is the multiset W of its weights: the part sums
+of a partition of the positions with no zero-weight part (a zero-weight
+part can join any other part without changing the class).  The classes of
+type W at n number inj_W(n) / sym(W): inj_W counts the assignments of
+pairwise distinct values to W's weighted slots with sum n, and sym(W) is
+the product of m! over the multiplicities m of equal weights.  Moebius
+inversion on the partitions of the slots makes inj_W a signed sum of
+convolutions (G.-C. Rota, Z. Wahrsch. 2, 1964).  Summed over the types,
+den times the class count, den the lcm of the sym(W), is one signed sum
+with one integer coefficient per merged-weight multiset; most cancel
+(``1,2,-3`` keeps 2 of 11 terms: all tuples, minus the constant tuples at
+0).  ``_terms`` builds that plan once per form.  The empty class exists
+when the coefficients sum to 0 and the set is non-empty.  Every count is a
+plain dict.  A convolution counts each distinct prefix sum against all of
+its values in one ``Counter.update`` stream, and only then adds the other
+copies of the few prefix sums with multiplicity above 1.
 
 When a disjoint block B joins a set A, the new classes are those whose
 support meets B, so ``class_count_delta`` counts only assignments with a
@@ -28,16 +30,11 @@ value in B, split by the first slot holding one.  A general delta lists
 its sums in the order a walk of the tuples with a block entry first meets
 them (split by the first block position, then ``itertools.product``
 order); that order decides which doubled value a retry trail names.  The
-builders' step loop keeps its running count in a ``builder_unique.Tally``,
-one layer per accepted delta: the count is always verified, and a staged
-delta joins it only through ``Tally.merge``, once the step's check has
-accepted it.
-Forms with equal coefficients keep a path that enumerates value
-multisets, keyed in multiset order, and streams their sums into the count
-(``_multiset_sums``).  Against the Moebius kernel (in process, best of 7),
-a 200-step 1,1 realize with its final recount took 0.10-0.12 s instead of
-0.21-0.22 s, and counts on 40 powers of 3 took about 2.7x less time for
-1,1 and 5x less for 1,1,1; for 1,1,1,1 on 25 values they measured even.
+builders keep each accepted delta as one layer of a ``builder_unique.Tally``.
+Forms with equal coefficients keep a path that enumerates value multisets,
+keyed in multiset order, and streams their sums into the count
+(``_multiset_sums``).  Their plan walks about h! times as many tuples: for
+``1,1`` it is all ordered pairs plus the pairs (x, x), halved.
 """
 
 from __future__ import annotations
@@ -45,12 +42,13 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement, cycle, repeat
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConstructionBugError
 from .forms import Frozen, LinearForm
 
 DEFAULT_TUPLE_BUDGET = 10**8
@@ -257,36 +255,66 @@ def _multiset_sums(
 def _general_delta(
     coeffs: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]
 ) -> dict[int, int]:
-    """Integer counts of the new classes, one class type at a time.
+    """Integer counts of the new classes from the form's signed plan.
 
-    The keys come in the order of their first tuple with a block entry,
-    split by the first block position, as the first type's first term
-    lists them; every later term only revisits those sums (an assignment
-    constant on parts has the weighted sum of a tuple the first term
-    counts), so the first type's dict is the result and no key is added.
+    The first term (the coefficients) is counted straight into the result,
+    which fixes the key order: that of its first tuple with a block entry,
+    split by the first block position.  A later term only revisits those
+    sums (an assignment constant on parts has the weighted sum of a tuple
+    the first term counts), so it goes into a correction dict over the keys
+    it touches.  Each corrected count must be a non-negative multiple of
+    den, or ConstructionBugError signals the bug; the first term's dict is
+    rescaled only when the coefficients have slot symmetries (sym0 > 1).
     """
-    counts: dict[int, int] = {}
-    touched: set[int] = set()
-    for j, weights in enumerate(_class_types(coeffs)):
-        sums = _injective_sums(weights, old, new, touched)
-        sym = prod(factorial(m) for m in Counter(weights).values())
-        if min(sums.values()) < 0 or (sym > 1 and any(c % sym for c in sums.values())):
-            raise RuntimeError(
-                f"injective counts of class type {weights} are not non-negative "
-                f"multiples of its {sym} slot symmetries"
+    den, (first, c0), *rest = _terms(coeffs)
+    counts = _split_sums(first, old, new, {})
+    touched: dict[int, int] = {}
+    for weights, c in rest:
+        for n, k in _split_sums(weights, old, new, {}).items():
+            touched[n] = touched.get(n, 0) + c * k
+    for n, c in touched.items():
+        c += c0 * counts[n]
+        if c < 0 or c % den:
+            raise ConstructionBugError(
+                f"plan of form {coeffs}: {c} at {n} is not a non-negative multiple of {den}"
             )
-        if j == 0:
-            counts = sums if sym == 1 else {n: c // sym for n, c in sums.items()}
-        else:
-            for n, c in sums.items():
-                counts[n] += c // sym
-            touched.update(sums)
+        touched[n] = c // den
+    sym0 = den // c0
+    if sym0 > 1:
+        # off the touched keys each count must divide by sym0: the totals tell
+        total = sum(counts.values()) - sum(counts[n] % sym0 for n in touched)
+        counts = {n: c // sym0 for n, c in counts.items()}
+        if sym0 * sum(counts.values()) != total:
+            raise ConstructionBugError(
+                f"plan of form {coeffs}: an uncorrected count is not a multiple of {sym0}"
+            )
+    counts.update(touched)
     if not old and sum(coeffs) == 0:
         counts[0] += 1  # the empty class, new with the first elements
     for n in touched:
         if not counts[n]:
             del counts[n]
     return counts
+
+
+@lru_cache
+def _terms(coeffs: tuple[int, ...]) -> tuple:
+    """The signed plan of a form: ``(den, (coeffs, c0), (weights, c), ...)``.
+
+    Summed over every class type W and every partition sigma of its slots,
+    mu(sigma) * den / sym(W) convolutions of sigma's merged weights count
+    den times the classes, where den is the lcm of the types' sym(W).
+    Terms with equal merged-weight multisets are added up and those that
+    cancel are dropped; the coefficients themselves stay first.
+    """
+    types = {w: prod(map(factorial, Counter(w).values())) for w in _class_types(coeffs)}
+    den, net = lcm(*types.values()), {}
+    for weights, sym in types.items():
+        for parts in _set_partitions(len(weights)):
+            merged = tuple(sum(weights[i] for i in part) for part in parts)
+            mu = prod((-1) ** (len(part) - 1) * factorial(len(part) - 1) for part in parts)
+            net.setdefault(tuple(sorted(merged)), [merged, 0])[1] += mu * (den // sym)
+    return (den, *((w, c) for w, c in net.values() if c))
 
 
 def _class_types(coeffs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -301,36 +329,8 @@ def _class_types(coeffs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield weights
 
 
-def _injective_sums(
-    weights: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...], touched: set[int]
-) -> dict[int, int]:
-    """Map n -> number of assignments of pairwise distinct values from
-    old+new to the weighted slots, with at least one block value, whose
-    weighted sum is n.
-
-    Moebius inversion on the partitions of the slots: an assignment
-    constant on the parts of sigma is counted by a convolution, and the
-    distinct-value count is the sum of those counts weighted by
-    mu(sigma) = prod((-1)^(s-1) (s-1)!) over the part sizes s.  The first
-    term (all singletons) goes straight into the result; the sums any
-    later term touches are added to ``touched``.
-    """
-    sums: dict[int, int] = {}
-    for j, parts in enumerate(_set_partitions(len(weights))):
-        merged = [sum(weights[i] for i in part) for part in parts]
-        if j == 0:
-            _split_sums(merged, old, new, sums)
-            continue
-        mu = prod((-1) ** (len(part) - 1) * factorial(len(part) - 1) for part in parts)
-        term = _split_sums(merged, old, new, {})
-        for n, c in term.items():
-            sums[n] += mu * c
-        touched.update(term)
-    return sums
-
-
 def _split_sums(
-    weights: list[int], old: tuple[int, ...], new: tuple[int, ...], out: dict[int, int]
+    weights: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...], out: dict[int, int]
 ) -> dict[int, int]:
     """Add the weighted sum of every assignment of old+new values to the
     slots with at least one block value, split by the first block slot:

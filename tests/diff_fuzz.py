@@ -10,8 +10,9 @@ shares no code with the library's counting kernel).
   count and a seed element.  A run passes when it exits 0 or 3 without
   raising, and on exit 0 when the report says ``"ledger_coherent": true``
   and the recount has count 1 at 0 and every count within the target.
-- ``build``: a primitive form of arity 2 or 3 with coefficients in
-  +-1..+-5, 3 to 10 steps, ``--m0`` at its default or 1 to 3, and
+- ``build``: a primitive form of arity 2 to 4 with coefficients in
+  +-1..+-5, 3 to 10 steps (3 to 5 at arity 4, so that every exit-0 set is
+  recounted), ``--m0`` at its default or 1 to 3, and
   ``--half-line`` absent or in -50..50.  A run passes when it exits 0
   without raising, or exits 3 for a single-signed form under
   ``--half-line``; on exit 0 when |A|^h <= 3*10^5, the recount must have
@@ -142,10 +143,11 @@ def run_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
 def draw_build_case(rng: random.Random) -> dict:
     """One build run's primitive form, step count, growth constant and bound."""
     while True:
-        coeffs = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(rng.randint(2, 3))]
+        coeffs = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
         if math.gcd(*coeffs) == 1:
             break
-    steps = rng.randint(3, 10)
+    # at most 1 + 5*4 elements after 5 arity-4 steps, so |A|^4 <= RECOUNT_LIMIT
+    steps = rng.randint(3, 5 if len(coeffs) == 4 else 10)
     m0 = rng.choice((None, 1, 2, 3))
     half_line = rng.choice((None, rng.randint(-50, 50)))
     return {

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from linrep import GroundSet, INFINITY, PlentifulSequence, TargetFunction, builder_unique
+from linrep import GroundSet, INFINITY, PlentifulSequence, TargetFunction, builder_unique, repcount
 from linrep.cli import main
 
 
@@ -434,3 +434,24 @@ class TestVerifyProfile:
         argv = ["verify", "--form", "1,1", "--set", "A.json", "--profile", "p.json"]
         assert run(capsys, *argv, *extra)[0] == code
         assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            # a correction that drives the count at 0 negative
+            lambda coeffs: (1, (coeffs, 1), ((0,), -5)),
+            # an odd corrected count where den is 2
+            lambda coeffs: (2, (coeffs, 2), ((0,), -1)),
+            # slot symmetries that the first term's counts do not have
+            lambda coeffs: (2, (coeffs, 1)),
+        ],
+    )
+    def test_wrong_plan_is_a_bug_signal(self, capsys, tmp_path, monkeypatch, plan):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "A.json").write_text(GroundSet.of([1, 4, 9]).to_json())
+        monkeypatch.setattr(repcount, "_terms", plan)
+        code, out = run(capsys, "verify", "--form", "1,2,-3", "--set", "A.json")
+        report = json.loads(out)
+        assert code == 5
+        assert report["ok"] is False and report["error"] == "ConstructionBugError"
+        assert report["message"].startswith("plan of form (1, 2, -3): ")

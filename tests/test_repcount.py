@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 from itertools import permutations, product as iproduct
 from math import perm
 
@@ -12,8 +11,8 @@ from linrep.errors import BudgetExceededError
 from linrep.repcount import (
     RepProfile,
     _class_types,
-    _injective_sums,
     _set_partitions,
+    _terms,
     class_count_delta,
     count_at,
     int_from_json,
@@ -335,6 +334,16 @@ def repeated_value_tuples(arity, old, new):
     return out
 
 
+# forms of the general kernel: coefficients in +-1..+-3, not all equal, so
+# that repeated coefficients and zero-sum subsets come often
+general_forms = st.one_of(
+    st.sampled_from([(1, 1, -2), (2, 2, -1, -1), (1, 1, 1, -3), (1, -1, 1, -1), (3, -3, 1)]),
+    st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=2, max_size=4)
+    .map(tuple)
+    .filter(lambda c: len(set(c)) > 1),
+)
+
+
 class TestGeneralKernel:
     @pytest.mark.parametrize("coeffs", SYM_FORMS)
     @given(split=split_sets(7))
@@ -415,17 +424,26 @@ class TestGeneralKernel:
         assert found[0] == coeffs
         assert sorted(map(sorted, found)) == sorted(map(sorted, types))
 
-    @given(st.lists(nonzero, min_size=1, max_size=4).map(tuple), split_sets(6))
-    @settings(max_examples=80, deadline=None)
-    def test_injective_sums_match_brute_force(self, weights, split):
+    @given(general_forms, split_sets(7))
+    @settings(max_examples=300, deadline=None)
+    def test_delta_matches_brute_force_in_first_seen_order(self, coeffs, split):
         base, block = split
-        expected = Counter(
-            sum(w * x for w, x in zip(weights, values))
-            for values in permutations(base.elements + block, len(weights))
-            if set(values) & set(block)
-        )
-        found = _injective_sums(weights, base.elements, block, set())
-        assert {n: c for n, c in found.items() if c} == dict(expected)
+        delta = class_count_delta(LinearForm(coeffs), base, block)
+        before = brute_counts(coeffs, base.elements)
+        after = brute_counts(coeffs, base.union(block).elements)
+        new = {n: c - before.get(n, 0) for n, c in after.items()}
+        assert delta == {n: d for n, d in new.items() if d}
+        order = first_seen_sums(coeffs, base.elements, block)
+        assert list(delta) == [n for n in order if n in delta]
+
+    def test_plan_of_small_forms(self):
+        # all tuples, minus the constant tuples at 0
+        assert _terms((1, 2, -3)) == (1, ((1, 2, -3), 1), ((0,), -1))
+        assert _terms((1, -1)) == (1, ((1, -1), 1), ((0,), -1))
+        # (den, number of terms), the coefficients first at den / sym0
+        forms = [(1, 2, 3, -5), (2, 2, -1, -1), (1, 1, 1, -3)]
+        assert [(_terms(c)[0], len(_terms(c)) - 1) for c in forms] == [(2, 5), (4, 6), (6, 4)]
+        assert [_terms(c)[1] for c in forms] == [(forms[0], 2), (forms[1], 1), (forms[2], 1)]
 
 
 class TestMultisetPath:
