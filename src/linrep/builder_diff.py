@@ -15,18 +15,19 @@ with infinite values (driven by a single long plentiful sequence), one
 for all-finite targets (driven by a supplier of fresh plentiful
 sequences with large term ratios).  Both make deterministic minimal
 choices and verify every step by exhaustively counting the classes its
-block adds; since no retry can fix a forced choice, a failed check
-raises a bug signal instead of looping.
+block adds, under the target builder's check; since no retry can fix a
+forced choice, they allow no retry, and a rejected step exits the loop
+with RetryExhaustedError.
 """
 
 from __future__ import annotations
 
 import json
-from operator import neg
+from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
-from .builder_target import TargetFunction, enumerate_multiset
-from .builder_unique import ConstructionState, Tally, _grow
+from .builder_target import TargetFunction, _accept_target, enumerate_multiset
+from .builder_unique import ConstructionState, _grow
 from .errors import (
     ConstructionBugError,
     InsufficientPairsError,
@@ -223,68 +224,6 @@ def _assert_diff_preconditions(target: TargetFunction) -> None:
         raise PreconditionViolationError("three-rep", str(report))
 
 
-def _check_diff_step(
-    tally: Tally,
-    target_fn: TargetFunction,
-    entry: tuple[int, int],
-    allowed_double: Callable[[int], bool],
-    fill: bool = False,
-) -> None:
-    """Shared oracle checks after one difference-form step; raises on failure.
-
-    The tally's counts were verified by the previous step and
-    ``tally.delta`` holds the step's new classes, so only the values in the
-    delta (and their mirrors) can break an invariant.  A ``fill`` step
-    brings the entry's value t all the way to f(t) in one go: +-t skip the
-    increment-size analysis, and both counts must end at exactly f(t).
-
-    The verified counts are even-symmetric: the seed count is {0: 1} and
-    every accepted step was checked.  So the new counts are even-symmetric
-    exactly when the delta is, and the per-value mirror and increment loops
-    run only when the bulk test of their phase fails, to name the violation.
-    """
-    t, copy_index = entry
-    delta = tally.delta
-    if tally.count(0) != 1:
-        raise ConstructionBugError(f"count at 0 is {tally.count(0)}, expected 1")
-    if delta != dict(zip(map(neg, delta), delta.values())):
-        for n in delta:
-            c = tally.count(n)
-            if c != tally.count(-n):
-                raise ConstructionBugError(
-                    f"counts not even-symmetric at {n}: {c} vs {tally.count(-n)}"
-                )
-    n = tally.overshoot(target_fn.default, target_fn.values)
-    if n is not None:
-        raise ConstructionBugError(
-            f"count {tally.count(n)} exceeds target {target_fn.value_at(n)} at {n}"
-        )
-    if max(delta.values(), default=0) > 1:
-        for n, d in delta.items():
-            if fill and abs(n) == abs(t):
-                continue
-            if d > 2:
-                raise ConstructionBugError(f"count jumped by {d} at {n}")
-            if d == 2:
-                old = tally.count(n) - d
-                if old != 0:
-                    raise ConstructionBugError(
-                        f"count rose by 2 at {n} on top of {old} existing classes"
-                    )
-                if not allowed_double(n):
-                    raise ConstructionBugError(
-                        f"unexpected double increment at {n}"
-                    )
-    if tally.count(t) < copy_index + 1:
-        raise ConstructionBugError(
-            f"target {t} copy {copy_index} still uncovered after the step"
-        )
-    if fill:
-        fv, got = target_fn.value_at(t), (tally.count(t), tally.count(-t))
-        if got != (fv, fv):
-            raise ConstructionBugError(f"counts at +-{t} are {got}, expected {fv}")
-
-
 def build_infinite_case(
     target: TargetFunction,
     seq: PlentifulSequence,
@@ -309,8 +248,8 @@ def build_infinite_case(
     chained onto t's largest anchor by the minimal sufficient partial sum
     of ``seq`` after that anchor's witness (0 for a pair no step recorded,
     such as one the seed forms with an early element), keeping every anchor
-    gap a contiguous partial sum.  Every step is verified exhaustively;
-    failures are bug signals, not retries.
+    gap a contiguous partial sum.  Every step is counted exhaustively and
+    accepted by the target builder's check, with no retry.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -324,8 +263,7 @@ def build_infinite_case(
             "build_unbounded_case (strictly bounded targets are an open case "
             "and are not attempted)",
         )
-    sigma_all = seq.all_partial_sums()  # built once: the check and every step read it
-    if not all(target.value_at(s) > 1 for s in sigma_all):
+    if not is_plentiful(seq, target):
         raise PreconditionViolationError(
             "plentiful", "supplied sequence is not plentiful for the target"
         )
@@ -362,9 +300,7 @@ def build_infinite_case(
             state.step + 1, case, t, copy_index, m_bound, 1, block, witness, 0, reps
         )
 
-    def accept(state, tally, entry, block):
-        _check_diff_step(tally, target, entry, allowed_double=lambda v: abs(v) in sigma_all)
-
+    accept = partial(_accept_target, target, None)
     return _grow(state, enumerate_multiset(target), steps, propose, accept, budget)
 
 
@@ -397,10 +333,10 @@ def build_unbounded_case(
     2*gamma elements x_1, ..., x_gamma and x_i - t, where
     x_1 > 2|t| + 3*max|B| and the later x gaps come from a supplied
     plentiful sequence whose quotients all exceed ``quotient_bound``
-    (first term included, relative to x_1).  The oracle then requires
-    counts at both signs of t to equal f(t) exactly, and every other
-    moved count to be fresh (0 before; up by 1, or by 2 on a value whose
-    target exceeds 1).
+    (first term included, relative to x_1).  Every step is counted
+    exhaustively and accepted by the target builder's check, with no
+    retry: no count may pass the target, and only t and -t among the
+    numbers scheduled before the entry may move.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -455,9 +391,7 @@ def build_unbounded_case(
             k, "batch", t, copy_index, m_bound, gamma, block, None, 0, tuple(zip(xs, ys))
         )
 
-    def accept(state, tally, entry, block):
-        _check_diff_step(tally, target, entry, lambda v: target.value_at(v) > 1, fill=True)
-
+    accept = partial(_accept_target, target, None)
     return _grow(state, enumerate_multiset(target), steps, propose, accept, budget)
 
 

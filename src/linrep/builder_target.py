@@ -317,6 +317,10 @@ def _accept_target(
     cover the entry's copy.  A zero of the target carries the explicit
     value 0, so the overshoot rule keeps the zero set unrepresented, the
     zeros ``_scheduled_before`` spans included.
+
+    The entry's own number t may move, and so may -t when the form's
+    coefficients are closed under negation (the difference form): a
+    class at t then always brings one at -t.
     """
     if half_line is not None and min(block) < half_line:
         return Violation("below-half-line-bound", min(block))
@@ -324,7 +328,9 @@ def _accept_target(
     n = tally.overshoot(target.default, target.values)
     if n is not None:
         return Violation("count-exceeds-target", n)
-    frozen = (tally.delta.keys() & _scheduled_before(entry)) - {t}
+    coeffs = state.form.coefficients
+    moving = {t, -t} if sorted(coeffs) == sorted(-a for a in coeffs) else {t}
+    frozen = (tally.delta.keys() & _scheduled_before(entry)) - moving
     if frozen:
         return Violation("frozen-count-changed", next(n for n in tally.delta if n in frozen))
     if tally.count(t) < copy_index + 1:

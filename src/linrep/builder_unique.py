@@ -10,8 +10,9 @@ counting oracle (each step counts the classes its block adds), with the
 growth constant doubled and the block reproposed whenever the check fails.
 
 The step loop itself, ``_grow``, and the construction state are shared
-with the target and difference-form builders, which differ only in their
-entry ordering, their proposals and their acceptance checks.
+with the target and difference-form builders.  All of them walk a
+target's fair multiset ordering and accept a step through the target
+builder's one check; they differ in their proposals and retry caps.
 """
 
 from __future__ import annotations

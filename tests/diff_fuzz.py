@@ -1,5 +1,5 @@
-"""Seeded differential fuzz of ``diff-realize --case infinite``, ``build``
-and ``realize`` through the CLI.
+"""Seeded differential fuzz of ``diff-realize`` (both cases), ``build`` and
+``realize`` through the CLI.
 
 Each run draws its arguments and runs ``linrep.cli.main`` in process.  The
 written set is recounted by brute force (``oracles.brute_counts``, which
@@ -9,7 +9,15 @@ shares no code with the library's counting kernel).
   inf and default inf, a geometric gap sequence of ratio 2 or 3, a step
   count and a seed element.  A run passes when it exits 0 or 3 without
   raising, and on exit 0 when the report says ``"ledger_coherent": true``
-  and the recount has count 1 at 0 and every count within the target.
+  and the recount has count 1 at 0, even counts and every count within the
+  target.
+- ``diff-unbounded`` (``diff-realize --case unbounded``): an even target
+  with f(0) = 1 on [-w, w] (w from 2 to 8), window values 1 to 3, default
+  1 or 2, and 3 to 25 steps.  A run passes when it exits 0 or 3 without
+  raising; exit 5, a known defect of incidental pairs, is counted and not
+  failed.  On exit 0 the recount is checked as for ``diff-realize``, and
+  every traced target must have exactly its target count: a batch step
+  fills its value in one go.
 - ``build``: a primitive form of arity 2 to 4 with coefficients in
   +-1..+-5, 3 to 10 steps (3 to 5 at arity 4, so that every exit-0 set is
   recounted), ``--m0`` at its default or 1 to 3, and
@@ -33,6 +41,7 @@ As a script it prints the exit-code histogram and every failing run, and
 exits 1 if any run failed:
 
     PYTHONPATH=src python tests/diff_fuzz.py --seed 11 --runs 400
+    PYTHONPATH=src python tests/diff_fuzz.py --command diff-unbounded --seed 11 --runs 400
     PYTHONPATH=src python tests/diff_fuzz.py --command build --seed 11 --runs 400
     PYTHONPATH=src python tests/diff_fuzz.py --command realize --seed 11 --runs 400
 """
@@ -124,6 +133,15 @@ def run_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
         return code, [f"exit {code}: {output.strip()}"], False
     if code != 0:
         return code, [], False
+    _, problems = recount_difference_set(case["target"], out, output)
+    return code, problems, True
+
+
+def recount_difference_set(
+    target: TargetFunction, out: Path, output: str
+) -> tuple[dict[int, int], list[str]]:
+    """(brute counts, problems) of an exit-0 ``diff-realize`` run whose
+    report is ``output`` and whose set is in ``out``."""
     problems = []
     if json.loads(output)["ledger_coherent"] is not True:
         problems.append("ledger_coherent is not true")
@@ -131,12 +149,60 @@ def run_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
     counts = brute_counts(DIFFERENCE_FORM.coefficients, elements)
     if counts.get(0) != 1:
         problems.append(f"brute count at 0 is {counts.get(0)}")
-    target = case["target"]
+    problems += [
+        f"brute count {c} at {n}, but {counts.get(-n, 0)} at {-n}"
+        for n, c in counts.items()
+        if counts.get(-n) != c
+    ]
     problems += [
         f"brute count {c} exceeds target {target.value_at(n)} at {n}"
         for n, c in counts.items()
         if c > target.value_at(n)
     ]
+    return counts, problems
+
+
+def draw_unbounded_case(rng: random.Random) -> dict:
+    """One batch run's even, all-finite target and step count."""
+    w = rng.randint(2, 8)
+    values = {0: 1}
+    for n in range(1, w + 1):
+        values[n] = values[-n] = rng.randint(1, 3)
+    default, steps = rng.choice((1, 2)), rng.randint(3, 25)
+    return {
+        "target": TargetFunction.make((-w, w), values=values, default=default),
+        "steps": steps,
+        "label": f"window {w}, default {default}, steps {steps}",
+    }
+
+
+def run_unbounded_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
+    """(exit code, problems, whether the set was recounted) for one batch run."""
+    out, trace = workdir / "set.json", workdir / "trace.jsonl"
+    out.unlink(missing_ok=True)
+    trace.unlink(missing_ok=True)
+    (workdir / "target.json").write_text(case["target"].to_json())
+    argv = [
+        "diff-realize", "--case", "unbounded",
+        "--target", str(workdir / "target.json"),
+        "--steps", str(case["steps"]),
+        "--out", str(out), "--trace", str(trace), "--format", "json",
+    ]
+    code, output = call_main(argv)
+    if code == -1:
+        return code, [f"raised: {output}"], False
+    if code not in (0, 3, 5):
+        return code, [f"exit {code}: {output.strip()}"], False
+    if code != 0:
+        return code, [], False
+    target = case["target"]
+    counts, problems = recount_difference_set(target, out, output)
+    for line in trace.read_text().splitlines():
+        t = int(json.loads(line)["target"])
+        if counts.get(t, 0) != target.value_at(t):
+            problems.append(
+                f"target {t} has brute count {counts.get(t, 0)}, not {target.value_at(t)}"
+            )
     return code, problems, True
 
 
@@ -272,6 +338,7 @@ def run_realize_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
 
 COMMANDS = {
     "diff-realize": (draw_case, run_case),
+    "diff-unbounded": (draw_unbounded_case, run_unbounded_case),
     "build": (draw_build_case, run_build_case),
     "realize": (draw_realize_case, run_realize_case),
 }

@@ -6,6 +6,7 @@ a second route.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -190,59 +191,26 @@ def scheduled_numbers(ordering, entry):
         numbers.add(e[0])
 
 
-def target_violation(target, frozen, counts, entry, delta):
+def target_violation(target, frozen, counts, entry, delta, coeffs):
     """(kind, value) of the first reason counts + delta breaks a target
-    step for entry (t, copy index), walking delta value by value, or None.
-    `frozen` holds the numbers scheduled before the entry."""
+    step for entry (t, copy index) under the form `coeffs`, walking delta
+    value by value, or None.  `frozen` holds the numbers scheduled before
+    the entry; t may move, and so may -t when negating every coefficient
+    gives the same multiset."""
     t, copy_index = entry
+    moving = {t}
+    if Counter(coeffs) == Counter(-a for a in coeffs):
+        moving.add(-t)
     for n, d in delta.items():
         if counts.get(n, 0) + d > target.value_at(n):
             return ("count-exceeds-target", n)
         if n in target.zero_set:
             return ("zero-set-hit", n)
     for n in delta:
-        if n != t and n in frozen:
+        if n not in moving and n in frozen:
             return ("frozen-count-changed", n)
     if counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
         return ("target-copy-missed", t)
-    return None
-
-
-def diff_step_violation(old_counts, delta, target_fn, entry, allowed_double, fill=False):
-    """Message of the first reason a difference-form step breaks an
-    invariant, walking delta value by value, or None.  Same order and
-    messages as builder_diff._check_diff_step; a fill step exempts +-t from
-    the increment checks and must end with both counts at exactly f(t)."""
-    t, copy_index = entry
-
-    def count(n):
-        return old_counts.get(n, 0) + delta.get(n, 0)
-
-    if count(0) != 1:
-        return f"count at 0 is {count(0)}, expected 1"
-    for n in delta:
-        c = count(n)
-        if c != count(-n):
-            return f"counts not even-symmetric at {n}: {c} vs {count(-n)}"
-    n = first_overshoot(old_counts, delta, target_fn.default, target_fn.values)
-    if n is not None:
-        return f"count {count(n)} exceeds target {target_fn.value_at(n)} at {n}"
-    for n, d in delta.items():
-        if fill and n in (t, -t):
-            continue
-        if d > 2:
-            return f"count jumped by {d} at {n}"
-        if d == 2:
-            old = old_counts.get(n, 0)
-            if old != 0:
-                return f"count rose by 2 at {n} on top of {old} existing classes"
-            if not allowed_double(n):
-                return f"unexpected double increment at {n}"
-    if count(t) < copy_index + 1:
-        return f"target {t} copy {copy_index} still uncovered after the step"
-    fv = target_fn.value_at(t)
-    if fill and (count(t), count(-t)) != (fv, fv):
-        return f"counts at +-{t} are {(count(t), count(-t))}, expected {fv}"
     return None
 
 

@@ -266,28 +266,32 @@ small_targets = st.dictionaries(st.integers(-6, 6), allowed, max_size=6).flatmap
 count_maps = st.dictionaries(st.integers(-9, 9), st.integers(1, 3), max_size=8)
 
 
-def target_check(target, counts, entry, delta):
-    """The builder's check and the oracle's, which walks the ordering up to
-    ``entry`` for the numbers scheduled before it."""
-    state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
+def target_check(target, counts, entry, delta, form):
+    """The builder's check under ``form`` and the oracle's, which walks the
+    ordering up to ``entry`` for the numbers scheduled before it."""
+    form = LinearForm.parse(form)
+    state = ConstructionState.initial(form, 1)
     tally = Tally(counts)
     tally.stage(delta)
     violation = _accept_target(target, None, state, tally, entry, (0, 1))
     frozen = scheduled_numbers(enumerate_multiset(target), entry)
     return (
         None if violation is None else (violation.kind, violation.value),
-        target_violation(target, frozen, counts, entry, delta),
+        target_violation(target, frozen, counts, entry, delta, form.coefficients),
     )
 
 
 class TestAcceptTarget:
     """The bulk check must name the same violation as the value-by-value loop."""
 
-    @given(small_targets, st.integers(1, 60), count_maps, count_maps)
+    @given(
+        small_targets, st.integers(1, 60), count_maps, count_maps,
+        st.sampled_from(["1,1", "1,-1"]),
+    )
     @settings(max_examples=400, deadline=None)
-    def test_agrees_with_the_loop(self, target, k, counts, delta):
+    def test_agrees_with_the_loop(self, target, k, counts, delta, form):
         entry = enumerate_multiset(target).entries(k)[-1]
-        found, expected = target_check(target, counts, entry, delta)
+        found, expected = target_check(target, counts, entry, delta, form)
         assert found == expected
 
     @pytest.mark.parametrize(
@@ -322,7 +326,24 @@ class TestAcceptTarget:
         target = TargetFunction.make((-10, 10), values, default, zeros)
         walked = scheduled_numbers(enumerate_multiset(target), entry)
         assert (delta.keys() & walked) - {entry[0]} == frozen
-        assert target_check(target, counts, entry, delta) == (expected, expected)
+        assert target_check(target, counts, entry, delta, "1,1") == (expected, expected)
+
+    @pytest.mark.parametrize(
+        "default, counts, entry, delta, expected",
+        [
+            # a second class at +-4, where the target allows one
+            (1, {0: 1, 4: 1, -4: 1}, (7, 0), {4: 1, -4: 1, 7: 1, -7: 1},
+             ("count-exceeds-target", 4)),
+            # (-4, 0) comes after 4, which moves with -4 under 1,-1
+            (2, {}, (-4, 0), {-4: 1, 5: 1, 4: 1}, None),
+            (2, {}, (-4, 0), {-4: 1, 4: 1, 3: 1, -3: 1}, ("frozen-count-changed", 3)),
+            # a step at +-5 that leaves the second copy of 5 uncovered
+            (2, {0: 1}, (5, 1), {5: 1, -5: 1}, ("target-copy-missed", 5)),
+        ],
+    )
+    def test_difference_form_cases(self, default, counts, entry, delta, expected):
+        target = TargetFunction.make((-10, 10), default=default)
+        assert target_check(target, counts, entry, delta, "1,-1") == (expected, expected)
 
 
 class TestBuildForTarget:

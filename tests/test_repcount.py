@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrep import INFINITY, GroundSet, LinearForm, class_counts, rep_function
+from linrep import (
+    DIFFERENCE_FORM, INFINITY, GroundSet, LinearForm, class_counts, rep_function
+)
 from linrep.errors import BudgetExceededError
 from linrep.repcount import (
     RepProfile,
@@ -342,6 +344,23 @@ general_forms = st.one_of(
     .map(tuple)
     .filter(lambda c: len(set(c)) > 1),
 )
+
+
+class TestDifferenceFormShape:
+    """Under x1 - x2 the class (x, y) at n pairs with (y, x) at -n, and every
+    (x, x) is the one empty class at 0.  So the counts of a non-empty set
+    have count 1 at 0 and are even, and so are the classes a block adds:
+    the difference-form builders rely on this without checking it."""
+
+    @given(split_sets(12).filter(lambda split: len(split[0]) > 0))
+    @settings(max_examples=300, deadline=None)
+    def test_one_class_at_0_and_even_counts(self, split):
+        base, block = split
+        counts = class_counts(DIFFERENCE_FORM, base)
+        delta = class_count_delta(DIFFERENCE_FORM, base, block)
+        assert counts[0] == 1 and 0 not in delta
+        assert counts == {-n: c for n, c in counts.items()}
+        assert delta == {-n: d for n, d in delta.items()}
 
 
 class TestGeneralKernel:
