@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linrep import (
     DIFFERENCE_FORM,
@@ -12,12 +14,14 @@ from linrep import (
     build_unbounded_case,
     check_three_rep_obstruction,
     class_counts,
+    enumerate_multiset,
     extract_plentiful,
     is_plentiful,
     window_plentiful_supply,
 )
 from linrep.builder_diff import DiffStepRecord, check_even_normalized
-from linrep.builder_unique import ConstructionState
+from linrep.builder_target import _accept_target
+from linrep.builder_unique import ConstructionState, Tally
 from linrep.errors import (
     InsufficientPairsError,
     PreconditionViolationError,
@@ -25,7 +29,7 @@ from linrep.errors import (
     SupplyExhaustedError,
 )
 
-from oracles import brute_counts
+from oracles import brute_counts, scheduled_numbers, target_violation
 
 
 def even_values(pairs):
@@ -85,6 +89,59 @@ class TestThreeRepObstruction:
     def test_infinite_counts_as_triple(self):
         t = TargetFunction.make((-10, 10), values=even_values([(7, INFINITY)]))
         assert not check_three_rep_obstruction(t).ok
+
+
+@st.composite
+def diff_steps(draw):
+    """(old counts, delta, target, entry) of a difference-form step: the old
+    counts are even-symmetric with one class at 0, the delta is symmetric or
+    has one broken mirror, and the entry is one of the ordering's first 60."""
+    def mirrored(halves):
+        return {**halves, **{-n: c for n, c in halves.items()}}
+
+    halves = st.dictionaries(st.integers(1, 8), st.integers(1, 3), max_size=5)
+    old = {**mirrored(draw(halves)), 0: 1}
+    delta = mirrored(draw(halves))
+    if draw(st.integers(0, 7)) == 0:
+        delta[0] = 1
+    if delta and draw(st.booleans()):
+        n = draw(st.sampled_from(sorted(delta)))
+        bump = draw(st.sampled_from([None, 1, 2]))
+        if bump is None:
+            del delta[-n]
+        else:
+            delta[-n] += bump
+    counts = st.sampled_from([1, 2, 3, 4, 6, INFINITY])
+    values = draw(st.dictionaries(st.integers(-12, 12).filter(bool), counts, max_size=4))
+    target = TargetFunction.make((-12, 12), values, draw(st.sampled_from([1, 2, INFINITY])))
+    entry = draw(st.sampled_from(enumerate_multiset(target).entries(60)))
+    return old, delta, target, entry
+
+
+class TestCheckDiffStep:
+    """A difference-form step goes through the target builder's check, which
+    must name the same violation as the value-by-value loop."""
+
+    @given(diff_steps())
+    @settings(max_examples=400, deadline=None)
+    # only the mirror of 5 is missing
+    @example(({0: 1}, {5: 1}, TargetFunction.make((-12, 12), default=2), (5, 0)))
+    # a double increment on an existing class
+    @example(({0: 1, 3: 1, -3: 1}, {3: 2, -3: 2}, TargetFunction.make((-12, 12), default=3),
+              (3, 0)))
+    # a symmetric step that leaves the entry's second copy uncovered
+    @example(({0: 1}, {5: 1, -5: 1}, TargetFunction.make((-12, 12), default=2), (5, 1)))
+    def test_agrees_with_the_loop(self, step):
+        old, delta, target, entry = step
+        tally = Tally(old)
+        tally.stage(delta)
+        state = ConstructionState.initial(DIFFERENCE_FORM, 1)
+        violation = _accept_target(target, None, state, tally, entry, (0, 1))
+        frozen = scheduled_numbers(enumerate_multiset(target), entry)
+        expected = target_violation(
+            target, frozen, old, entry, delta, DIFFERENCE_FORM.coefficients
+        )
+        assert (None if violation is None else (violation.kind, violation.value)) == expected
 
 
 class TestPlentiful:
