@@ -305,9 +305,11 @@ def _grow(
             retries += 1
             trail.append(f"step {k} retry {retries} (M={m}): {violation}")
             if retries > retry_cap:
+                why = f"exhausted {retry_cap} retries"
+                if not retry_cap:
+                    why = "rejected a forced block, which cannot be retried"
                 raise RetryExhaustedError(
-                    f"step {k} entry {entry} exhausted {retry_cap} retries; "
-                    "trace:\n" + "\n".join(trail)
+                    f"step {k} entry {entry} {why}; trace:\n" + "\n".join(trail)
                 )
             m *= 2
         tally.merge()

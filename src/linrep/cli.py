@@ -25,7 +25,6 @@ from .errors import (
     LinrepError,
     PreconditionViolationError,
     RetryExhaustedError,
-    SearchSpaceTooLargeError,
 )
 from .forms import (
     LinearForm,
@@ -101,12 +100,7 @@ def cmd_analyze(args) -> tuple[dict, str]:
     regular = certificate is None
     obstruction = has_ordered_unique_basis_obstruction(form)
     bezout = bezout_witness(form) if primitive else None
-    try:
-        witness = find_nontrivial_automorphism(form)
-        witness_state = "none" if witness is None else "found"
-    except SearchSpaceTooLargeError:
-        witness = None
-        witness_state = "skipped"
+    witness = find_nontrivial_automorphism(form)
 
     def sub(m: Optional[int]) -> str:
         return "0" if m is None else f"x{m + 1}"
@@ -121,7 +115,7 @@ def cmd_analyze(args) -> tuple[dict, str]:
             "positions": [i + 1 for i in certificate],
             "coefficients": [str(form.coefficients[i]) for i in certificate],
         },
-        "automorphism": witness_state
+        "automorphism": "none"
         if witness is None
         else {"psi": [sub(t) for t in witness.psi], "chi": [sub(t) for t in witness.chi]},
         "ordered_unique_obstruction": obstruction,
@@ -131,12 +125,12 @@ def cmd_analyze(args) -> tuple[dict, str]:
     if certificate is not None:
         coeffs = ", ".join(str(form.coefficients[i]) for i in certificate)
         lines[-1] += f" (zero-sum subset {{{coeffs}}})"
-    if witness_state == "found":
+    if witness is not None:
         psi = ", ".join(f"psi(x{i + 1})={sub(t)}" for i, t in enumerate(witness.psi))
         chi = ", ".join(f"chi(x{i + 1})={sub(t)}" for i, t in enumerate(witness.chi))
         lines.append(f"non-trivial automorphism: {psi}; {chi}")
     else:
-        lines.append(f"non-trivial automorphism: {witness_state}")
+        lines.append("non-trivial automorphism: none")
     lines.append(f"ordered unique-basis obstruction: {obstruction}")
     if bezout is not None:
         lines.append(f"bezout witness: ({', '.join(str(s) for s in bezout)})")

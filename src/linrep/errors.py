@@ -19,10 +19,6 @@ class NotPartitionRegularError(LinrepError):
     """Some non-empty subset of the coefficients sums to zero."""
 
 
-class SearchSpaceTooLargeError(LinrepError):
-    """The exhaustive substitution-pair search exceeds the configured cap."""
-
-
 class BudgetExceededError(LinrepError):
     """An enumeration would require more tuples than the caller allows."""
 

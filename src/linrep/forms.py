@@ -7,7 +7,7 @@ module answers the structural questions the set constructions depend on:
 * primitivity (gcd of the coefficients is 1),
 * a deterministic Bezout witness expressing 1 in the form,
 * partition regularity (no non-empty subset of coefficients sums to 0),
-* existence of a non-trivial substitution automorphism,
+* a non-trivial substitution automorphism, built from a zero-sum subset,
 * the equal-subset-sum obstruction to ordered unique bases,
 * the spiral enumeration 0, 1, -1, 2, -2, ... of the integers.
 
@@ -17,12 +17,10 @@ module answers the structural questions the set constructions depend on:
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import FormParseError, NotPrimitiveError, SearchSpaceTooLargeError
-
-DEFAULT_AUTOMORPHISM_ARITY_CAP = 5
+from .errors import FormParseError, NotPrimitiveError
 
 
 class Frozen:
@@ -110,9 +108,9 @@ class AutomorphismWitness(NamedTuple):
     constant 0.  The witness is valid for a form when the collected
     coefficients of ``sum(a_i * psi(x_i)) - sum(a_i * chi(x_i))`` reproduce
     the form's coefficient vector; it is non-trivial when ``chi`` is not
-    identically ``None``.  The search additionally requires the pair to be
-    admissible (see ``substitution_supports_compatible``), which is what
-    ties witness existence to partition regularity.
+    identically ``None``.  Witnesses built from a zero-sum certificate are
+    admissible: every variable that ``chi`` substitutes, ``psi`` substitutes
+    too.  That rule ties witness existence to partition irregularity.
     """
 
     psi: tuple[Optional[int], ...]
@@ -210,61 +208,24 @@ def is_partition_regular(form: LinearForm) -> bool:
     return zero_sum_certificate(form) is None
 
 
-def substitution_supports_compatible(
-    psi: tuple[Optional[int], ...], chi: tuple[Optional[int], ...]
-) -> bool:
-    """True when every variable substituted by chi is also substituted by psi.
+def find_nontrivial_automorphism(form: LinearForm) -> Optional[AutomorphismWitness]:
+    """A non-trivial witness built from the zero-sum certificate, or None.
 
-    This is the admissibility condition for witness pairs: without it, a
-    pair can reproduce the form through repeated coefficient contributions
-    (e.g. 2*a_1 + a_2 = 0 for the form x1 - 2*x2) without certifying any
-    zero-sum coefficient subset, and the correspondence with partition
-    regularity breaks.  With it, summing the per-variable equations of a
-    non-trivial witness gives
-    sum(a_i, psi(x_i) = 0) + sum(a_i, chi(x_i) != 0) = 0
-    over two disjoint index sets with non-empty union: a zero-sum subset.
+    Let S be ``zero_sum_certificate(form)`` and s its least position: psi
+    sends x_s to 0 and keeps every other variable, and chi sends each x_i
+    with i in S - {s} to x_s and every other variable to 0.  The pair
+    reproduces the form because the coefficients at S - {s} sum to -a_s.
+    It is admissible because chi moves no variable that psi kills, and it
+    is non-trivial because |S| >= 2 (no coefficient is 0).  Returns None
+    exactly when the form is partition regular.
     """
-    return all(p is not None for p, c in zip(psi, chi) if c is not None)
-
-
-def find_nontrivial_automorphism(
-    form: LinearForm, arity_cap: int = DEFAULT_AUTOMORPHISM_ARITY_CAP
-) -> Optional[AutomorphismWitness]:
-    """Search all admissible substitution pairs for a non-trivial witness.
-
-    The candidate space is every pair (psi, chi) of maps from the h
-    variables to {0, x_1, ..., x_h} satisfying
-    ``substitution_supports_compatible``, scanned exhaustively:
-    all psi-side collected-coefficient vectors are tabulated once, then
-    chi candidates are tried in lexicographic order (None before variable
-    indices) against the matching psi candidates.  This examines the same
-    space as a nested pair loop.  A witness exists if and only if some
-    non-empty subset of the coefficients sums to zero.  Raises
-    SearchSpaceTooLargeError when the arity exceeds ``arity_cap``.
-    """
-    h = form.arity
-    if h > arity_cap:
-        raise SearchSpaceTooLargeError(
-            f"arity {h} exceeds cap {arity_cap}: {(h + 1) ** h}^2 candidate pairs"
-        )
-    coeffs = form.coefficients
-    options: tuple[Optional[int], ...] = (None,) + tuple(range(h))
-
-    psi_by_vector: dict[tuple[int, ...], list[tuple[Optional[int], ...]]] = {}
-    for psi in product(options, repeat=h):
-        vec = tuple(_collect(coeffs, psi))
-        psi_by_vector.setdefault(vec, []).append(psi)
-
-    for chi in product(options, repeat=h):
-        if all(t is None for t in chi):
-            continue
-        need = tuple(a + c for a, c in zip(coeffs, _collect(coeffs, chi)))
-        for psi in psi_by_vector.get(need, ()):
-            if substitution_supports_compatible(psi, chi):
-                witness = AutomorphismWitness(psi, chi)
-                assert witness.verifies(form)
-                return witness
-    return None
+    certificate = zero_sum_certificate(form)
+    if certificate is None:
+        return None
+    s, *rest = certificate
+    psi = tuple(None if i == s else i for i in range(form.arity))
+    chi = tuple(s if i in rest else None for i in range(form.arity))
+    return AutomorphismWitness(psi, chi)
 
 
 def has_ordered_unique_basis_obstruction(form: LinearForm) -> bool:

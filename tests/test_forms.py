@@ -1,9 +1,11 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrep import LinearForm, find_nontrivial_automorphism, is_partition_regular, is_primitive
-from linrep.errors import FormParseError, NotPrimitiveError, SearchSpaceTooLargeError
+from linrep.errors import FormParseError, NotPrimitiveError
 from linrep.forms import (
     AutomorphismWitness,
     bezout_witness,
@@ -136,11 +138,39 @@ class TestAutomorphisms:
         assert witness is not None
         assert witness.verifies(LinearForm.parse("1,2,-3"))
 
-    def test_arity_cap(self):
-        form = LinearForm(tuple([1] * 6))
-        with pytest.raises(SearchSpaceTooLargeError):
-            find_nontrivial_automorphism(form)
-        assert find_nontrivial_automorphism(form, arity_cap=6) is None
+    @staticmethod
+    def _assert_nontrivial_admissible(witness):
+        assert any(t is not None for t in witness.chi)
+        assert all(p is not None for p, c in zip(witness.psi, witness.chi) if c is not None)
+
+    def test_matches_pair_loop_exhaustively(self):
+        # every form of arity 1-3 with coefficients in +-1..+-3, and one
+        # regular arity-4 form: the nested pair loop shares no code with
+        # the certificate-built witness
+        nonzero = [c for c in range(-3, 4) if c]
+        forms = [coeffs for h in range(1, 4) for coeffs in product(nonzero, repeat=h)]
+        for coeffs in forms + [(1, 2, 4, 8)]:
+            witness = find_nontrivial_automorphism(LinearForm(coeffs))
+            assert (witness is None) == (direct_pair_automorphism(coeffs) is None), coeffs
+            if witness is not None:
+                assert witness.verifies(LinearForm(coeffs)), coeffs
+                self._assert_nontrivial_admissible(witness)
+
+    # arities 6-10, far past any exhaustive pair search; single-signed forms
+    # are always regular, mixed ones mostly irregular
+    @given(
+        st.lists(st.integers(1, 40), min_size=6, max_size=10)
+        | st.lists(nonzero_ints, min_size=6, max_size=10)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_witness_exists_iff_irregular_at_high_arity(self, coeffs):
+        form = LinearForm(tuple(coeffs))
+        witness = find_nontrivial_automorphism(form)
+        assert (witness is not None) == (not is_partition_regular(form))
+        assert (witness is not None) == subset_zero_sum(form.coefficients)
+        if witness is not None:
+            assert witness.verifies(form)
+            self._assert_nontrivial_admissible(witness)
 
     @given(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)
@@ -150,13 +180,6 @@ class TestAutomorphisms:
         assert (witness is not None) == (not is_partition_regular(form))
         if witness is not None:
             assert witness.verifies(form)
-
-    @given(st.lists(st.integers(-2, 2).filter(bool), min_size=1, max_size=2))
-    @settings(max_examples=30, deadline=None)
-    def test_factored_search_matches_pair_loop(self, coeffs):
-        factored = find_nontrivial_automorphism(LinearForm(tuple(coeffs)))
-        direct = direct_pair_automorphism(tuple(coeffs))
-        assert (factored is None) == (direct is None)
 
 
 class TestOrderedObstruction:
