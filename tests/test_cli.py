@@ -1,15 +1,87 @@
 import json
+import re
 
 import pytest
 
 from linrep import GroundSet, INFINITY, PlentifulSequence, TargetFunction, builder_unique, repcount
-from linrep.cli import main
+from linrep.cli import build_parser, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+COMMON = {"format": "text", "budget": 10**8}
+
+# each command's smallest valid argv as (flag, value) pairs in the order of
+# its usage line, every dest it parses to, and its options in that order
+PARSER_PINS = {
+    "analyze": (
+        [("--form", "1,1")],
+        {"form": "1,1"},
+        ["--form"],
+    ),
+    "build": (
+        [("--form", "1,2,-3"), ("--steps", "3")],
+        {"form": "1,2,-3", "steps": 3, "d0": 1, "m0": None, "half_line": None,
+         "out": None, "trace": None},
+        ["--form", "--steps", "--d0", "--m0", "--half-line", "--out", "--trace"],
+    ),
+    "realize": (
+        [("--form", "1,1"), ("--target", "t.json"), ("--steps", "3")],
+        {"form": "1,1", "target": "t.json", "steps": 3, "d0": 1, "m0": None,
+         "out": None, "trace": None},
+        ["--form", "--target", "--steps", "--d0", "--m0", "--out", "--trace"],
+    ),
+    "diff-realize": (
+        [("--target", "t.json"), ("--steps", "3"), ("--case", "unbounded")],
+        {"target": "t.json", "steps": 3, "case": "unbounded", "seq": None,
+         "ratio": 24, "d0": 1, "out": None, "trace": None},
+        ["--target", "--steps", "--case", "--seq", "--ratio", "--d0", "--out", "--trace"],
+    ),
+    "verify": (
+        [("--form", "1,1"), ("--set", "A.json")],
+        {"form": "1,1", "set": "A.json", "target": None, "window": None, "profile": None},
+        ["--form", "--set", "--target", "--window", "--profile"],
+    ),
+    "extract": (
+        [("--set", "A.json"), ("--form", "1,-1"), ("--n", "2"), ("--length", "3")],
+        {"set": "A.json", "form": "1,-1", "n": 2, "length": 3, "out": None},
+        ["--set", "--form", "--n", "--length", "--out"],
+    ),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(PARSER_PINS))
+    def test_minimal_argv_parses_to_every_default(self, command):
+        pairs, dests, _ = PARSER_PINS[command]
+        ns = vars(build_parser().parse_args([command, *(a for pair in pairs for a in pair)]))
+        assert callable(ns.pop("func"))
+        assert ns == {"command": command, **dests, **COMMON}
+
+    @pytest.mark.parametrize("command", sorted(PARSER_PINS))
+    def test_options_keep_their_order(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        flags = re.findall(r"\[?(--[a-z0-9-]+)", usage)
+        assert flags == [*PARSER_PINS[command][2], "--format", "--budget"]
+
+    @pytest.mark.parametrize(
+        "command, dropped",
+        [(c, i) for c, (pairs, _, _) in sorted(PARSER_PINS.items()) for i in range(len(pairs))],
+    )
+    def test_each_required_option_is_required(self, capsys, command, dropped):
+        pairs = PARSER_PINS[command][0]
+        argv = [a for i, pair in enumerate(pairs) if i != dropped for a in pair]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *argv])
+        assert exc.value.code == 2
+        assert pairs[dropped][0] in capsys.readouterr().err
 
 
 class TestAnalyze:
