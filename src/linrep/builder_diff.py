@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .builder_target import TargetFunction, _accept_target, enumerate_multiset
@@ -425,14 +426,7 @@ def window_plentiful_supply(target: TargetFunction) -> PlentifulSupply:
                 if cand < floor:
                     continue
                 # every partial sum ending at the new term must stay doubled
-                acc = cand
-                ok = target.value_at(acc) > 1
-                for prev in reversed(prefix):
-                    if not ok:
-                        break
-                    acc += prev
-                    ok = target.value_at(acc) > 1
-                if not ok:
+                if not all(target.value_at(s) > 1 for s in accumulate([cand, *reversed(prefix)])):
                     continue
                 found = extend(prefix + [cand])
                 if found is not None:

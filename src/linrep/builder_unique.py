@@ -408,11 +408,7 @@ def build(
     if not is_primitive(form):
         raise NotPrimitiveError(f"form {form} has gcd > 1")
     if half_line is not None:
-        signs = {c > 0 for c in form.coefficients}
-        if len(signs) < 2:
-            raise MixedSignRequiredError(
-                f"half-line construction needs mixed-sign coefficients, got {form}"
-            )
+        mixed_sign_last(form)  # for its check: a half line needs both signs
     if form.arity == 1:
         return ConstructionState(form, GroundSet.of([]), ())
     if d0 == 0:

@@ -28,8 +28,8 @@ from .errors import (
 )
 from .forms import (
     LinearForm,
+    _witness_from_certificate,
     bezout_witness,
-    find_nontrivial_automorphism,
     has_ordered_unique_basis_obstruction,
     is_primitive,
     zero_sum_certificate,
@@ -100,7 +100,7 @@ def cmd_analyze(args) -> tuple[dict, str]:
     regular = certificate is None
     obstruction = has_ordered_unique_basis_obstruction(form)
     bezout = bezout_witness(form) if primitive else None
-    witness = find_nontrivial_automorphism(form)
+    witness = _witness_from_certificate(form, certificate)
 
     def sub(m: Optional[int]) -> str:
         return "0" if m is None else f"x{m + 1}"
@@ -272,14 +272,48 @@ def cmd_extract(args) -> tuple[dict, str]:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_TUPLE_BUDGET,
-        help="maximum number of tuples any one enumeration may visit",
-    )
+# every option's add_argument keywords, each declared once
+_OPTIONS = {
+    "--form": {"required": True, "help": 'comma-separated coefficients, e.g. "1,2,-3"'},
+    "--set": {"required": True, "help": "ground-set JSON file"},
+    "--target": {"required": True, "help": "target-function JSON file"},
+    "--steps": {"type": int, "required": True},
+    "--case": {"choices": ("infinite", "unbounded"), "required": True},
+    "--seq": {"help": "plentiful sequence JSON file (infinite case)"},
+    "--ratio": {"type": int, "default": builder_diff.DEFAULT_QUOTIENT_BOUND,
+                "help": "minimum term quotient requested from the supplier (unbounded case)"},
+    "--d0": {"type": int, "default": 1},
+    "--m0": {"type": int},
+    "--half-line": {"type": int},
+    "--n": {"type": int, "required": True},
+    "--length": {"type": int, "required": True},
+    "--window": {"type": int, "nargs": 2, "metavar": ("LO", "HI"),
+                 "help": "window for --profile (default: the full support)"},
+    "--profile": {"help": "also write the count profile as JSON"},
+    "--out": {"help": "write the set or extract's gap sequence as a JSON array of decimal strings"},
+    "--trace": {"help": "write one JSON record per step (JSON lines)"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--budget": {"type": int, "default": DEFAULT_TUPLE_BUDGET,
+                 "help": "maximum number of tuples any one enumeration may visit"},
+}
+
+# command: (handler, help, its options in order, keywords that override
+# _OPTIONS for this command); every command takes --format and --budget last
+_COMMANDS = {
+    "analyze": (cmd_analyze, "structural report on a form", "--form", {}),
+    "build": (cmd_build, "grow a unique representation basis",
+              "--form --steps --d0 --m0 --half-line --out --trace", {}),
+    "realize": (cmd_realize, "grow a set matching a target function",
+                "--form --target --steps --d0 --m0 --out --trace", {}),
+    "diff-realize": (cmd_diff_realize, "realize a target for the difference form x1 - x2",
+                     "--target --steps --case --seq --ratio --d0 --out --trace", {}),
+    "verify": (cmd_verify, "recount a set file against a form",
+               "--form --set --target --window --profile",
+               {"--target": {"required": False, "help": "target-function JSON file; "
+                             "omitted means every count must be <= 1"}}),
+    "extract": (cmd_extract, "extract a gap sequence at a difference (--form must be 1,-1)",
+                "--set --form --n --length --out", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,80 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
         "functions of integer linear forms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="structural report on a form")
-    p.add_argument("--form", required=True, help='comma-separated coefficients, e.g. "1,2,-3"')
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("build", help="grow a unique representation basis")
-    p.add_argument("--form", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--d0", type=int, default=1)
-    p.add_argument("--m0", type=int, default=None)
-    p.add_argument("--half-line", dest="half_line", type=int, default=None)
-    p.add_argument("--out", help="write the set as a JSON array of decimal strings")
-    p.add_argument("--trace", help="write one JSON record per step (JSON lines)")
-    _add_common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("realize", help="grow a set matching a target function")
-    p.add_argument("--form", required=True)
-    p.add_argument("--target", required=True, help="target-function JSON file")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--d0", type=int, default=1)
-    p.add_argument("--m0", type=int, default=None)
-    p.add_argument("--out")
-    p.add_argument("--trace")
-    _add_common(p)
-    p.set_defaults(func=cmd_realize)
-
-    p = sub.add_parser(
-        "diff-realize", help="realize a target for the difference form x1 - x2"
-    )
-    p.add_argument("--target", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--case", choices=("infinite", "unbounded"), required=True)
-    p.add_argument("--seq", help="plentiful sequence JSON file (infinite case)")
-    p.add_argument(
-        "--ratio",
-        type=int,
-        default=builder_diff.DEFAULT_QUOTIENT_BOUND,
-        help="minimum term quotient requested from the supplier (unbounded case)",
-    )
-    p.add_argument("--d0", type=int, default=1)
-    p.add_argument("--out")
-    p.add_argument("--trace")
-    _add_common(p)
-    p.set_defaults(func=cmd_diff_realize)
-
-    p = sub.add_parser("verify", help="recount a set file against a form")
-    p.add_argument("--form", required=True)
-    p.add_argument("--set", required=True, help="ground-set JSON file")
-    p.add_argument(
-        "--target",
-        help="target-function JSON file; omitted means every count must be <= 1",
-    )
-    p.add_argument(
-        "--window",
-        type=int,
-        nargs=2,
-        metavar=("LO", "HI"),
-        help="window for --profile (default: the full support)",
-    )
-    p.add_argument("--profile", help="also write the count profile as JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("extract", help="extract a gap sequence at a difference")
-    p.add_argument("--set", required=True)
-    p.add_argument("--form", required=True, help="must be the difference form 1,-1")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_extract)
-
+    for name, (func, help_text, flags, overrides) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags.split(), "--format", "--budget"):
+            p.add_argument(flag, **{**_OPTIONS[flag], **overrides.get(flag, {})})
+        p.set_defaults(func=func)
     return parser
 
 

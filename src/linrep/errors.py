@@ -35,19 +35,23 @@ class MixedSignRequiredError(LinrepError):
 
 
 class RetryExhaustedError(LinrepError):
-    """Growth-constant doubling hit the retry cap.
+    """The step loop rejected more blocks in one step than its retry cap.
 
-    Sufficiently large growth constants always succeed, so this signals an
-    implementation bug rather than a legitimate outcome.  The message carries
-    the full retry trace.
+    ``build`` and ``realize`` double the growth constant after each
+    rejection, and a large enough constant always succeeds, so hitting
+    their cap signals an implementation bug.  The difference-form builders
+    make forced choices and run with a cap of 0, so their first rejected
+    block raises this error.  The message carries the full retry trace.
     """
 
 
 class ConstructionBugError(LinrepError):
-    """A deterministic construction step failed its verification oracle.
+    """An internal invariant failed, which signals an implementation bug.
 
-    The difference-form builders make forced choices, so a post-step oracle
-    failure cannot be retried away and is reported as a bug.
+    Raised when the counting kernel's signed plan yields a count that is
+    negative or not a multiple of its denominator, when
+    ``extract_plentiful``'s sequence is not plentiful for the set's own
+    counts, and when a batch difference-form step meets a non-positive gamma.
     """
 
 

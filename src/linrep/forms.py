@@ -219,7 +219,13 @@ def find_nontrivial_automorphism(form: LinearForm) -> Optional[AutomorphismWitne
     is non-trivial because |S| >= 2 (no coefficient is 0).  Returns None
     exactly when the form is partition regular.
     """
-    certificate = zero_sum_certificate(form)
+    return _witness_from_certificate(form, zero_sum_certificate(form))
+
+
+def _witness_from_certificate(
+    form: LinearForm, certificate: Optional[tuple[int, ...]]
+) -> Optional[AutomorphismWitness]:
+    """find_nontrivial_automorphism's witness, from a certificate already found."""
     if certificate is None:
         return None
     s, *rest = certificate

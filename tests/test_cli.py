@@ -4,6 +4,7 @@ import re
 import pytest
 
 from linrep import GroundSet, INFINITY, PlentifulSequence, TargetFunction, builder_unique, repcount
+from linrep import cli, forms
 from linrep.cli import build_parser, main
 
 
@@ -68,7 +69,7 @@ class TestParser:
             build_parser().parse_args([command, "--help"])
         assert exc.value.code == 0
         usage = capsys.readouterr().out.split("\n\n")[0]
-        flags = re.findall(r"\[?(--[a-z0-9-]+)", usage)
+        flags = re.findall(r"--[a-z0-9-]+", usage)
         assert flags == [*PARSER_PINS[command][2], "--format", "--budget"]
 
     @pytest.mark.parametrize(
@@ -113,6 +114,21 @@ class TestAnalyze:
         code, out = run(capsys, "analyze", "--form", "1,0,2")
         assert code == 2
         assert json.loads(out)["ok"] is False
+
+    def test_subsets_walked_once(self, capsys, monkeypatch):
+        calls = []
+        search = forms.zero_sum_certificate
+
+        def counted(form):
+            calls.append(form)
+            return search(form)
+
+        # cli binds the name at import, so both references are counted
+        monkeypatch.setattr(forms, "zero_sum_certificate", counted)
+        monkeypatch.setattr(cli, "zero_sum_certificate", counted)
+        code, out = run(capsys, "analyze", "--form", "1,1,1,1,1,1,1,1,1,1,1,1")
+        assert code == 0 and "non-trivial automorphism: none" in out
+        assert len(calls) == 1
 
 
 class TestBuildVerifyRoundTrip:
@@ -161,6 +177,7 @@ class TestBuildVerifyRoundTrip:
             capsys, "build", "--form", "2,3", "--steps", "3", "--half-line", "0"
         )
         assert code == 3
+        assert json.loads(out)["error"] == "MixedSignRequiredError"
 
     def test_imprimitive_build_exit_code(self, capsys):
         code, _ = run(capsys, "build", "--form", "2,4", "--steps", "3")
