@@ -23,12 +23,11 @@ with RetryExhaustedError.
 from __future__ import annotations
 
 import json
-from functools import partial
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
-from .builder_target import TargetFunction, _accept_target, enumerate_multiset
-from .builder_unique import ConstructionState, _grow
+from .builder_target import TargetFunction, _grow
+from .builder_unique import ConstructionState
 from .errors import (
     ConstructionBugError,
     InsufficientPairsError,
@@ -70,13 +69,8 @@ class PlentifulSequence(Frozen):
         return sum(self.terms[l - 1 : m])
 
     def all_partial_sums(self) -> set[int]:
-        sums: set[int] = set()
-        for l in range(1, len(self.terms) + 1):
-            acc = 0
-            for m in range(l, len(self.terms) + 1):
-                acc += self.terms[m - 1]
-                sums.add(acc)
-        return sums
+        terms = self.terms
+        return {s for i in range(len(terms)) for s in accumulate(terms[i:])}
 
     @classmethod
     def from_json(cls, text: str) -> "PlentifulSequence":
@@ -174,9 +168,7 @@ def extract_plentiful(
             f"found {len(anchors)} pairs at difference {n}, need {length + 1}"
         )
     chosen = anchors[: length + 1]
-    seq = PlentifulSequence(
-        tuple(chosen[i + 1] - chosen[i] for i in range(length))
-    )
+    seq = PlentifulSequence(b - a for a, b in pairwise(chosen))
     own_counts = class_counts(DIFFERENCE_FORM, ground_set, budget)
     if not is_plentiful(seq, own_counts):
         raise ConstructionBugError(
@@ -301,8 +293,7 @@ def build_infinite_case(
             state.step + 1, case, t, copy_index, m_bound, 1, block, witness, 0, reps
         )
 
-    accept = partial(_accept_target, target, None)
-    return _grow(state, enumerate_multiset(target), steps, propose, accept, budget)
+    return _grow(state, target, steps, propose, budget)
 
 
 PlentifulSupply = Callable[[int, int, int], PlentifulSequence]
@@ -370,30 +361,25 @@ def build_unbounded_case(
                 raise SupplyExhaustedError(
                     f"step {k}: supplier did not provide {gamma - 1} terms"
                 )
-            prev = x1
-            for term in supplied.terms:
+            for prev, term in pairwise((x1, *supplied.terms)):
                 if term < prev * quotient_bound:
                     raise SupplyExhaustedError(
                         f"step {k}: quotient below {quotient_bound} at term {term}"
                     )
-                prev = term
             if not is_plentiful(supplied, target):
                 raise SupplyExhaustedError(
                     f"step {k}: supplied sequence is not plentiful for the target"
                 )
             gaps = supplied.terms
 
-        xs = [x1]
-        for gap in gaps:
-            xs.append(xs[-1] + gap)
+        xs = list(accumulate(gaps, initial=x1))
         ys = [x - t for x in xs]
         block = tuple(xs + ys)
         return DiffStepRecord(
             k, "batch", t, copy_index, m_bound, gamma, block, None, 0, tuple(zip(xs, ys))
         )
 
-    accept = partial(_accept_target, target, None)
-    return _grow(state, enumerate_multiset(target), steps, propose, accept, budget)
+    return _grow(state, target, steps, propose, budget)
 
 
 def window_plentiful_supply(target: TargetFunction) -> PlentifulSupply:
@@ -410,10 +396,8 @@ def window_plentiful_supply(target: TargetFunction) -> PlentifulSupply:
             return PlentifulSequence(())
         if target.default > 1:
             first = max(min_first, target.window_hi + 1)
-            terms = [first]
-            while len(terms) < length:
-                terms.append(terms[-1] * max(min_ratio, 2))
-            return PlentifulSequence(tuple(terms))
+            ratio = max(min_ratio, 2)
+            return PlentifulSequence(first * ratio**i for i in range(length))
         candidates = sorted(
             n for n, v in target.values.items() if n >= 1 and v > 1
         )

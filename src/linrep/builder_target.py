@@ -3,20 +3,20 @@
 A target function assigns every integer a desired class count (possibly
 infinite), given as an explicit window of values plus a default for
 everything else; its zero set must be an explicit finite list inside the
-window.  The builder walks a fair enumeration of the multiset holding
-f(n) copies of n and, per step, appends one block giving the current
-entry a fresh representation class, verified by exhaustively counting the
-classes the block adds, so that no count ever exceeds its target and the
-zero set stays unrepresented.
+window.  Every builder runs this module's step loop, ``_grow``: it walks a
+fair enumeration of the multiset holding f(n) copies of n and, per step,
+appends one block giving the current entry a fresh representation class.
+The loop itself accepts each block through the one check,
+``_accept_target``, on the exhaustively counted classes the block adds, so
+that no count ever exceeds its target and the zero set stays unrepresented.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import partial
 from itertools import chain, islice
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Union
 
 from .builder_unique import (
     DEFAULT_RETRY_CAP,
@@ -24,7 +24,6 @@ from .builder_unique import (
     StepRecord,
     Tally,
     Violation,
-    _grow,
     _propose,
     default_growth_constant,
     mixed_sign_last,
@@ -33,10 +32,15 @@ from .errors import (
     NotPartitionRegularError,
     NotPrimitiveError,
     PreconditionViolationError,
+    RetryExhaustedError,
 )
 from .forms import Frozen, LinearForm, bezout_witness, is_partition_regular, is_primitive
 from .forms import spiral, spiral_index
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_counts, int_from_json
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_count_delta, class_counts
+from .repcount import int_from_json
+
+if TYPE_CHECKING:
+    from .builder_diff import DiffStepRecord
 
 INFINITY: float = math.inf
 
@@ -338,6 +342,85 @@ def _accept_target(
     return None
 
 
+def _check_block(
+    state: ConstructionState,
+    tally: Tally,
+    target: TargetFunction,
+    half_line: Optional[int],
+    entry: tuple[int, int],
+    block: tuple[int, ...],
+    budget: int,
+) -> Optional[Violation]:
+    """The reason a candidate block is rejected, or None.
+
+    Rejects repeated entries and elements already in the set, then stages
+    the block's classes on ``tally`` and applies ``_accept_target``.
+    """
+    if len(set(block)) != len(block):
+        return Violation("duplicate-in-block")
+    for v in block:
+        if v in state.elements:
+            return Violation("collision-with-existing", v)
+    tally.stage(class_count_delta(state.form, state.elements, block, budget))
+    return _accept_target(target, half_line, state, tally, entry, block)
+
+
+def _grow(
+    state: ConstructionState,
+    target: TargetFunction,
+    steps: int,
+    propose: Callable[
+        [ConstructionState, Tally, tuple[int, int], int, int],
+        Union[StepRecord, DiffStepRecord],
+    ],
+    budget: int,
+    m: int = 1,
+    retry_cap: int = 0,
+    half_line: Optional[int] = None,
+) -> ConstructionState:
+    """The greedy step loop every builder runs.
+
+    The loop counts the classes of the starting set once and keeps that
+    running count in a ``Tally``, whose layers are always verified.  Each
+    step takes the next entry (n, c) of ``enumerate_multiset(target)`` whose
+    copy is still uncovered (count of n at most c), asks ``propose(state,
+    tally, entry, m, attempt)`` for step ``state.step + 1``'s record and
+    checks its block: ``_check_block`` stages its classes and calls
+    ``_accept_target``.  A rejected block, whose classes never reach the
+    count, doubles the growth constant ``m`` and is reproposed; more than
+    ``retry_cap`` rejections in one step raise RetryExhaustedError with the
+    whole retry trail.  An accepted block's classes join the count as a
+    layer (``Tally.merge``), and its record joins the state with the new
+    support size, which the tally keeps (``Tally.size``).
+    """
+    tally = Tally(class_counts(state.form, state.elements, budget))
+    entries = iter(enumerate_multiset(target))
+    trail: list[str] = []
+    for k in range(1, steps + 1):
+        for entry in entries:
+            if tally.count(entry[0]) <= entry[1]:
+                break
+        retries = 0
+        while True:
+            record = propose(state, tally, entry, m, retries)
+            violation = _check_block(state, tally, target, half_line, entry, record.block, budget)
+            if violation is None:
+                break
+            retries += 1
+            trail.append(f"step {k} retry {retries} (M={m}): {violation}")
+            if retries > retry_cap:
+                why = f"exhausted {retry_cap} retries"
+                if not retry_cap:
+                    why = "rejected a forced block, which cannot be retried"
+                raise RetryExhaustedError(
+                    f"step {k} entry {entry} {why}; trace:\n" + "\n".join(trail)
+                )
+            m *= 2
+        tally.merge()
+        state = state.extended(record._replace(support_size=tally.size))
+    return state
+
+
 def build_for_target(
     form: LinearForm,
     target: TargetFunction,
@@ -414,11 +497,11 @@ def _realize(
 
     return _grow(
         state,
-        enumerate_multiset(target),
+        target,
         steps,
         propose,
-        partial(_accept_target, target, half_line),
         budget,
         m=m,
         retry_cap=DEFAULT_RETRY_CAP,
+        half_line=half_line,
     )

@@ -9,38 +9,26 @@ argued from the growth constant but checked outright by the exhaustive
 counting oracle (each step counts the classes its block adds), with the
 growth constant doubled and the block reproposed whenever the check fails.
 
-The step loop itself, ``_grow``, and the construction state are shared
-with the target and difference-form builders.  All of them walk a
-target's fair multiset ordering and accept a step through the target
-builder's one check; they differ in their proposals and retry caps.
+The construction state and its running count, ``Tally``, are shared with
+the target and difference-form builders.  All of them run the target
+builder's step loop, ``builder_target._grow``, which walks a target's fair
+multiset ordering and accepts a step through the one check,
+``_accept_target``; they differ in their proposals and retry caps.
 """
 
 from __future__ import annotations
 
 from itertools import pairwise
-from typing import (
-    TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
-)
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .errors import (
-    MixedSignRequiredError,
-    NotPrimitiveError,
-    RetryExhaustedError,
-)
+from .errors import MixedSignRequiredError, NotPrimitiveError
 from .forms import LinearForm, is_primitive
-from .repcount import (
-    DEFAULT_TUPLE_BUDGET,
-    GroundSet,
-    class_count_delta,
-    class_counts,
-)
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet
 
 if TYPE_CHECKING:
     from .builder_diff import DiffStepRecord, PlentifulSequence
 
 DEFAULT_RETRY_CAP = 64
-
-Entry = tuple[int, int]  # (value, copy index) of a fair enumeration
 
 
 def default_growth_constant(form: LinearForm) -> int:
@@ -234,87 +222,6 @@ class Tally:
             self.size += len(delta) - len(self._old)
             self.layers.append(delta)
         self.stage({})
-
-
-Propose = Callable[
-    [ConstructionState, Tally, Entry, int, int], Union[StepRecord, "DiffStepRecord"]
-]
-Accept = Callable[[ConstructionState, Tally, Entry, tuple[int, ...]], Optional[Violation]]
-
-
-def _check_block(
-    state: ConstructionState,
-    tally: Tally,
-    entry: Entry,
-    block: tuple[int, ...],
-    accept: Accept,
-    budget: int,
-) -> Optional[Violation]:
-    """The reason a candidate block is rejected, or None.
-
-    Rejects repeated entries and elements already in the set, then stages
-    the block's classes on ``tally`` and hands it to the builder's check.
-    """
-    if len(set(block)) != len(block):
-        return Violation("duplicate-in-block")
-    for v in block:
-        if v in state.elements:
-            return Violation("collision-with-existing", v)
-    tally.stage(class_count_delta(state.form, state.elements, block, budget))
-    return accept(state, tally, entry, block)
-
-
-def _grow(
-    state: ConstructionState,
-    entries: Iterable[Entry],
-    steps: int,
-    propose: Propose,
-    accept: Accept,
-    budget: int,
-    m: int = 1,
-    retry_cap: int = 0,
-) -> ConstructionState:
-    """The greedy step loop every builder runs.
-
-    The loop counts the classes of the starting set once and keeps that
-    running count in a ``Tally``, whose layers are always verified.
-    Each step takes the next entry (n, c) whose copy is still uncovered
-    (count of n at most c), asks ``propose(state, tally, entry, m, attempt)``
-    for step ``state.step + 1``'s record and checks its block:
-    ``_check_block`` stages its classes and calls ``accept(state, tally,
-    entry, block)``.  A rejected block, whose classes never reach the
-    count, doubles the growth constant ``m`` and is reproposed; more than
-    ``retry_cap`` rejections in one step raise RetryExhaustedError with the
-    whole retry trail.  An accepted block's classes join the count as a
-    layer (``Tally.merge``), and its record joins the state with the new
-    support size, which the tally keeps (``Tally.size``).
-    """
-    tally = Tally(class_counts(state.form, state.elements, budget))
-    entries = iter(entries)
-    trail: list[str] = []
-    for k in range(1, steps + 1):
-        for entry in entries:
-            if tally.count(entry[0]) <= entry[1]:
-                break
-        retries = 0
-        while True:
-            record = propose(state, tally, entry, m, retries)
-            violation = _check_block(state, tally, entry, record.block, accept, budget)
-            if violation is None:
-                break
-            retries += 1
-            trail.append(f"step {k} retry {retries} (M={m}): {violation}")
-            if retries > retry_cap:
-                why = f"exhausted {retry_cap} retries"
-                if not retry_cap:
-                    why = "rejected a forced block, which cannot be retried"
-                raise RetryExhaustedError(
-                    f"step {k} entry {entry} {why}; trace:\n" + "\n".join(trail)
-                )
-            m *= 2
-        tally.merge()
-        state = state.extended(record._replace(support_size=tally.size))
-    return state
 
 
 def mixed_sign_last(form: LinearForm) -> LinearForm:

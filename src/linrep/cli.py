@@ -150,6 +150,10 @@ def cmd_build(args) -> tuple[dict, str]:
         budget=args.budget,
     )
     if state.trivial_whole_line:
+        if args.out or args.trace:
+            raise PreconditionViolationError(
+                "arity", "a one-variable form's basis is all of Z, which no set file can hold"
+            )
         return (
             {"ok": True, "trivial_whole_line": True},
             "one-variable form: the unique representation basis is all of Z",

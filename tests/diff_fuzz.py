@@ -1,5 +1,5 @@
-"""Seeded differential fuzz of ``diff-realize`` (both cases), ``build`` and
-``realize`` through the CLI.
+"""Seeded differential fuzz of ``diff-realize`` (both cases), ``build``,
+``realize`` and ``verify`` through the CLI.
 
 Each run draws its arguments and runs ``linrep.cli.main`` in process.  The
 written set is recounted by brute force (``oracles.brute_counts``, which
@@ -36,14 +36,22 @@ shares no code with the library's counting kernel).
   count within the target and cover every traced entry, each traced block
   must evaluate to its target, and each traced ``support_size`` must be
   the size of the brute-force support of the set up to that step.
+- ``verify``: a form of arity 1 to 4 with coefficients in +-1..+-5
+  (irregular and imprimitive forms included), a set of 0 to 12 distinct
+  integers, some past +-10^20, a target with zeros or none, and
+  ``--profile`` and ``--window`` each present or absent.  A run passes
+  when it exits 0, 1 or a code in ``cli._FAILURES`` without raising, and
+  exits 3 for a window with lo > hi.  Otherwise every run is recounted: it
+  must exit 0 exactly when no brute count overshoots, report the brute
+  ``violations`` and ``support_size``, and write a profile with the brute
+  counts inside the window and the brute support bounds.
 
 As a script it prints the exit-code histogram and every failing run, and
-exits 1 if any run failed:
+exits 1 if any run failed.  ``--command`` is one of ``diff-realize`` (the
+default), ``diff-unbounded``, ``build``, ``realize`` and ``verify``:
 
-    PYTHONPATH=src python tests/diff_fuzz.py --seed 11 --runs 400
-    PYTHONPATH=src python tests/diff_fuzz.py --command diff-unbounded --seed 11 --runs 400
-    PYTHONPATH=src python tests/diff_fuzz.py --command build --seed 11 --runs 400
-    PYTHONPATH=src python tests/diff_fuzz.py --command realize --seed 11 --runs 400
+    PYTHONPATH=src python tests/diff_fuzz.py --command diff-realize --seed 11 --runs 400
+    PYTHONPATH=src python tests/diff_fuzz.py --command verify --seed 11 --runs 400
 """
 
 from __future__ import annotations
@@ -70,9 +78,10 @@ from linrep import (
     is_partition_regular,
     is_primitive,
 )
+from linrep.builder_target import ALL_ONES
 from linrep.cli import _FAILURES, main
 
-from oracles import brute_counts
+from oracles import brute_counts, target_overshoots
 
 D0_CHOICES = (1, 1, 1, 2, 2, -1, 3, -3, 50)
 RECOUNT_LIMIT = 3 * 10**5  # tuples the brute-force recount of a build may visit
@@ -336,11 +345,99 @@ def run_realize_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
     return code, problems, True
 
 
+def draw_verify_case(rng: random.Random) -> dict:
+    """One verify run's form, set, and optional target, profile and window."""
+    coeffs = tuple(rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
+    size, elements = rng.randint(0, 12), []
+    while len(elements) < size:
+        v = rng.randint(-30, 30)
+        if rng.random() < 0.2:  # past +-10^20, where no machine word holds it
+            v = rng.choice((1, -1)) * (10**20 + rng.randint(0, 10**22))
+        if v not in elements:
+            elements.append(v)
+    target = None
+    if rng.random() < 0.5:
+        w = rng.randint(1, 6)
+        values = {
+            n: rng.choice((0, 1, 2, 3, INFINITY))
+            for n in range(-w, w + 1)
+            if rng.random() < 0.6
+        }
+        zeros = tuple(n for n, v in values.items() if v == 0)
+        default = rng.choice((1, 2, 3, INFINITY))
+        target = TargetFunction.make((-w, w), values=values, default=default, zeros=zeros)
+    profile = rng.random() < 0.5
+    window = None
+    if rng.random() < 0.5:
+        lo = rng.randint(-40, 40)
+        window = (lo, lo + rng.randint(-5, 60))  # lo > hi must exit 3
+    return {
+        "coeffs": coeffs,
+        "elements": elements,
+        "target": target,
+        "profile": profile,
+        "window": window,
+        "label": f"form {','.join(map(str, coeffs))}, {len(elements)} elements, "
+        f"target {target is not None}, profile {profile}, window {window}",
+    }
+
+
+def run_verify_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
+    """(exit code, problems, whether the set was recounted) for one verify run."""
+    profile = workdir / "profile.json"
+    profile.unlink(missing_ok=True)
+    (workdir / "set.json").write_text(json.dumps([str(v) for v in case["elements"]]))
+    coeffs, target, window = case["coeffs"], case["target"], case["window"]
+    argv = [
+        "verify", "--form=" + ",".join(map(str, coeffs)),
+        "--set", str(workdir / "set.json"), "--format", "json",
+    ]
+    if target is not None:
+        (workdir / "target.json").write_text(target.to_json())
+        argv += ["--target", str(workdir / "target.json")]
+    if case["profile"]:
+        argv += ["--profile", str(profile)]
+    if window is not None:
+        argv += ["--window", str(window[0]), str(window[1])]
+    code, output = call_main(argv)
+    if code == -1:
+        return code, [f"raised: {output}"], False
+    if code not in {0, 1} | {row[1] for row in _FAILURES}:
+        return code, [f"exit {code}: {output.strip()}"], False
+    if window is not None and window[0] > window[1]:
+        return code, [] if code == 3 else [f"exit {code} for the window {window}"], False
+    counts = brute_counts(coeffs, case["elements"])  # at most 12^4 <= RECOUNT_LIMIT tuples
+    overshoots = target_overshoots(counts, target or ALL_ONES)
+    if code != (1 if overshoots else 0):
+        return code, [f"exit {code} with {len(overshoots)} brute overshoots: {output}"], True
+    problems = []
+    report = json.loads(output)
+    violations = [
+        {"n": str(n), "count": c, "allowed": "inf" if allowed == INFINITY else allowed}
+        for n, c, allowed in overshoots
+    ]
+    if report["violations"] != violations:
+        problems.append(f"violations {report['violations']}, brute {violations}")
+    if report["support_size"] != len(counts):
+        problems.append(f"support_size {report['support_size']}, brute {len(counts)}")
+    if case["profile"]:
+        written = json.loads(profile.read_text())
+        lo, hi = window or (min(counts, default=0), max(counts, default=-1))
+        inside = {str(n): c for n, c in counts.items() if lo <= n <= hi}
+        if written["counts"] != inside:
+            problems.append(f"profile counts differ from the brute counts in [{lo}, {hi}]")
+        bounds = [None, None] if not counts else [str(max(counts)), str(min(counts))]
+        if [written["support_max"], written["support_min"]] != bounds:
+            problems.append(f"profile support bounds {written}, brute {bounds}")
+    return code, problems, True
+
+
 COMMANDS = {
     "diff-realize": (draw_case, run_case),
     "diff-unbounded": (draw_unbounded_case, run_unbounded_case),
     "build": (draw_build_case, run_build_case),
     "realize": (draw_realize_case, run_realize_case),
+    "verify": (draw_verify_case, run_verify_case),
 }
 
 

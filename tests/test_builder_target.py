@@ -9,11 +9,16 @@ from linrep import (
     GroundSet,
     INFINITY,
     LinearForm,
+    PlentifulSequence,
     TargetFunction,
+    build,
     build_for_target,
+    build_infinite_case,
+    build_unbounded_case,
     class_counts,
     compute_X,
     enumerate_multiset,
+    window_plentiful_supply,
 )
 from linrep import builder_target
 from linrep.builder_target import (
@@ -455,3 +460,47 @@ class TestBuildForTarget:
         state = build_for_target(form, target, 6)
         counts = class_counts(form, state.elements)
         assert all(c <= target.value_at(n) for n, c in counts.items())
+
+
+BATCH_TARGET = TargetFunction.make((-4, 4), values={0: 1, 3: 3, -3: 3}, default=2)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: build(LinearForm.parse("1,2,-3"), 6),
+        lambda: build_for_target(
+            LinearForm.parse("1,1"),
+            TargetFunction.make((-10, 10), values={n: 2 for n in range(-10, 11)}),
+            10,
+        ),
+        lambda: build_infinite_case(
+            TargetFunction.make((-4, 4), values={0: 1}, default=INFINITY),
+            PlentifulSequence(tuple(2**i for i in range(1, 60))),
+            10,
+        ),
+        lambda: build_unbounded_case(BATCH_TARGET, window_plentiful_supply(BATCH_TARGET), 6),
+    ],
+    ids=["build", "build_for_target", "build_infinite_case", "build_unbounded_case"],
+)
+def test_every_builder_accepts_each_step_through_the_one_check(monkeypatch, run):
+    # the step loop calls builder_target._accept_target by name, so a spy
+    # bound there sees every block of every builder
+    check = builder_target._accept_target
+    calls = []
+
+    def spy(target, half_line, state, tally, entry, block):
+        violation = check(target, half_line, state, tally, entry, block)
+        calls.append((state.step, block, tally, violation))
+        return violation
+
+    monkeypatch.setattr(builder_target, "_accept_target", spy)
+    state = run()
+    assert state.step > 0
+    accepted = [(step, block) for step, block, _, violation in calls if violation is None]
+    assert accepted == [(r.step - 1, r.block) for r in state.records]
+    tally = calls[0][2]
+    assert all(t is tally for _, _, t, _ in calls)
+    expected = class_counts(state.form, state.elements)
+    assert {n: tally.count(n) for n in expected} == expected
+    assert tally.size == len(expected)

@@ -1,5 +1,3 @@
-from functools import partial
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +13,11 @@ from linrep import (
     class_counts,
 )
 from linrep import builder_target
-from linrep.builder_target import ALL_ONES, _accept_target, _scheduled_before
+from linrep.builder_target import ALL_ONES, _accept_target, _check_block, _scheduled_before
 from linrep.builder_unique import (
     ConstructionState,
     Tally,
     Violation,
-    _check_block,
     _propose,
     mixed_sign_last,
 )
@@ -37,8 +34,7 @@ def verify_block(form, block, target, d0=1):
     """The unique builder's check of one block on top of the set {d0}."""
     state = ConstructionState.initial(form, d0)
     tally = Tally(class_counts(form, state.elements))
-    accept = partial(_accept_target, ALL_ONES, None)
-    return _check_block(state, tally, (target, 0), block, accept, DEFAULT_TUPLE_BUDGET)
+    return _check_block(state, tally, ALL_ONES, None, (target, 0), block, DEFAULT_TUPLE_BUDGET)
 
 
 def staged(counts, delta):

@@ -215,6 +215,16 @@ class TestBuildVerifyRoundTrip:
         assert code == 0
         assert "all of Z" in out
 
+    @pytest.mark.parametrize("form, error", [
+        ("1", "PreconditionViolationError"), ("3", "NotPrimitiveError"),
+    ])
+    def test_one_variable_build_writes_no_file(self, capsys, tmp_path, monkeypatch, form, error):
+        # the basis is all of Z, which no set file can hold; primitivity is checked first
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, "build", "--form", form, "--steps", "3", "--trace", "t.jsonl")
+        assert code == 3 and json.loads(out)["error"] == error
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_leading_coefficient_as_its_own_argument(self, capsys):
         # argparse alone would read "-1,2" as an option and exit with usage
         joined = run(capsys, "build", "--form=-1,2", "--steps", "3", "--format", "json")

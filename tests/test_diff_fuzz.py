@@ -1,5 +1,5 @@
-"""Fixed-seed fuzzes of ``diff-realize`` (both cases), ``build`` and
-``realize`` through the CLI.
+"""Fixed-seed fuzzes of ``diff-realize`` (both cases), ``build``,
+``realize`` and ``verify`` through the CLI.
 
 The harness and its checks live in ``diff_fuzz``; CI runs a longer sweep
 of each at another seed.
@@ -38,3 +38,11 @@ def test_realize_runs_recount_within_target_with_traced_support_sizes(tmp_path):
     assert failures == []
     assert set(histogram) <= {0, 3, 5}
     assert recounts == histogram[0] >= 30
+
+
+def test_verify_runs_agree_with_the_brute_recount(tmp_path):
+    # exit 3 is a reversed --window, refused before any count
+    histogram, failures, recounts = sweep(seed=7, runs=40, workdir=tmp_path, command="verify")
+    assert failures == []
+    assert set(histogram) == {0, 1, 3}
+    assert recounts == histogram[0] + histogram[1]

@@ -12,7 +12,7 @@ import types
 from pathlib import Path
 
 import linrep
-from linrep import builder_unique
+from linrep import builder_target
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,8 +66,8 @@ def test_tracer_names_resolve():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     replacements = tracer.Tracer()._replacements()
-    # the step loop's seed count runs through builder_unique's binding
-    assert builder_unique.class_counts in replacements
+    # the step loop's seed count runs through builder_target's binding
+    assert builder_target.class_counts in replacements
 
 
 def unused_imports(source):
