@@ -26,8 +26,7 @@ import json
 from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
-from .builder_target import TargetFunction, _grow
-from .builder_unique import ConstructionState
+from .builder_target import ConstructionState, TargetFunction, _grow
 from .errors import (
     ConstructionBugError,
     InsufficientPairsError,

@@ -238,6 +238,8 @@ def cmd_verify(args) -> tuple[dict, str]:
     ground = GroundSet.from_json(_read(args.set))
     if args.window is not None:
         lo, hi = args.window
+        if not args.profile:
+            raise PreconditionViolationError("window", "--window applies only to --profile")
         if lo > hi:
             raise PreconditionViolationError("window", f"{lo} > {hi}")
     target = TargetFunction.from_json(_read(args.target)) if args.target else ALL_ONES
@@ -292,7 +294,7 @@ _OPTIONS = {
     "--n": {"type": int, "required": True},
     "--length": {"type": int, "required": True},
     "--window": {"type": int, "nargs": 2, "metavar": ("LO", "HI"),
-                 "help": "window for --profile (default: the full support)"},
+                 "help": "window for --profile, which it requires (default: the full support)"},
     "--profile": {"help": "also write the count profile as JSON"},
     "--out": {"help": "write the set or extract's gap sequence as a JSON array of decimal strings"},
     "--trace": {"help": "write one JSON record per step (JSON lines)"},

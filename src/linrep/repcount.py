@@ -30,7 +30,7 @@ value in B, split by the first slot holding one.  A general delta lists
 its sums in the order a walk of the tuples with a block entry first meets
 them (split by the first block position, then ``itertools.product``
 order); that order decides which doubled value a retry trail names.  The
-builders keep each accepted delta as one layer of a ``builder_unique.Tally``.
+builders keep each accepted delta as one layer of a ``builder_target.Tally``.
 Forms with equal coefficients keep a path that enumerates value multisets,
 keyed in multiset order, and streams their sums into the count
 (``_multiset_sums``).  Their plan walks about h! times as many tuples: for

@@ -20,8 +20,7 @@ from linrep import (
     window_plentiful_supply,
 )
 from linrep.builder_diff import DiffStepRecord, check_even_normalized
-from linrep.builder_target import _accept_target
-from linrep.builder_unique import ConstructionState, Tally
+from linrep.builder_target import ConstructionState, Tally, _accept_target
 from linrep.errors import (
     InsufficientPairsError,
     PreconditionViolationError,

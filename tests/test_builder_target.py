@@ -22,12 +22,13 @@ from linrep import (
 )
 from linrep import builder_target
 from linrep.builder_target import (
+    ConstructionState,
+    Tally,
     TargetReport,
     _accept_target,
     _scheduled_before,
     check_counts_against_target,
 )
-from linrep.builder_unique import ConstructionState, Tally
 from linrep.errors import (
     NotPartitionRegularError,
     NotPrimitiveError,
@@ -504,3 +505,52 @@ def test_every_builder_accepts_each_step_through_the_one_check(monkeypatch, run)
     expected = class_counts(state.form, state.elements)
     assert {n: tally.count(n) for n in expected} == expected
     assert tally.size == len(expected)
+
+
+FORM_12, FORM_11 = LinearForm.parse("1,2"), LinearForm.parse("1,1")
+ONES = TargetFunction.make((0, 0))
+INFINITE = TargetFunction.make((-4, 4), values={0: 1}, default=INFINITY)
+SEQ = PlentifulSequence((2, 4))
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: build(FORM_12, -1), "steps must be non-negative"),
+        (lambda: build(FORM_12, 1, d0=0), "d0 must be non-zero"),
+        (lambda: build(FORM_12, 1, m0=0), "growth constant must be positive"),
+        (lambda: build_for_target(FORM_11, ONES, -1), "steps must be non-negative"),
+        (lambda: build_for_target(FORM_11, ONES, 1, d0=0), "d0 must be non-zero"),
+        (lambda: build_for_target(FORM_11, ONES, 1, m0=0), "growth constant must be positive"),
+        (lambda: build_infinite_case(INFINITE, SEQ, -1), "steps must be non-negative"),
+        (lambda: build_infinite_case(INFINITE, SEQ, 1, d0=0), "d0 must be non-zero"),
+        (
+            lambda: build_unbounded_case(BATCH_TARGET, window_plentiful_supply(BATCH_TARGET), -1),
+            "steps must be non-negative",
+        ),
+        (
+            lambda: build_unbounded_case(
+                BATCH_TARGET, window_plentiful_supply(BATCH_TARGET), 1, d0=0
+            ),
+            "d0 must be non-zero",
+        ),
+        (
+            lambda: build_unbounded_case(
+                BATCH_TARGET, window_plentiful_supply(BATCH_TARGET), 1, quotient_bound=0
+            ),
+            "quotient bound must be positive",
+        ),
+        (lambda: TargetFunction.make((1, 0)), "window lower bound exceeds upper bound"),
+        (lambda: TargetFunction.make((0, 1), values={1: -1}), "value at 1 must be a non-negative"),
+    ],
+    ids=[
+        "build-steps", "build-d0", "build-m0",
+        "build_for_target-steps", "build_for_target-d0", "build_for_target-m0",
+        "build_infinite_case-steps", "build_infinite_case-d0",
+        "build_unbounded_case-steps", "build_unbounded_case-d0", "build_unbounded_case-quotient",
+        "target-reversed-window", "target-negative-count",
+    ],
+)
+def test_argument_guards_raise_before_any_step(run, message):
+    with pytest.raises(ValueError, match=message):
+        run()

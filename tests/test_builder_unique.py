@@ -13,12 +13,15 @@ from linrep import (
     class_counts,
 )
 from linrep import builder_target
-from linrep.builder_target import ALL_ONES, _accept_target, _check_block, _scheduled_before
-from linrep.builder_unique import (
+from linrep.builder_target import (
+    ALL_ONES,
     ConstructionState,
     Tally,
     Violation,
+    _accept_target,
+    _check_block,
     _propose,
+    _scheduled_before,
     mixed_sign_last,
 )
 from linrep.errors import NotPrimitiveError, RetryExhaustedError
@@ -342,9 +345,15 @@ class TestBuild:
         form = LinearForm.parse("1,2,-3")
         state = build(form, 6)
         prev_max = max(abs(e) for e in state.blocks[0])
+        bez = bezout_witness(form)
         for record in state.records:
-            assert record.deltas[0] > record.m * prev_max
-            for lo, hi in zip(record.deltas, record.deltas[1:]):
+            # the record keeps the block; replaying its proposal gives the ladder
+            block, deltas = _propose(
+                form, bez, record.target, record.m, prev_max, None, record.retries
+            )
+            assert block == record.block
+            assert deltas[0] > record.m * prev_max
+            for lo, hi in zip(deltas, deltas[1:]):
                 assert hi > record.m * lo
             prev_max = max(prev_max, max(abs(e) for e in record.block))
 

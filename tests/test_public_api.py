@@ -1,6 +1,7 @@
 """The surfaces other code relies on: the package namespace, the README's
-library example and the names the benchmark's tracer binds; and no module
-imports a name it never uses."""
+library example and the names the benchmark's tracer binds; no module
+imports a name it never uses, and the modules import each other without a
+cycle."""
 
 import ast
 import importlib.util
@@ -9,7 +10,10 @@ import re
 import subprocess
 import sys
 import types
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 import linrep
 from linrep import builder_target
@@ -98,6 +102,50 @@ def test_no_module_imports_a_name_it_never_uses():
         (1, "json"),
         (2, "Mapping"),
     ]
+
+
+def import_graph(sources):
+    """(module -> the package modules it imports at runtime, function-body
+    imports included and ``if TYPE_CHECKING:`` blocks skipped; the lines of
+    every function-body import) of ``{module name: source}``."""
+    graph, in_functions = {}, []
+    for name, source in sources.items():
+        graph[name] = set()
+        stack = [(node, False) for node in ast.parse(source).body]
+        while stack:
+            node, in_function = stack.pop()
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                stack += [(child, in_function) for child in node.orelse]
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if in_function:
+                    in_functions.append(f"{name}:{node.lineno}")
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    modules = [node.module] if node.module else [a.name for a in node.names]
+                    graph[name].update(modules)
+            inside = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            stack += [(child, inside) for child in ast.iter_child_nodes(node)]
+    return graph, sorted(in_functions)
+
+
+def test_package_imports_form_no_cycle():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "linrep").glob("*.py"))
+    }
+    graph, in_functions = import_graph(sources)
+    assert in_functions == []
+    TopologicalSorter(graph).prepare()  # raises CycleError naming a cycle
+    # the checks themselves: a call-time import back closes a cycle
+    graph, in_functions = import_graph({
+        "a": "from .b import x\nif TYPE_CHECKING:\n    from .c import y\n",
+        "b": "def f():\n    from . import a\n",
+        "c": "from .a import z\n",
+    })
+    assert graph == {"a": {"b"}, "b": {"a"}, "c": {"a"}}
+    assert in_functions == ["b:2"]
+    with pytest.raises(CycleError):
+        TopologicalSorter(graph).prepare()
 
 
 def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():

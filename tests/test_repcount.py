@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from linrep import (
     DIFFERENCE_FORM, INFINITY, GroundSet, LinearForm, class_counts, rep_function
 )
+from linrep.builder_target import Tally
 from linrep.errors import BudgetExceededError
 from linrep.repcount import (
     RepProfile,
@@ -19,7 +20,6 @@ from linrep.repcount import (
     count_at,
     int_from_json,
 )
-from linrep.builder_unique import Tally
 
 from oracles import (
     brute_counts,

@@ -18,8 +18,7 @@ from linrep import (
     enumerate_multiset,
 )
 from linrep.builder_diff import DiffReport
-from linrep.builder_target import TargetReport
-from linrep.builder_unique import Violation
+from linrep.builder_target import TargetReport, Violation
 from linrep.forms import AutomorphismWitness
 from linrep.repcount import RepProfile
 
@@ -117,9 +116,9 @@ def test_repr_text():
     assert repr(built()) == (
         "ConstructionState(form=LinearForm(coefficients=(1, 2)), "
         "elements=GroundSet(elements=(-648, -18, 1, 36, 1297)), seed=(1,), "
-        "records=(StepRecord(step=1, target=0, m=36, retries=0, deltas=(37,), "
+        "records=(StepRecord(step=1, target=0, m=36, retries=0, "
         "block=(36, -18), support_size=9, copy_index=None), "
-        "StepRecord(step=2, target=1, m=36, retries=0, deltas=(1297,), "
+        "StepRecord(step=2, target=1, m=36, retries=0, "
         "block=(1297, -648), support_size=25, copy_index=None)), "
         "gap_sequence=None)"
     )
