@@ -16,6 +16,9 @@ a candidate block's classes and merges them once they are accepted; the
 ``StepRecord`` of each accepted step; and ``_propose``, the block proposal
 of ``build`` and ``build_for_target``: a growing ladder of offsets plus a
 Bezout correction.
+
+Every command proves its result with one final certificate, a full
+recount: ``check_counts_against_target``.
 """
 
 from __future__ import annotations
@@ -260,46 +263,53 @@ def compute_X(n: int, l: int, m: int, p: int) -> set[int]:
 
 
 class TargetReport(NamedTuple):
-    """Outcome of checking a set's counts against a target function."""
+    """The final certificate of a set: its counts against a target function."""
 
     overshoots: tuple[tuple[int, int, Count], ...]  # (n, count, allowed)
+    uncovered: tuple[tuple[int, int], ...]  # (target, copy) with count <= copy
+    below_half_line: tuple[int, ...]
+    ledger_coherent: bool
 
     @property
     def ok(self) -> bool:
-        return not self.overshoots
+        failed = self.overshoots or self.uncovered or self.below_half_line
+        return self.ledger_coherent and not failed
 
     def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "; ".join(f"count {c} > {allowed} at {n}" for n, c, allowed in self.overshoots)
-
-    @classmethod
-    def of(cls, counts: dict[int, int], target: TargetFunction) -> "TargetReport":
-        """Every overshoot of full-support ``counts``, a represented zero included.
-
-        The explicit values are checked one by one.  Every other value is
-        allowed the default, and none of them can exceed it unless the
-        largest count does (never, for an infinite default), so the other
-        counts are walked only then.
-        """
-        values, default = target.values, target.default
-        overshoots = [(n, counts[n], v) for n, v in values.items() if counts.get(n, 0) > v]
-        if default != INFINITY and max(counts.values(), default=0) > default:
-            overshoots += [
-                (n, c, default) for n, c in counts.items() if c > default and n not in values
-            ]
-        overshoots.sort()
-        return cls(overshoots=tuple(overshoots))
+        parts = [f"count {c} > {allowed} at {n}" for n, c, allowed in self.overshoots]
+        parts += [f"copy {c} of {t} uncovered" for t, c in self.uncovered]
+        parts += [f"element {e} below the half-line" for e in self.below_half_line]
+        if not self.ledger_coherent:
+            parts.append("ledger incoherent")
+        return "; ".join(parts) or "ok"
 
 
 def check_counts_against_target(
-    form: LinearForm,
-    ground_set: GroundSet,
+    state: ConstructionState,
     target: TargetFunction,
     budget: int = DEFAULT_TUPLE_BUDGET,
-) -> TargetReport:
-    """Full-support count check: lists every overshoot."""
-    return TargetReport.of(class_counts(form, ground_set, budget), target)
+    half_line: Optional[int] = None,
+) -> tuple[dict[int, int], TargetReport]:
+    """Every command's final certificate: (counts, report) of one full
+    recount of the state's set.  The report lists the overshoots of
+    ``target`` (a represented zero included), the recorded entries (t, c)
+    whose count at t is at most c (no copy index counts as 0), the elements
+    below ``half_line`` and whether the gap-sequence ledger holds (true
+    without a sequence).  Counts off the explicit values are walked only
+    when the largest count exceeds a finite default.
+    """
+    counts = class_counts(state.form, state.elements, budget)
+    values, default = target.values, target.default
+    over = [(n, counts[n], v) for n, v in values.items() if counts.get(n, 0) > v]
+    if default != INFINITY and max(counts.values(), default=0) > default:
+        over += [(n, c, default) for n, c in counts.items() if c > default and n not in values]
+    copies = ((t, c or 0) for t, c in state.covered)
+    return counts, TargetReport(
+        tuple(sorted(over)),
+        tuple(sorted((t, c) for t, c in copies if counts.get(t, 0) <= c)),
+        tuple(e for e in state.elements if half_line is not None and e < half_line),
+        state.ledger_gaps_ok(),
+    )
 
 
 DEFAULT_RETRY_CAP = 64

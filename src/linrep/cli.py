@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import builder_diff, builder_target, builder_unique
 from .builder_diff import DIFFERENCE_FORM, PlentifulSequence
-from .builder_target import ALL_ONES, TargetFunction, TargetReport
+from .builder_target import ALL_ONES, ConstructionState, TargetFunction, TargetReport
 from .errors import (
     BudgetExceededError,
     ConstructionBugError,
@@ -34,7 +34,7 @@ from .forms import (
     is_primitive,
     zero_sum_certificate,
 )
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, RepProfile, class_counts
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, RepProfile
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -70,19 +70,18 @@ def _write(path: str, content: str) -> None:
     Path(path).write_text(content, encoding="utf-8")
 
 
-def _write_outputs(args, state) -> None:
-    if getattr(args, "out", None):
+def _certified(args, state, target: TargetFunction, half_line=None) -> TargetReport:
+    """Write a build's set and trace, then certify the set."""
+    if args.out:
         _write(args.out, state.elements.to_json() + "\n")
-    if getattr(args, "trace", None):
+    if args.trace:
         _write(args.trace, "".join(_dump(r.to_json_obj()) + "\n" for r in state.records))
+    return builder_target.check_counts_against_target(state, target, args.budget, half_line)[1]
 
 
-def _realized(args, form: LinearForm, state, target: TargetFunction) -> tuple[dict, TargetReport]:
-    """Write a target build's set and trace, recount the set, report the shared keys."""
-    _write_outputs(args, state)
-    check = builder_target.check_counts_against_target(
-        form, state.elements, target, args.budget
-    )
+def _realized(args, state, target: TargetFunction) -> tuple[dict, TargetReport]:
+    """Certify a target build; report the keys realize and diff-realize share."""
+    check = _certified(args, state, target)
     report = {
         "ok": check.ok,
         "elements": len(state.elements),
@@ -158,30 +157,21 @@ def cmd_build(args) -> tuple[dict, str]:
             {"ok": True, "trivial_whole_line": True},
             "one-variable form: the unique representation basis is all of Z",
         )
-    _write_outputs(args, state)
-    counts = class_counts(form, state.elements, args.budget)
-    over = [n for n, _, _ in TargetReport.of(counts, ALL_ONES).overshoots]
-    missed = sorted(t for t in state.covered_targets if counts.get(t, 0) != 1)
-    below = (
-        sorted(e for e in state.elements if e < args.half_line)
-        if args.half_line is not None
-        else []
-    )
-    ok = not over and not missed and not below
+    check = _certified(args, state, ALL_ONES, args.half_line)
     report = {
-        "ok": ok,
+        "ok": check.ok,
         "elements": len(state.elements),
         "steps": state.step,
         "targets": [str(t) for t in state.covered_targets],
         "violations": {
-            "doubly_represented": [str(n) for n in over],
-            "targets_missed": [str(t) for t in missed],
-            "below_half_line": [str(e) for e in below],
+            "doubly_represented": [str(n) for n, _, _ in check.overshoots],
+            "targets_missed": [str(t) for t, _ in check.uncovered],
+            "below_half_line": [str(e) for e in check.below_half_line],
         },
     }
     return report, (
         f"built {len(state.elements)} elements in {state.step} steps; "
-        + ("all counts <= 1" if ok else f"VIOLATIONS: {report['violations']}")
+        + ("all counts <= 1" if check.ok else f"VIOLATIONS: {report['violations']}")
     )
 
 
@@ -196,7 +186,7 @@ def cmd_realize(args) -> tuple[dict, str]:
         d0=args.d0,
         budget=args.budget,
     )
-    report, check = _realized(args, form, state, target)
+    report, check = _realized(args, state, target)
     return report, (
         f"realized {state.step} multiset entries with {len(state.elements)} elements; "
         + ("counts within target" if check.ok else f"VIOLATIONS: {check}")
@@ -224,12 +214,11 @@ def cmd_diff_realize(args) -> tuple[dict, str]:
             quotient_bound=args.ratio,
             budget=args.budget,
         )
-    report, check = _realized(args, DIFFERENCE_FORM, state, target)
-    ledger_ok = report["ledger_coherent"] = state.ledger_gaps_ok()
-    ok = report["ok"] = check.ok and ledger_ok
+    report, check = _realized(args, state, target)
+    report["ledger_coherent"] = check.ledger_coherent
     return report, (
         f"difference-form build of {state.step} steps, {len(state.elements)} elements; "
-        + ("verified" if ok else f"VIOLATIONS: {check}; ledger ok: {ledger_ok}")
+        + ("verified" if check.ok else f"VIOLATIONS: {check}")
     )
 
 
@@ -244,19 +233,17 @@ def cmd_verify(args) -> tuple[dict, str]:
             raise PreconditionViolationError("window", f"{lo} > {hi}")
     target = TargetFunction.from_json(_read(args.target)) if args.target else ALL_ONES
     # check every input before counting, which may exceed the budget
-    counts = class_counts(form, ground, args.budget)
+    counts, check = builder_target.check_counts_against_target(
+        ConstructionState(form, ground, ()), target, args.budget
+    )
     if args.profile:
         window = None if args.window is None else tuple(args.window)
         _write(args.profile, RepProfile(counts, window).to_json() + "\n")
-    violations = [
-        {"n": str(n), "count": c, "allowed": "inf" if allowed == float("inf") else allowed}
-        for n, c, allowed in TargetReport.of(counts, target).overshoots
-    ]
-    ok = not violations
-    report = {"ok": ok, "violations": violations, "support_size": len(counts)}
+    violations = [{"n": str(n), "count": c, "allowed": a} for n, c, a in check.overshoots]
+    report = {"ok": check.ok, "violations": violations, "support_size": len(counts)}
     return report, (
         "all counts within bounds"
-        if ok
+        if check.ok
         else "violations: "
         + "; ".join(f"n={v['n']} count={v['count']} allowed={v['allowed']}" for v in violations)
     )

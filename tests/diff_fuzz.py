@@ -9,8 +9,9 @@ shares no code with the library's counting kernel).
   inf and default inf, a geometric gap sequence of ratio 2 or 3, a step
   count and a seed element.  A run passes when it exits 0 or 3 without
   raising, and on exit 0 when the report says ``"ledger_coherent": true``
-  and the recount has count 1 at 0, even counts and every count within the
-  target.
+  and the recount has count 1 at 0, even counts, every count within the
+  target and a count above c at t for every entry (t, c) the report lists
+  as ``covered``.
 - ``diff-unbounded`` (``diff-realize --case unbounded``): an even target
   with f(0) = 1 on [-w, w] (w from 2 to 8), window values 1 to 3, default
   1 or 2, and 3 to 25 steps.  A run passes when it exits 0 or 3 without
@@ -153,7 +154,8 @@ def recount_difference_set(
     """(brute counts, problems) of an exit-0 ``diff-realize`` run whose
     report is ``output`` and whose set is in ``out``."""
     problems = []
-    if json.loads(output)["ledger_coherent"] is not True:
+    report = json.loads(output)
+    if report["ledger_coherent"] is not True:
         problems.append("ledger_coherent is not true")
     elements = GroundSet.from_json(out.read_text()).elements
     counts = brute_counts(DIFFERENCE_FORM.coefficients, elements)
@@ -169,6 +171,10 @@ def recount_difference_set(
         for n, c in counts.items()
         if c > target.value_at(n)
     ]
+    for entry in report["covered"]:
+        t, copy = int(entry["target"]), entry["copy"]
+        if counts.get(t, 0) < copy + 1:
+            problems.append(f"covered copy {copy} of {t} has brute count {counts.get(t, 0)}")
     return counts, problems
 
 

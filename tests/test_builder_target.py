@@ -22,6 +22,7 @@ from linrep import (
 )
 from linrep import builder_target
 from linrep.builder_target import (
+    ALL_ONES,
     ConstructionState,
     Tally,
     TargetReport,
@@ -37,6 +38,7 @@ from linrep.errors import (
 from linrep.forms import spiral
 
 from oracles import (
+    brute_counts,
     multiset_walk,
     rational_box_values,
     scheduled_numbers,
@@ -219,33 +221,53 @@ class TestComputeX:
         assert compute_X(n, l, m, p) == rational_box_values(n, l, m, p)
 
 
+def bare(form, elements):
+    """A state holding ``elements`` and no records, as verify certifies a set."""
+    return ConstructionState(LinearForm.parse(form), GroundSet.of(elements), ())
+
+
+def brute_of(state):
+    return brute_counts(state.form.coefficients, state.elements.elements)
+
+
 class TestCheckCounts:
     def test_clean_set(self):
         t = TargetFunction.make((-5, 5))
-        report = check_counts_against_target(
-            LinearForm.parse("1,1"), GroundSet.of([0, 1]), t
-        )
+        counts, report = check_counts_against_target(bare("1,1", [0, 1]), t)
+        assert counts == brute_counts((1, 1), (0, 1))
+        assert report == TargetReport((), (), (), True)
         assert report.ok
         assert str(report) == "ok"
 
     def test_zero_set_hit(self):
         # a zero carries the value 0, so a represented zero is one overshoot
         t = TargetFunction.make((-10, 10), zeros=(4,))
-        report = check_counts_against_target(
-            LinearForm.parse("1,1"), GroundSet.of([1, 3]), t
-        )
+        _, report = check_counts_against_target(bare("1,1", [1, 3]), t)
         assert not report.ok
         assert str(report) == "count 1 > 0 at 4"
 
     def test_overshoot_listed(self):
         t = TargetFunction.make((-10, 10))
-        report = check_counts_against_target(
-            LinearForm.parse("1,1"), GroundSet.of([0, 1, 2]), t
-        )
+        _, report = check_counts_against_target(bare("1,1", [0, 1, 2]), t)
         assert (2, 2, 1) in report.overshoots
 
+    def test_counts_once(self, monkeypatch):
+        calls = []
+        original = builder_target.class_counts
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(builder_target, "class_counts", counted)
+        state = build_for_target(LinearForm.parse("1,1"), TargetFunction.make((-4, 4)), 4)
+        calls.clear()
+        counts, report = check_counts_against_target(state, TargetFunction.make((-4, 4)))
+        assert len(calls) == 1 and report.ok
+        assert counts == brute_of(state)
+
     @given(st.data())
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     def test_report_matches_per_value_oracle(self, data):
         lo = data.draw(st.integers(-15, 0))
         hi = data.draw(st.integers(0, 15))
@@ -254,10 +276,77 @@ class TestCheckCounts:
         zeros = data.draw(st.sets(st.integers(lo, hi).filter(lambda n: n not in values)))
         default = data.draw(st.sampled_from([1, 2, 3, INFINITY]))
         target = TargetFunction.make((lo, hi), values, default, tuple(zeros))
-        counts = data.draw(st.dictionaries(st.integers(-25, 25), st.integers(1, 6)))
-        report = TargetReport.of(counts, target)
+        form = data.draw(st.sampled_from(["1,1", "1,-1", "1,2", "2,-1", "1,1,1", "1,2,-3"]))
+        elements = data.draw(st.lists(st.integers(-12, 12), max_size=8, unique=True))
+        counts, report = check_counts_against_target(bare(form, elements), target)
+        assert counts == brute_counts(LinearForm.parse(form).coefficients, elements)
         assert list(report.overshoots) == target_overshoots(counts, target)
+        assert report.ok == (not report.overshoots)
         assert all((n, counts[n], 0) in report.overshoots for n in zeros & counts.keys())
+        # a count above its allowed count needs a finite one
+        assert all(allowed != INFINITY for _, _, allowed in report.overshoots)
+
+
+class TestTamperedCertificate:
+    """A state whose records claim more than its set holds fails the
+    certificate in the field that names the claim, and its counts are the
+    brute-force ones."""
+
+    def test_copy_beyond_the_count_is_uncovered(self):
+        target = TargetFunction.make((-4, 4), default=2)
+        state = build_for_target(LinearForm.parse("1,1"), target, 6)
+        assert check_counts_against_target(state, target)[1].ok
+        last = state.records[-1]
+        brute = brute_of(state)
+        claim = brute.get(last.target, 0)  # copy c needs a count above c
+        tampered = state._replace(records=state.records[:-1] + (last._replace(copy_index=claim),))
+        counts, report = check_counts_against_target(tampered, target)
+        assert counts == brute
+        assert report.uncovered == ((last.target, claim),)
+        assert report.overshoots == () and not report.ok
+        assert str(report) == f"copy {claim} of {last.target} uncovered"
+
+    def test_build_target_without_a_class_is_uncovered(self):
+        # a build record has no copy index, which counts as copy 0
+        state = build(LinearForm.parse("1,2,-3"), 4)
+        assert check_counts_against_target(state, ALL_ONES)[1].ok
+        brute = brute_of(state)
+        missed = next(n for n in range(1, 100) if n not in brute)
+        last = state.records[-1]
+        tampered = state._replace(records=state.records[:-1] + (last._replace(target=missed),))
+        counts, report = check_counts_against_target(tampered, ALL_ONES)
+        assert counts == brute
+        assert report.uncovered == ((missed, 0),) and not report.ok
+
+    def test_element_below_the_half_line(self):
+        half_line = 10
+        state = build(LinearForm.parse("1,-2"), 4, half_line=half_line)
+        assert check_counts_against_target(state, ALL_ONES, half_line=half_line)[1].ok
+        tampered = state._replace(elements=state.elements.union([half_line - 3]))
+        counts, report = check_counts_against_target(tampered, ALL_ONES, half_line=half_line)
+        brute = brute_of(tampered)
+        assert counts == brute
+        assert report.below_half_line == (half_line - 3,) and not report.ok
+        assert list(report.overshoots) == target_overshoots(brute, ALL_ONES)
+        # without a bound, no element is below it
+        assert check_counts_against_target(tampered, ALL_ONES)[1].below_half_line == ()
+
+    def test_wrong_gap_term_breaks_the_ledger(self):
+        target = TargetFunction.make((-4, 4), values={0: 1}, default=INFINITY)
+        seq = PlentifulSequence(tuple(2**i for i in range(1, 200)))
+        state = build_infinite_case(target, seq, 12)
+        assert check_counts_against_target(state, target)[1].ok
+        # a chained step's anchor gap to the pair below ends at its witness's term
+        w = next(r.witness for r in state.records if r.case == "chained")
+        terms = list(seq.terms)
+        terms[w - 1] += 1
+        tampered = state._replace(gap_sequence=PlentifulSequence(terms))
+        counts, report = check_counts_against_target(tampered, target)
+        brute = brute_of(state)
+        assert counts == brute
+        assert report.overshoots == () == report.uncovered
+        assert report.ledger_coherent is False and not report.ok
+        assert str(report) == "ledger incoherent"
 
 
 allowed = st.sampled_from([1, 2, 3, INFINITY])

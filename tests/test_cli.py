@@ -4,8 +4,10 @@ import re
 import pytest
 
 from linrep import GroundSet, INFINITY, PlentifulSequence, TargetFunction, builder_unique, repcount
-from linrep import cli, forms
+from linrep import builder_diff, builder_target, cli, forms
 from linrep.cli import build_parser, main
+
+from oracles import brute_counts
 
 
 def run(capsys, *argv):
@@ -406,6 +408,51 @@ class TestDiffRealize:
         )
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+
+def claiming_an_uncovered_copy(builder):
+    """``builder``, with the last record of its state claiming the copy its
+    set's brute count at the record's target cannot hold."""
+
+    def tampered(*args, **kwargs):
+        state = builder(*args, **kwargs)
+        last = state.records[-1]
+        count = brute_counts(state.form.coefficients, state.elements.elements).get(last.target, 0)
+        return state._replace(records=state.records[:-1] + (last._replace(copy_index=count),))
+
+    return tampered
+
+
+class TestFinalCertificate:
+    @pytest.mark.parametrize(
+        "module, builder, argv, target",
+        [
+            (builder_target, "build_for_target", ["realize", "--form", "1,1"],
+             TargetFunction.make((-4, 4), default=2)),
+            (builder_diff, "build_infinite_case",
+             ["diff-realize", "--case", "infinite", "--seq", "seq.json"],
+             TargetFunction.make((-4, 4), values={0: 1}, default=INFINITY)),
+            (builder_diff, "build_unbounded_case",
+             ["diff-realize", "--case", "unbounded", "--ratio", "2"],
+             TargetFunction.make((-200, 200), values={2: 2, -2: 2, 50: 2, -50: 2})),
+        ],
+    )
+    def test_uncovered_copy_fails_the_command(
+        self, capsys, tmp_path, monkeypatch, module, builder, argv, target
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "target.json").write_text(target.to_json())
+        (tmp_path / "seq.json").write_text(
+            PlentifulSequence(tuple(2**i for i in range(1, 120))).to_json()
+        )
+        argv = [*argv, "--target", "target.json", "--steps", "3", "--format", "json"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["ok"] is True
+        monkeypatch.setattr(module, builder, claiming_an_uncovered_copy(getattr(module, builder)))
+        code, out = run(capsys, *argv)
+        report = json.loads(out)
+        assert code == 1 and report["ok"] is False
+        assert report["violations"].endswith("uncovered")
 
 
 class TestExtract:
