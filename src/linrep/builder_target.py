@@ -11,14 +11,15 @@ The loop itself accepts each block through the one check,
 that no count ever exceeds its target and the zero set stays unrepresented.
 
 The module owns the state that loop runs on: ``ConstructionState``, the
-snapshot every builder returns; ``Tally``, its running count, which stages
-a candidate block's classes and merges them once they are accepted; the
+snapshot every builder returns; ``Tally``, its running count over the
+set's prefix tables, which stages a candidate block's classes and merges
+them once they are accepted; the
 ``StepRecord`` of each accepted step; and ``_propose``, the block proposal
 of ``build`` and ``build_for_target``: a growing ladder of offsets plus a
 Bezout correction.
 
 Every command proves its result with one final certificate, a full
-recount: ``check_counts_against_target``.
+recount taken one residue shard at a time: ``check_counts_against_target``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .errors import MixedSignRequiredError, NotPartitionRegularError, NotPrimiti
 from .errors import PreconditionViolationError, RetryExhaustedError
 from .forms import Frozen, LinearForm, bezout_witness, is_partition_regular, is_primitive
 from .forms import spiral, spiral_index
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, class_count_delta, class_counts
-from .repcount import int_from_json
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, PrefixCount, class_count_delta
+from .repcount import class_count_shards, class_counts, int_from_json
 
 if TYPE_CHECKING:
     from .builder_diff import DiffStepRecord, PlentifulSequence
@@ -269,6 +270,7 @@ class TargetReport(NamedTuple):
     uncovered: tuple[tuple[int, int], ...]  # (target, copy) with count <= copy
     below_half_line: tuple[int, ...]
     ledger_coherent: bool
+    support_size: int  # the number of represented integers
 
     @property
     def ok(self) -> bool:
@@ -289,26 +291,45 @@ def check_counts_against_target(
     target: TargetFunction,
     budget: int = DEFAULT_TUPLE_BUDGET,
     half_line: Optional[int] = None,
-) -> tuple[dict[int, int], TargetReport]:
+    whole: bool = False,
+) -> tuple[Optional[dict[int, int]], TargetReport]:
     """Every command's final certificate: (counts, report) of one full
-    recount of the state's set.  The report lists the overshoots of
-    ``target`` (a represented zero included), the recorded entries (t, c)
-    whose count at t is at most c (no copy index counts as 0), the elements
-    below ``half_line`` and whether the gap-sequence ledger holds (true
-    without a sequence).  Counts off the explicit values are walked only
-    when the largest count exceeds a finite default.
+    recount of the state's set.  The recount is walked one residue shard at
+    a time (``class_count_shards``), so no more than one shard of counts is
+    held; with ``whole`` set it is one shard, returned as ``counts`` (a
+    profile writes every count), and otherwise ``counts`` is None.
+
+    The report lists the overshoots of ``target`` (a represented zero
+    included), the recorded entries (t, c) whose count at t is at most c
+    (no copy index counts as 0), the elements below ``half_line``, whether
+    the gap-sequence ledger holds (true without a sequence) and the support
+    size.  A shard's counts off the explicit values are walked only when
+    its largest count exceeds a finite default.
     """
-    counts = class_counts(state.form, state.elements, budget)
+    form, elements = state.form, state.elements
+    if whole:
+        p, shards = 1, iter([class_counts(form, elements, budget)])
+    else:
+        p, shards = class_count_shards(form, elements, budget)
     values, default = target.values, target.default
-    over = [(n, counts[n], v) for n, v in values.items() if counts.get(n, 0) > v]
-    if default != INFINITY and max(counts.values(), default=0) > default:
-        over += [(n, c, default) for n, c in counts.items() if c > default and n not in values]
-    copies = ((t, c or 0) for t, c in state.covered)
-    return counts, TargetReport(
+    copies = [(t, c or 0) for t, c in state.covered]
+    wanted: dict[int, list[int]] = {}  # residue -> numbers whose counts the report reads
+    for n in {*values, *(t for t, _ in copies)}:
+        wanted.setdefault(n % p, []).append(n)
+    found: dict[int, int] = {}
+    over, size = [], 0
+    for r, counts in enumerate(shards):
+        size += len(counts)
+        found.update((n, counts.get(n, 0)) for n in wanted.get(r, ()))
+        if default != INFINITY and max(counts.values(), default=0) > default:
+            over += [(n, c, default) for n, c in counts.items() if c > default and n not in values]
+    over += [(n, found[n], v) for n, v in values.items() if found[n] > v]
+    return counts if whole else None, TargetReport(
         tuple(sorted(over)),
-        tuple(sorted((t, c) for t, c in copies if counts.get(t, 0) <= c)),
-        tuple(e for e in state.elements if half_line is not None and e < half_line),
+        tuple(sorted((t, c) for t, c in copies if found[t] <= c)),
+        tuple(e for e in elements if half_line is not None and e < half_line),
         state.ledger_gaps_ok(),
+        size,
     )
 
 
@@ -441,47 +462,53 @@ class ConstructionState(NamedTuple):
 
 
 class Tally:
-    """The step loop's running count, kept in layers, with one staged delta.
+    """The step loop's running count, with one staged delta.
 
-    The verified count is the sum of ``layers``: the starting set's count,
-    then each accepted delta as the kernel returned it.  ``lo`` and ``hi``
-    bound its support, whose size ``size`` is kept as deltas join.  A staged
-    ``delta`` (the classes a candidate block adds) joins only through
-    ``merge``, after the step's check has accepted it.  ``stage`` finds once
-    the old count of every value both count: only a delta value inside
-    [lo, hi] can have one, and only those are looked up in the layers.
-    Every count is positive.
+    The verified count is the set's, answered one value at a time by
+    ``source`` (a ``repcount.PrefixCount``), which holds the plan's prefix
+    tables and no class sums.  The counts already asked for are kept in
+    ``_known`` and each merged delta is added to them, so the cache grows
+    with the queries, not with |A|^h.  ``size`` is the support's size,
+    kept as deltas join.  A staged ``delta`` (the classes a candidate
+    block adds) joins only through ``merge``, after the step's check has
+    accepted it.  ``stage`` finds once, in ``_old``, the old count of every
+    delta value inside [source.lo, source.hi], the extreme tuple sums of
+    the set: no other delta value has one.  Every value asked for lies in
+    that interval, so the cached values a merge changes are exactly those
+    of ``_old``.  Every delta count is positive.
     """
 
-    def __init__(self, counts: dict[int, int]):
-        self.layers: list[dict[int, int]] = []
-        self.lo, self.hi, self.size = 0, -1, 0
-        self.stage(counts)
-        self.merge()
+    def __init__(self, source: PrefixCount, size: int):
+        self.source, self.size = source, size
+        self._known: dict[int, int] = {}
+        self.stage({})
 
     def stage(self, delta: dict[int, int]) -> None:
         """Stage the classes a candidate block adds, replacing any staged ones."""
         self.delta = delta
-        lo, hi = self.lo, self.hi
-        self._old = {n: c for n in delta if lo <= n <= hi and (c := self._verified(n))}
+        lo, hi = self.source.lo, self.source.hi
+        self._old = {n: self._verified(n) for n in delta if lo <= n <= hi}
 
     def _verified(self, n: int) -> int:
-        return sum(layer.get(n, 0) for layer in self.layers)
+        c = self._known.get(n)
+        if c is None:
+            c = self._known[n] = self.source.count(n)
+        return c
 
     def count(self, n: int) -> int:
         """The count at n once the staged delta joins."""
         d = self.delta.get(n)
         if d is None:
-            return self._verified(n) if self.lo <= n <= self.hi else 0
+            return self._verified(n) if self.source.lo <= n <= self.source.hi else 0
         return self._old.get(n, 0) + d
 
     def overshoot(self, default: float, values: Mapping[int, float]) -> Optional[int]:
         """The first n, in delta order, whose count would exceed
         ``values.get(n, default)``, or None: every builder's overshoot rule.
 
-        The layers were verified already, so unless a delta value exceeds the
-        default, or a value with an explicit bound or an old count exceeds
-        its bound, nothing overshoots and the delta is not walked.
+        The verified count holds already, so unless a delta value exceeds
+        the default, or a value with an explicit bound or an old count
+        exceeds its bound, nothing overshoots and the delta is not walked.
         """
         old, delta = self._old, self.delta
         if max(delta.values(), default=0) <= default and all(
@@ -494,16 +521,14 @@ class Tally:
                 return n
         return None
 
-    def merge(self) -> None:
-        """Add the staged delta to the count as a new layer and clear the stage."""
-        delta = self.delta
-        if delta:
-            lo, hi = min(delta), max(delta)
-            if self.layers:
-                lo, hi = min(lo, self.lo), max(hi, self.hi)
-            self.lo, self.hi = lo, hi
-            self.size += len(delta) - len(self._old)
-            self.layers.append(delta)
+    def merge(self, block: Sequence[int]) -> None:
+        """Add the staged delta, the classes ``block`` brings, to the count:
+        the source takes the block, and the cached counts the delta."""
+        delta, known = self.delta, self._known
+        for n, c in self._old.items():
+            known[n] = c + delta[n]
+        self.size += len(delta) - sum(map(bool, self._old.values()))
+        self.source.extend(block)
         self.stage({})
 
 
@@ -643,8 +668,9 @@ def _grow(
 ) -> ConstructionState:
     """The greedy step loop every builder runs.
 
-    The loop counts the classes of the starting set once and keeps that
-    running count in a ``Tally``, whose layers are always verified.  Each
+    The loop keeps the set's running count in a ``Tally`` over the set's
+    prefix tables (``PrefixCount``), and counts the starting set's classes
+    once, for its support size; the tally's count is always verified.  Each
     step takes the next entry (n, c) of ``enumerate_multiset(target)`` whose
     copy is still uncovered (count of n at most c), asks ``propose(state,
     tally, entry, m, attempt)`` for step ``state.step + 1``'s record and
@@ -652,11 +678,13 @@ def _grow(
     ``_accept_target``.  A rejected block, whose classes never reach the
     count, doubles the growth constant ``m`` and is reproposed; more than
     ``retry_cap`` rejections in one step raise RetryExhaustedError with the
-    whole retry trail.  An accepted block's classes join the count as a
-    layer (``Tally.merge``), and its record joins the state with the new
-    support size, which the tally keeps (``Tally.size``).
+    whole retry trail.  An accepted block joins the tally's prefix tables
+    and its classes the cached counts (``Tally.merge``), and its record
+    joins the state with the new support size, which the tally keeps
+    (``Tally.size``).
     """
-    tally = Tally(class_counts(state.form, state.elements, budget))
+    form, elements = state.form, state.elements
+    tally = Tally(PrefixCount(form, elements), len(class_counts(form, elements, budget)))
     entries = iter(enumerate_multiset(target))
     trail: list[str] = []
     for k in range(1, steps + 1):
@@ -679,7 +707,7 @@ def _grow(
                     f"step {k} entry {entry} {why}; trace:\n" + "\n".join(trail)
                 )
             m *= 2
-        tally.merge()
+        tally.merge(record.block)
         state = state.extended(record._replace(support_size=tally.size))
     return state
 

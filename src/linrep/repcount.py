@@ -29,8 +29,16 @@ support meets B, so ``class_count_delta`` counts only assignments with a
 value in B, split by the first slot holding one.  A general delta lists
 its sums in the order a walk of the tuples with a block entry first meets
 them (split by the first block position, then ``itertools.product``
-order); that order decides which doubled value a retry trail names.  The
-builders keep each accepted delta as one layer of a ``builder_target.Tally``.
+order); that order decides which doubled value a retry trail names.
+
+Two ways of counting hold no |A|^h table.  ``PrefixCount`` answers the
+count at one n from the plan's prefix tables, the sums of each term's
+first k - 1 slots: the builders' running count (``builder_target.Tally``)
+and ``count_at`` query it, and each accepted block extends its tables.
+``class_count_shards`` takes a full count one residue class of n mod p at
+a time, p prime (``shard_modulus``): every term's last convolution keeps
+only the pairs whose sum falls in the shard, so each shard's counts are
+exact.  The final certificate walks those shards.
 Forms with equal coefficients keep a path that enumerates value multisets,
 keyed in multiset order, and streams their sums into the count
 (``_multiset_sums``).  Their plan walks about h! times as many tuples: for
@@ -44,7 +52,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, cycle, repeat
-from math import factorial, lcm, prod
+from math import factorial, isqrt, lcm, prod
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -152,16 +160,23 @@ class RepProfile(NamedTuple):
         prefix of another sorts first, as in ``str`` order: this is json's
         ``sort_keys`` order.  Keys need no escaping, and ``f"{c}"`` is
         ``int.__repr__``, which is what json writes for an integer.
+
+        The text is one join, with the head and tail spliced onto the end
+        entries, so the body is never copied while the entries are alive.
         """
         smin, smax = self.support_min, self.support_max
         lo, hi = self.window or (smin, smax)
         entries = sorted([f'"{n}":{c}' for n, c in self.counts.items() if lo <= n <= hi])
-        return (
-            '{"counts":{' + ",".join(entries) + "}"
-            + ',"support_max":' + ("null" if smax is None else f'"{smax}"')
+        tail = (
+            '},"support_max":' + ("null" if smax is None else f'"{smax}"')
             + ',"support_min":' + ("null" if smin is None else f'"{smin}"')
             + "}"
         )
+        if not entries:
+            return '{"counts":{' + tail
+        entries[0] = '{"counts":{' + entries[0]
+        entries[-1] += tail
+        return ",".join(entries)
 
 
 def _check_budget(size: int, arity: int, budget: int) -> None:
@@ -206,9 +221,11 @@ def class_count_delta(
     _check_budget(len(base) + len(new), len(coeffs), budget)
     if not new:
         return {}
+    old = base.elements
     if len(set(coeffs)) == 1:
-        return _uniform_delta(coeffs[0], len(coeffs), base.elements, new)
-    return _general_delta(coeffs, base.elements, new)
+        return _uniform_delta(coeffs[0], len(coeffs), old, new)
+    empty = not old and sum(coeffs) == 0
+    return _plan_counts(coeffs, lambda weights: _split_sums(weights, old, new, {}), empty)
 
 
 def _uniform_delta(
@@ -252,25 +269,26 @@ def _multiset_sums(
             Counter.update(out, map(s.__add__, tails))
 
 
-def _general_delta(
-    coeffs: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]
-) -> dict[int, int]:
-    """Integer counts of the new classes from the form's signed plan.
+def _plan_counts(coeffs: tuple[int, ...], sums_of, empty: bool) -> dict[int, int]:
+    """Class counts from the form's signed plan: ``sums_of(weights)`` gives
+    the sums of one term's assignments (with multiplicity), for a delta
+    those split by the first block position (``_split_sums``); ``empty``
+    adds the empty class at 0.
 
     The first term (the coefficients) is counted straight into the result,
-    which fixes the key order: that of its first tuple with a block entry,
-    split by the first block position.  A later term only revisits those
-    sums (an assignment constant on parts has the weighted sum of a tuple
-    the first term counts), so it goes into a correction dict over the keys
-    it touches.  Each corrected count must be a non-negative multiple of
-    den, or ConstructionBugError signals the bug; the first term's dict is
-    rescaled only when the coefficients have slot symmetries (sym0 > 1).
+    which fixes the key order: that of ``sums_of``.  A later term only
+    revisits those sums (an assignment constant on parts has the weighted
+    sum of a tuple the first term counts), so it goes into a correction
+    dict over the keys it touches.  Each corrected count must be a
+    non-negative multiple of den, or ConstructionBugError signals the bug;
+    the first term's dict is rescaled only when the coefficients have slot
+    symmetries (sym0 > 1).
     """
     den, (first, c0), *rest = _terms(coeffs)
-    counts = _split_sums(first, old, new, {})
+    counts = sums_of(first)
     touched: dict[int, int] = {}
     for weights, c in rest:
-        for n, k in _split_sums(weights, old, new, {}).items():
+        for n, k in sums_of(weights).items():
             touched[n] = touched.get(n, 0) + c * k
     for n, c in touched.items():
         c += c0 * counts[n]
@@ -289,7 +307,7 @@ def _general_delta(
                 f"plan of form {coeffs}: an uncorrected count is not a multiple of {sym0}"
             )
     counts.update(touched)
-    if not old and sum(coeffs) == 0:
+    if empty:
         counts[0] += 1  # the empty class, new with the first elements
     for n in touched:
         if not counts[n]:
@@ -335,6 +353,16 @@ def _split_sums(
     """Add the weighted sum of every assignment of old+new values to the
     slots with at least one block value, split by the first block slot:
     old^i x new x (old+new)^(k-1-i)."""
+    for prefix, last in _splits(weights, old, new):
+        _convolve(prefix, last, out)
+    return out
+
+
+def _splits(
+    weights: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]
+) -> Iterator[tuple[dict[int, int], list[int]]]:
+    """For each split of ``_split_sums`` in order, the weighted sums of its
+    first k - 1 slots (with multiplicity) and its last slot's scaled values."""
     both = old + new
     k = len(weights)
     for i in range(k):
@@ -343,8 +371,7 @@ def _split_sums(
         prefix = {0: 1}
         for values in scaled[:-1]:
             prefix = _convolve(prefix, values, {})
-        _convolve(prefix, scaled[-1], out)
-    return out
+        yield prefix, scaled[-1]
 
 
 def _convolve(sums: dict[int, int], values: list[int], out: dict[int, int]) -> dict[int, int]:
@@ -400,11 +427,147 @@ def rep_function(
     return RepProfile(counts=class_counts(form, ground_set, budget), window=window)
 
 
+# a full count of more tuples than this is taken in residue shards
+_SHARD_TUPLES = 2**15
+
+
+def shard_modulus(form: LinearForm, size: int) -> int:
+    """The number of residue shards ``class_count_shards`` counts a set of
+    ``size`` elements in: 1 up to ``_SHARD_TUPLES`` tuples, and for equal
+    coefficients, whose multiset path is not sharded; above that the
+    smallest prime at least tuples / ``_SHARD_TUPLES``.  Built sums crowd
+    a few residues of a power of 2, so the modulus is prime."""
+    tuples = size**form.arity
+    if tuples <= _SHARD_TUPLES or len(set(form.coefficients)) == 1:
+        return 1
+    p = -(-tuples // _SHARD_TUPLES)
+    while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+def class_count_shards(
+    form: LinearForm,
+    ground_set: GroundSet,
+    budget: int = DEFAULT_TUPLE_BUDGET,
+) -> tuple[int, Iterator[dict[int, int]]]:
+    """``(p, shards)``: the counts of ``class_counts``, one residue class of
+    n mod p at a time, p = ``shard_modulus``.  Shard r holds the counts at
+    every n = r (mod p), for r = 0 .. p - 1, so at most one shard of
+    counts need be held.  The budget rule is ``class_counts``', checked
+    once, before any shard is counted.
+
+    Each plan term's prefix sums (its first k - 1 slots) and its last
+    slot's values are bucketed by residue once; shard r convolves each
+    bucket pair (a, r - a), and every term is sharded alike, so each
+    shard's counts are exact.  With p = 1 the one shard is ``class_counts``.
+    """
+    coeffs = form.coefficients
+    _check_budget(len(ground_set), len(coeffs), budget)
+    p = shard_modulus(form, len(ground_set))
+    if p == 1:
+        return 1, iter([class_counts(form, ground_set, budget)])
+    return p, _shards(coeffs, ground_set.elements, p)
+
+
+def _shards(coeffs: tuple[int, ...], elements: tuple[int, ...], p: int) -> Iterator[dict]:
+    buckets = {}
+    for weights, _ in _terms(coeffs)[1:]:
+        prefix, last = next(_splits(weights, (), elements))
+        sums: list[dict[int, int]] = [{} for _ in range(p)]
+        for s, k in prefix.items():
+            sums[s % p][s] = k
+        values: list[list[int]] = [[] for _ in range(p)]
+        for v in last:
+            values[v % p].append(v)
+        buckets[weights] = sums, values
+    empty = sum(coeffs) == 0 and bool(elements)
+    for r in range(p):
+
+        def shard_sums(weights: tuple[int, ...]) -> dict[int, int]:
+            sums, values = buckets[weights]
+            out: dict[int, int] = {}
+            for a in range(p):
+                if sums[a] and values[(r - a) % p]:
+                    _convolve(sums[a], values[(r - a) % p], out)
+            return out
+
+        yield _plan_counts(coeffs, shard_sums, empty and r == 0)
+
+
+class PrefixCount:
+    """The class count of a growing set at any one n, from the form's signed
+    plan, holding no sum of all h slots.
+
+    For each plan term w = (w_1, ..., w_k) with coefficient c, the table
+    P_w maps each weighted sum of the first k - 1 slots over the set A to
+    its number of assignments, so den * count(n) is the sum over the terms
+    of c * sum over v in A of P_w(n - w_k * v); the empty class adds 1 at 0
+    when the coefficients sum to 0 and A is not empty.  ``extend`` adds a
+    disjoint block's assignments to every table (``_split_sums``), in
+    O(|A|^(h-2) * |B|).  A query walks |A| values per term of two or more
+    slots.  ``lo`` and
+    ``hi`` are the extreme tuple sums, from min A and max A: every count
+    outside them is 0.
+    """
+
+    def __init__(self, form: LinearForm, elements: Sequence[int] = ()):
+        coeffs = form.coefficients
+        self._den, *terms = _terms(coeffs)
+        # per term: the slots its table sums, w_k, c, the table and the last
+        # slot's values w_k * v; a one-slot term's table sums its one slot,
+        # with [0] for the last values, so that its query is one lookup
+        self._tables = [
+            (w[:-1], w[-1], c, {}, []) if len(w) > 1 else (w, None, c, {}, [0])
+            for w, c in terms
+        ]
+        self.form = form
+        self._empty_at_zero = sum(coeffs) == 0
+        self.elements: tuple[int, ...] = ()
+        self.lo, self.hi = 0, -1
+        self.extend(elements)
+
+    def extend(self, block: Sequence[int]) -> None:
+        """Add the duplicate-free ``block``, disjoint from the set, to every table."""
+        old, new = self.elements, tuple(block)
+        if not new:
+            return
+        for head, w, _, table, last in self._tables:
+            _split_sums(head, old, new, table)
+            if w is not None:
+                last += [w * v for v in new]
+        least, most = min(new), max(new)
+        if old:
+            least, most = min(least, self._least), max(most, self._most)
+        self.elements, self._least, self._most = old + new, least, most
+        coeffs = self.form.coefficients
+        self.lo = sum(a * (least if a > 0 else most) for a in coeffs)
+        self.hi = sum(a * (most if a > 0 else least) for a in coeffs)
+
+    def count(self, n: int) -> int:
+        """The number of classes at n; ConstructionBugError when the plan's
+        sum is not a non-negative multiple of den."""
+        total = sum(
+            c * sum(map(table.get, map(n.__sub__, last), repeat(0)))
+            for _, _, c, table, last in self._tables
+        )
+        if total < 0 or total % self._den:
+            raise ConstructionBugError(
+                f"plan of form {self.form.coefficients}: {total} at {n} is not a non-negative "
+                f"multiple of {self._den}"
+            )
+        if n == 0 and self._empty_at_zero and self.elements:
+            return total // self._den + 1
+        return total // self._den
+
+
 def count_at(
     form: LinearForm,
     ground_set: GroundSet,
     n: int,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> int:
-    """Number of distinct classes representing n; same budget rule."""
-    return class_counts(form, ground_set, budget).get(n, 0)
+    """Number of distinct classes representing n, from the prefix tables
+    (``PrefixCount``), without a full count; same budget rule."""
+    _check_budget(len(ground_set), form.arity, budget)
+    return PrefixCount(form, ground_set.elements).count(n)

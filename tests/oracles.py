@@ -163,6 +163,31 @@ def merged(counts, delta):
     return out
 
 
+class DictCount:
+    """Made-up verified counts in a plain dict, the count a
+    ``builder_target.Tally`` asks for its old counts.  The tally's own
+    source is the set's prefix tables; made-up counts come from no set, so
+    ``extend`` takes the merged delta in place of a block.  ``lo`` and
+    ``hi`` bound the support, as the extreme tuple sums do."""
+
+    def __init__(self, counts):
+        self.counts = dict(counts)
+
+    @property
+    def lo(self):
+        return min(self.counts, default=0)
+
+    @property
+    def hi(self):
+        return max(self.counts, default=-1)
+
+    def count(self, n):
+        return self.counts.get(n, 0)
+
+    def extend(self, delta):
+        self.counts = merged(self.counts, delta)
+
+
 def unique_violation(counts, target, delta):
     """(kind, value) of the first reason counts + delta is not a unique
     representation step for `target`, or None."""

@@ -28,7 +28,7 @@ from linrep.errors import (
     SupplyExhaustedError,
 )
 
-from oracles import brute_counts, scheduled_numbers, target_violation
+from oracles import DictCount, brute_counts, scheduled_numbers, target_violation
 
 
 def even_values(pairs):
@@ -132,7 +132,7 @@ class TestCheckDiffStep:
     @example(({0: 1}, {5: 1, -5: 1}, TargetFunction.make((-12, 12), default=2), (5, 1)))
     def test_agrees_with_the_loop(self, step):
         old, delta, target, entry = step
-        tally = Tally(old)
+        tally = Tally(DictCount(old), len(old))
         tally.stage(delta)
         state = ConstructionState.initial(DIFFERENCE_FORM, 1)
         violation = _accept_target(target, None, state, tally, entry, (0, 1))

@@ -1,5 +1,7 @@
 import json
+from functools import cache
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from linrep import (
     enumerate_multiset,
     window_plentiful_supply,
 )
-from linrep import builder_target
+from linrep import builder_target, repcount
 from linrep.builder_target import (
     ALL_ONES,
     ConstructionState,
@@ -38,6 +40,7 @@ from linrep.errors import (
 from linrep.forms import spiral
 
 from oracles import (
+    DictCount,
     brute_counts,
     multiset_walk,
     rational_box_values,
@@ -230,14 +233,23 @@ def brute_of(state):
     return brute_counts(state.form.coefficients, state.elements.elements)
 
 
+def forced_shards(form, size, p):
+    """A shard constant under which ``size`` elements under ``form`` are
+    counted in exactly ``p`` shards."""
+    tuples = size**form.arity
+    return -(-tuples // p)
+
+
 class TestCheckCounts:
     def test_clean_set(self):
         t = TargetFunction.make((-5, 5))
-        counts, report = check_counts_against_target(bare("1,1", [0, 1]), t)
+        counts, report = check_counts_against_target(bare("1,1", [0, 1]), t, whole=True)
         assert counts == brute_counts((1, 1), (0, 1))
-        assert report == TargetReport((), (), (), True)
+        assert report == TargetReport((), (), (), True, 3)
         assert report.ok
         assert str(report) == "ok"
+        # walked in shards, the certificate returns no counts and the same report
+        assert check_counts_against_target(bare("1,1", [0, 1]), t) == (None, report)
 
     def test_zero_set_hit(self):
         # a zero carries the value 0, so a represented zero is one overshoot
@@ -253,18 +265,21 @@ class TestCheckCounts:
 
     def test_counts_once(self, monkeypatch):
         calls = []
-        original = builder_target.class_counts
+        for name in ("class_counts", "class_count_shards"):
+            original = getattr(builder_target, name)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(builder_target, "class_counts", counted)
-        state = build_for_target(LinearForm.parse("1,1"), TargetFunction.make((-4, 4)), 4)
-        calls.clear()
-        counts, report = check_counts_against_target(state, TargetFunction.make((-4, 4)))
-        assert len(calls) == 1 and report.ok
-        assert counts == brute_of(state)
+            monkeypatch.setattr(builder_target, name, counted)
+        target = TargetFunction.make((-4, 4))
+        state = build_for_target(LinearForm.parse("1,2"), target, 4)
+        for whole, kernel in ((False, "class_count_shards"), (True, "class_counts")):
+            calls.clear()
+            counts, report = check_counts_against_target(state, target, whole=whole)
+            assert calls == [kernel] and report.ok
+            assert counts == (brute_of(state) if whole else None)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -278,8 +293,9 @@ class TestCheckCounts:
         target = TargetFunction.make((lo, hi), values, default, tuple(zeros))
         form = data.draw(st.sampled_from(["1,1", "1,-1", "1,2", "2,-1", "1,1,1", "1,2,-3"]))
         elements = data.draw(st.lists(st.integers(-12, 12), max_size=8, unique=True))
-        counts, report = check_counts_against_target(bare(form, elements), target)
+        counts, report = check_counts_against_target(bare(form, elements), target, whole=True)
         assert counts == brute_counts(LinearForm.parse(form).coefficients, elements)
+        assert report.support_size == len(counts)
         assert list(report.overshoots) == target_overshoots(counts, target)
         assert report.ok == (not report.overshoots)
         assert all((n, counts[n], 0) in report.overshoots for n in zeros & counts.keys())
@@ -287,10 +303,65 @@ class TestCheckCounts:
         assert all(allowed != INFINITY for _, _, allowed in report.overshoots)
 
 
+@cache
+def built_states():
+    """States whose certificates read every field: builds with records,
+    copies and a ledger, some tampered so that a field fails."""
+    realized = build_for_target(
+        LinearForm.parse("1,2"), TargetFunction.make((-6, 6), values={1: 3, -2: 2}, default=2), 8
+    )
+    last = realized.records[-1]
+    unique = build(LinearForm.parse("1,2,-3"), 4)
+    return [
+        (realized, TargetFunction.make((-6, 6), values={1: 3, -2: 2}, default=2)),
+        (realized._replace(records=realized.records + (last._replace(copy_index=9),)),
+         TargetFunction.make((-6, 6), default=2)),
+        (unique, ALL_ONES),
+        (unique._replace(elements=unique.elements.union([2, 5])), ALL_ONES),
+        (build(LinearForm.parse("2,2,-1,-1"), 3), ALL_ONES),
+        (bare("1,-2,3", range(-6, 6, 2)), TargetFunction.make((-9, 9), {0: 1}, 3, (4,))),
+        (bare("3,-1,-1", range(0, 30, 3)), TargetFunction.make((0, 0), default=INFINITY)),
+    ]
+
+
+class TestShardedCertificate:
+    """The certificate walked in p residue shards gives the one-shard report."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    @pytest.mark.parametrize("case", range(7))
+    def test_equals_the_one_shard_report(self, monkeypatch, p, case):
+        state, target = built_states()[case]
+        counts, whole = check_counts_against_target(state, target, whole=True)
+        assert counts == brute_of(state)
+        if len(set(state.form.coefficients)) == 1:
+            p = 1  # equal coefficients are counted in one shard
+        constant = forced_shards(state.form, len(state.elements), p)
+        monkeypatch.setattr(repcount, "_SHARD_TUPLES", constant)
+        assert repcount.shard_modulus(state.form, len(state.elements)) == p
+        assert check_counts_against_target(state, target) == (None, whole)
+
+    @given(
+        st.sampled_from(["1,-1", "1,2", "2,-1", "1,2,-3", "1,1,-2", "2,2,-1,-1"]),
+        st.lists(st.integers(-12, 12), min_size=7, max_size=9, unique=True),
+        st.dictionaries(st.integers(-6, 6), st.integers(0, 3), max_size=6),
+        st.sampled_from([1, 2, INFINITY]),
+        st.sampled_from([2, 3, 7]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_sets(self, form, elements, values, default, p):
+        zeros = tuple(n for n, v in values.items() if v == 0)
+        target = TargetFunction.make((-6, 6), values, default, zeros)
+        state = bare(form, elements)
+        _, whole = check_counts_against_target(state, target, whole=True)
+        with patch.object(repcount, "_SHARD_TUPLES", forced_shards(state.form, len(elements), p)):
+            assert repcount.shard_modulus(state.form, len(elements)) == p
+            assert check_counts_against_target(state, target) == (None, whole)
+
+
 class TestTamperedCertificate:
     """A state whose records claim more than its set holds fails the
-    certificate in the field that names the claim, and its counts are the
-    brute-force ones."""
+    certificate in the field that names the claim, and its support size
+    is the brute-force one."""
 
     def test_copy_beyond_the_count_is_uncovered(self):
         target = TargetFunction.make((-4, 4), default=2)
@@ -300,8 +371,8 @@ class TestTamperedCertificate:
         brute = brute_of(state)
         claim = brute.get(last.target, 0)  # copy c needs a count above c
         tampered = state._replace(records=state.records[:-1] + (last._replace(copy_index=claim),))
-        counts, report = check_counts_against_target(tampered, target)
-        assert counts == brute
+        _, report = check_counts_against_target(tampered, target)
+        assert report.support_size == len(brute)
         assert report.uncovered == ((last.target, claim),)
         assert report.overshoots == () and not report.ok
         assert str(report) == f"copy {claim} of {last.target} uncovered"
@@ -314,8 +385,8 @@ class TestTamperedCertificate:
         missed = next(n for n in range(1, 100) if n not in brute)
         last = state.records[-1]
         tampered = state._replace(records=state.records[:-1] + (last._replace(target=missed),))
-        counts, report = check_counts_against_target(tampered, ALL_ONES)
-        assert counts == brute
+        _, report = check_counts_against_target(tampered, ALL_ONES)
+        assert report.support_size == len(brute)
         assert report.uncovered == ((missed, 0),) and not report.ok
 
     def test_element_below_the_half_line(self):
@@ -323,9 +394,9 @@ class TestTamperedCertificate:
         state = build(LinearForm.parse("1,-2"), 4, half_line=half_line)
         assert check_counts_against_target(state, ALL_ONES, half_line=half_line)[1].ok
         tampered = state._replace(elements=state.elements.union([half_line - 3]))
-        counts, report = check_counts_against_target(tampered, ALL_ONES, half_line=half_line)
+        _, report = check_counts_against_target(tampered, ALL_ONES, half_line=half_line)
         brute = brute_of(tampered)
-        assert counts == brute
+        assert report.support_size == len(brute)
         assert report.below_half_line == (half_line - 3,) and not report.ok
         assert list(report.overshoots) == target_overshoots(brute, ALL_ONES)
         # without a bound, no element is below it
@@ -341,9 +412,8 @@ class TestTamperedCertificate:
         terms = list(seq.terms)
         terms[w - 1] += 1
         tampered = state._replace(gap_sequence=PlentifulSequence(terms))
-        counts, report = check_counts_against_target(tampered, target)
-        brute = brute_of(state)
-        assert counts == brute
+        _, report = check_counts_against_target(tampered, target)
+        assert report.support_size == len(brute_of(state))
         assert report.overshoots == () == report.uncovered
         assert report.ledger_coherent is False and not report.ok
         assert str(report) == "ledger incoherent"
@@ -366,7 +436,7 @@ def target_check(target, counts, entry, delta, form):
     ordering up to ``entry`` for the numbers scheduled before it."""
     form = LinearForm.parse(form)
     state = ConstructionState.initial(form, 1)
-    tally = Tally(counts)
+    tally = Tally(DictCount(counts), len(counts))
     tally.stage(delta)
     violation = _accept_target(target, None, state, tally, entry, (0, 1))
     frozen = scheduled_numbers(enumerate_multiset(target), entry)

@@ -7,9 +7,11 @@ from linrep import (
     GroundSet,
     LinearForm,
     MixedSignRequiredError,
+    PlentifulSequence,
     TargetFunction,
     build,
     build_for_target,
+    build_infinite_case,
     class_counts,
 )
 from linrep import builder_target
@@ -26,9 +28,9 @@ from linrep.builder_target import (
 )
 from linrep.errors import NotPrimitiveError, RetryExhaustedError
 from linrep.forms import bezout_witness, spiral
-from linrep.repcount import DEFAULT_TUPLE_BUDGET
+from linrep.repcount import DEFAULT_TUPLE_BUDGET, PrefixCount
 
-from oracles import brute_counts, first_overshoot, merged, unique_violation
+from oracles import DictCount, brute_counts, first_overshoot, merged, unique_violation
 
 ACCEPTANCE_FORMS = ["1,1", "1,1,1", "2,3", "1,-2", "3,-2", "1,2,-3"]
 
@@ -36,13 +38,13 @@ ACCEPTANCE_FORMS = ["1,1", "1,1,1", "2,3", "1,-2", "3,-2", "1,2,-3"]
 def verify_block(form, block, target, d0=1):
     """The unique builder's check of one block on top of the set {d0}."""
     state = ConstructionState.initial(form, d0)
-    tally = Tally(class_counts(form, state.elements))
+    tally = Tally(PrefixCount(form, state.elements), len(class_counts(form, state.elements)))
     return _check_block(state, tally, ALL_ONES, None, (target, 0), block, DEFAULT_TUPLE_BUDGET)
 
 
 def staged(counts, delta):
-    """A tally of the verified ``counts`` with ``delta`` staged on it."""
-    tally = Tally(counts)
+    """A tally of the made-up verified ``counts`` with ``delta`` staged on it."""
+    tally = Tally(DictCount(counts), len(counts))
     tally.stage(delta)
     return tally
 
@@ -240,13 +242,13 @@ class TestTally:
         # each step stages a delta, and only an accepted one is merged;
         # merging moves the delta into the count, so no count changes
         model = dict(counts)
-        tally = Tally(counts)
+        tally = Tally(DictCount(counts), len(counts))
         for delta, accepted in steps:
             tally.stage(delta)
             expected = {n: model.get(n, 0) + delta.get(n, 0) for n in [*model, *delta, 99]}
             assert {n: tally.count(n) for n in expected} == expected
             if accepted:
-                tally.merge()
+                tally.merge(delta)
                 model = merged(model, delta)
                 assert {n: tally.count(n) for n in expected} == expected
             assert tally.size == len(model)
@@ -455,3 +457,40 @@ class TestHalfLine:
     def test_mixed_sign_last_identity_when_already_mixed(self):
         form = LinearForm.parse("1,-2")
         assert mixed_sign_last(form) == form
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: build(LinearForm.parse("1,2,-3"), 6),
+        lambda: build(LinearForm.parse("2,2,-1,-1"), 4),
+        lambda: build_for_target(
+            LinearForm.parse("1,1"),
+            TargetFunction.make((-20, 20), values={n: 2 for n in range(-20, 21)}),
+            30,
+        ),
+        lambda: build_infinite_case(
+            TargetFunction.make((-4, 4), values={0: 1}, default=INFINITY),
+            PlentifulSequence(tuple(2**i for i in range(1, 200))),
+            12,
+        ),
+    ],
+    ids=["build", "build_repeated", "build_for_target", "diff_infinite"],
+)
+def test_every_merge_leaves_the_count_of_the_union(monkeypatch, run):
+    # the cached counts and the extended prefix tables, after each merge,
+    # against a full count of the set the tally now holds
+    merge, checked = Tally.merge, []
+
+    def checked_merge(tally, block):
+        merge(tally, block)
+        form = tally.source.form
+        expected = class_counts(form, GroundSet.of(tally.source.elements))
+        probes = [*expected, *(n + 1 for n in expected), *tally._known]
+        assert {n: tally.count(n) for n in probes} == {n: expected.get(n, 0) for n in probes}
+        assert tally.size == len(expected)
+        checked.append(block)
+
+    monkeypatch.setattr(Tally, "merge", checked_merge)
+    state = run()
+    assert checked == [r.block for r in state.records]

@@ -1,6 +1,7 @@
 import json
 from itertools import permutations, product as iproduct
 from math import perm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -9,19 +10,24 @@ from hypothesis import strategies as st
 from linrep import (
     DIFFERENCE_FORM, INFINITY, GroundSet, LinearForm, class_counts, rep_function
 )
+from linrep import repcount
 from linrep.builder_target import Tally
 from linrep.errors import BudgetExceededError
 from linrep.repcount import (
+    PrefixCount,
     RepProfile,
     _class_types,
     _set_partitions,
     _terms,
     class_count_delta,
+    class_count_shards,
     count_at,
+    shard_modulus,
     int_from_json,
 )
 
 from oracles import (
+    DictCount,
     brute_counts,
     class_key,
     first_overshoot,
@@ -180,11 +186,87 @@ class TestRepFunction:
             rep_function(LinearForm.parse("1,1"), GroundSet.of([1]), (3, -3))
 
 
+PLAN_FORMS = ["1,1", "1,1,1", "1,-1", "1,1,-2", "2,2,-1,-1", "1,-1,1,-1", "1,2,-3"]
+
+
+def probes(counts):
+    """The support values, their successors and -30..30."""
+    return {*counts, *(n + 1 for n in counts), *range(-30, 31)}
+
+
 class TestCountAt:
     def test_examples(self):
         assert count_at(LinearForm.parse("1,1"), GroundSet.of([0, 1, 2]), 2) == 2
         assert count_at(LinearForm.parse("1,1"), GroundSet.of([0]), 0) == 1
         assert count_at(LinearForm.parse("3,-2"), GroundSet.of([2, 3]), 0) == 1
+
+    @given(st.sampled_from(PLAN_FORMS), st.lists(st.integers(-15, 15), max_size=6, unique=True))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_brute_count(self, form, elements):
+        # the prefix-table query, with no full count, at every probe
+        form = LinearForm.parse(form)
+        brute = brute_counts(form.coefficients, elements)
+        ground = GroundSet.of(elements)
+        assert {n: count_at(form, ground, n) for n in probes(brute)} == {
+            n: brute.get(n, 0) for n in probes(brute)
+        }
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError) as err:
+            count_at(LinearForm.parse("1,2,-3"), GroundSet.of(range(50)), 0, budget=10**5)
+        assert err.value.required == 50**3
+
+    @given(
+        st.sampled_from(PLAN_FORMS),
+        st.lists(st.lists(st.integers(-25, 25), min_size=1, max_size=3), max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_extended_tables_match_the_brute_count(self, form, blocks):
+        # blocks joining one at a time, the way the running count grows
+        form, seen, prefix = LinearForm.parse(form), set(), PrefixCount(LinearForm.parse(form))
+        for block in blocks:
+            block = [v for v in dict.fromkeys(block) if v not in seen]
+            prefix.extend(block)
+            seen.update(block)
+            brute = brute_counts(form.coefficients, prefix.elements)
+            assert {n: prefix.count(n) for n in probes(brute)} == {
+                n: brute.get(n, 0) for n in probes(brute)
+            }
+            assert all(prefix.lo <= n <= prefix.hi for n in brute)
+
+
+class TestShards:
+    @given(
+        st.sampled_from([*PLAN_FORMS, "1,2", "3,-2", "2,-1,3"]),
+        st.lists(st.integers(-20, 20), max_size=7, unique=True),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shards_partition_the_brute_count(self, form, elements, constant):
+        form = LinearForm.parse(form)
+        with patch.object(repcount, "_SHARD_TUPLES", constant):
+            p, shards = class_count_shards(form, GroundSet.of(elements))
+            assert p == shard_modulus(form, len(elements))
+        whole = {}
+        for r, shard in enumerate(shards):
+            assert all(n % p == r for n in shard)
+            whole.update(shard)
+        assert r == p - 1
+        assert whole == brute_counts(form.coefficients, elements)
+
+    def test_modulus(self):
+        form = LinearForm.parse("1,2,-3")
+        assert shard_modulus(form, 32) == 1  # 2^15 tuples
+        assert shard_modulus(form, 33) == 2
+        assert shard_modulus(form, 61) == 7  # 226,981 tuples
+        assert shard_modulus(form, 151) == 107
+        # equal coefficients stay one shard
+        assert shard_modulus(LinearForm.parse("1,1,1"), 151) == 1
+
+    def test_budget_checked_before_any_shard(self):
+        with pytest.raises(BudgetExceededError) as err:
+            class_count_shards(LinearForm.parse("1,2,-3"), GroundSet.of(range(50)), 10**5)
+        assert err.value.required == 50**3
 
 
 class TestOracleAgreement:
@@ -283,14 +365,15 @@ class TestDeltaCounting:
     )
     @settings(max_examples=60, deadline=None)
     def test_block_growth(self, form, values, sizes):
-        # the step loop's tally, one layer per block
+        # the step loop's tally over the set's prefix tables, one block at a
+        # time; each step's queries are cached and later merges update them
         ground = GroundSet.of(values[:1])
-        tally = Tally(class_counts(form, ground))
+        tally = Tally(PrefixCount(form, ground.elements), len(class_counts(form, ground)))
         rest = values[1:]
         for size in sizes:
             block, rest = tuple(rest[:size]), rest[size:]
             tally.stage(class_count_delta(form, ground, block))
-            tally.merge()
+            tally.merge(block)
             ground = ground.union(block)
             expected = brute_counts(form.coefficients, ground.elements)
             assert held(tally, [*expected, 10**6]) == {**expected, 10**6: 0}
@@ -507,15 +590,15 @@ bounds = st.dictionaries(st.integers(-8, 8), st.integers(0, 6), max_size=6)
 
 
 class TestMergeCounts:
-    """The layered tally against one flat count (``oracles.merged``)."""
+    """The tally over made-up counts against one flat count (``oracles.merged``)."""
 
     @given(count_maps, count_maps)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_plain_loop(self, counts, delta):
         expected = merged(counts, delta)
-        tally = Tally(counts)
+        tally = Tally(DictCount(counts), len(counts))
         tally.stage(delta)
-        tally.merge()
+        tally.merge(delta)
         assert held(tally, [*expected, 99]) == {**expected, 99: 0}
         assert tally.size == len(expected)
 
@@ -530,7 +613,7 @@ class TestMergeCounts:
         # each step stages a delta; an accepted one joins the flat model, a
         # rejected one is replaced by the next stage
         model = counts
-        tally = Tally(counts)
+        tally = Tally(DictCount(counts), len(counts))
         for delta, accepted in steps:
             tally.stage(delta)
             staged = merged(model, delta)
@@ -539,7 +622,7 @@ class TestMergeCounts:
                 model, delta, default, values
             )
             if accepted:
-                tally.merge()
+                tally.merge(delta)
                 model = staged
             assert tally.size == len(model)
         tally.stage({})

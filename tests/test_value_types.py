@@ -47,7 +47,7 @@ HASHABLE = {
     "DiffConstructionState": diff_built,
     "DiffStepRecord": lambda: diff_built().records[1],
     "Violation": lambda: Violation("double-representation", 7),
-    "TargetReport": lambda: TargetReport(((3, 2, 1),), ((4, 0),), (-1,), False),
+    "TargetReport": lambda: TargetReport(((3, 2, 1),), ((4, 0),), (-1,), False, 12),
     "DiffReport": lambda: DiffReport((("not-even", 2),)),
     "AutomorphismWitness": lambda: AutomorphismWitness((None, 1), (None, 0)),
 }
@@ -130,9 +130,9 @@ def test_repr_text():
     assert repr(Violation("double-representation", 7)) == (
         "Violation(kind='double-representation', value=7)"
     )
-    assert repr(TargetReport(((3, 2, 1),), ((4, 0),), (-1,), False)) == (
+    assert repr(TargetReport(((3, 2, 1),), ((4, 0),), (-1,), False, 12)) == (
         "TargetReport(overshoots=((3, 2, 1),), uncovered=((4, 0),), below_half_line=(-1,), "
-        "ledger_coherent=False)"
+        "ledger_coherent=False, support_size=12)"
     )
     assert repr(DiffReport((("not-even", 2),))) == "DiffReport(violations=(('not-even', 2),))"
     assert repr(AutomorphismWitness((None, 1), (None, 0))) == (
