@@ -26,16 +26,18 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from itertools import chain, islice, pairwise
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
-from typing import Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Optional, Sequence, Union
 
 from .errors import MixedSignRequiredError, NotPartitionRegularError, NotPrimitiveError
 from .errors import PreconditionViolationError, RetryExhaustedError
 from .forms import Frozen, LinearForm, bezout_witness, is_partition_regular, is_primitive
 from .forms import spiral, spiral_index
-from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, PrefixCount, class_count_delta
-from .repcount import class_count_shards, class_counts, int_from_json
+from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, PrefixCount, class_count_shards
+from .repcount import class_counts, delta_order, int_from_json
 
 if TYPE_CHECKING:
     from .builder_diff import DiffStepRecord, PlentifulSequence
@@ -310,7 +312,7 @@ def check_counts_against_target(
     if whole:
         p, shards = 1, iter([class_counts(form, elements, budget)])
     else:
-        p, shards = class_count_shards(form, elements, budget)
+        p, shards = class_count_shards(form, GroundSet(()), elements, budget)
     values, default = target.values, target.default
     copies = [(t, c or 0) for t, c in state.covered]
     wanted: dict[int, list[int]] = {}  # residue -> numbers whose counts the report reads
@@ -462,32 +464,68 @@ class ConstructionState(NamedTuple):
 
 
 class Tally:
-    """The step loop's running count, with one staged delta.
+    """The step loop's running count, with one candidate block's classes
+    staged.
 
     The verified count is the set's, answered one value at a time by
     ``source`` (a ``repcount.PrefixCount``), which holds the plan's prefix
     tables and no class sums.  The counts already asked for are kept in
-    ``_known`` and each merged delta is added to them, so the cache grows
+    ``_known`` and each merged stage is added to them, so the cache grows
     with the queries, not with |A|^h.  ``size`` is the support's size,
-    kept as deltas join.  A staged ``delta`` (the classes a candidate
-    block adds) joins only through ``merge``, after the step's check has
-    accepted it.  ``stage`` finds once, in ``_old``, the old count of every
-    delta value inside [source.lo, source.hi], the extreme tuple sums of
-    the set: no other delta value has one.  Every value asked for lies in
-    that interval, so the cached values a merge changes are exactly those
-    of ``_old``.  Every delta count is positive.
+    kept as blocks join.
+
+    ``stage`` takes the classes a candidate block adds (its delta) one
+    residue shard at a time and holds no shard past its turn.  Of each it
+    keeps only what the step's check and ``merge`` read: the count, once
+    the delta joins, of every delta value inside [source.lo, source.hi]
+    (the extreme tuple sums of the set: no other delta value has an old
+    count), in ``_new``; the delta values whose count would exceed their
+    bound, in ``over``; the delta counts at the ``watch`` numbers, in
+    ``moved``; and the number of delta values new to the support.  Every
+    value asked for lies in [lo, hi], so the cached values a merge changes
+    are exactly those of ``_new``.  Every delta count is positive.
     """
 
     def __init__(self, source: PrefixCount, size: int):
         self.source, self.size = source, size
         self._known: dict[int, int] = {}
-        self.stage({})
+        self.stage(())
 
-    def stage(self, delta: dict[int, int]) -> None:
-        """Stage the classes a candidate block adds, replacing any staged ones."""
-        self.delta = delta
+    def stage(
+        self,
+        shards: Iterable[dict[int, int]],
+        order: Callable[[], Iterable[int]] = tuple,
+        default: Count = INFINITY,
+        values: Mapping[int, Count] = MappingProxyType({}),
+        watch: Iterable[int] = (),
+    ) -> None:
+        """Stage a candidate block's classes, given as ``shards`` that
+        partition its delta, replacing any staged ones.  A value overshoots
+        when its count would exceed ``values.get(n, default)``; ``order()``
+        walks the delta's values in delta order (``repcount.delta_order``)
+        for ``first``.
+
+        The count already held is verified, so unless a shard's count
+        exceeds the default, or a value with an explicit bound or an old
+        count exceeds its bound, nothing in it overshoots and the shard's
+        counts are not walked.
+        """
         lo, hi = self.source.lo, self.source.hi
-        self._old = {n: self._verified(n) for n in delta if lo <= n <= hi}
+        self._order, self.over, self.moved = order, set(), {}
+        self._new, self._added = {}, 0
+        watch = tuple(watch)
+        for delta in shards:
+            old = {n: self._verified(n) for n in delta if lo <= n <= hi}
+            if max(delta.values(), default=0) > default or not all(
+                old.get(n, 0) + delta[n] <= values.get(n, default)
+                for n in (delta.keys() & values.keys()) | old.keys()
+            ):
+                self.over.update(
+                    n for n, d in delta.items() if old.get(n, 0) + d > values.get(n, default)
+                )
+            self._new.update((n, c + delta[n]) for n, c in old.items())
+            self._added += len(delta) - sum(map(bool, old.values()))
+            self.moved.update((n, delta[n]) for n in watch if n in delta)
 
     def _verified(self, n: int) -> int:
         c = self._known.get(n)
@@ -496,40 +534,33 @@ class Tally:
         return c
 
     def count(self, n: int) -> int:
-        """The count at n once the staged delta joins."""
-        d = self.delta.get(n)
-        if d is None:
-            return self._verified(n) if self.source.lo <= n <= self.source.hi else 0
-        return self._old.get(n, 0) + d
+        """The count at n once the staged delta joins; off [source.lo,
+        source.hi] it is known only at the watched numbers, and is 0
+        elsewhere."""
+        c = self._new.get(n)
+        if c is not None:
+            return c
+        if self.source.lo <= n <= self.source.hi:
+            return self._verified(n)
+        return self.moved.get(n, 0)
 
-    def overshoot(self, default: float, values: Mapping[int, float]) -> Optional[int]:
-        """The first n, in delta order, whose count would exceed
-        ``values.get(n, default)``, or None: every builder's overshoot rule.
+    def overshoot(self) -> Optional[int]:
+        """The first staged value, in delta order, whose count would exceed
+        its bound, or None: every builder's overshoot rule."""
+        return self.first(self.over) if self.over else None
 
-        The verified count holds already, so unless a delta value exceeds
-        the default, or a value with an explicit bound or an old count
-        exceeds its bound, nothing overshoots and the delta is not walked.
-        """
-        old, delta = self._old, self.delta
-        if max(delta.values(), default=0) <= default and all(
-            old.get(n, 0) + delta[n] <= values.get(n, default)
-            for n in (delta.keys() & values.keys()) | old.keys()
-        ):
-            return None
-        for n, d in delta.items():
-            if old.get(n, 0) + d > values.get(n, default):
-                return n
-        return None
+    def first(self, numbers: Container[int]) -> Optional[int]:
+        """The first staged delta value in ``numbers``, in delta order: one
+        walk of ``order()``, which stops there."""
+        return next(filter(numbers.__contains__, self._order()), None)
 
     def merge(self, block: Sequence[int]) -> None:
         """Add the staged delta, the classes ``block`` brings, to the count:
         the source takes the block, and the cached counts the delta."""
-        delta, known = self.delta, self._known
-        for n, c in self._old.items():
-            known[n] = c + delta[n]
-        self.size += len(delta) - sum(map(bool, self._old.values()))
+        self._known.update(self._new)
+        self.size += self._added
         self.source.extend(block)
-        self.stage({})
+        self.stage(())
 
 
 def mixed_sign_last(form: LinearForm) -> LinearForm:
@@ -617,14 +648,14 @@ def _accept_target(
     if half_line is not None and min(block) < half_line:
         return Violation("below-half-line-bound", min(block))
     t, copy_index = entry
-    n = tally.overshoot(target.default, target.values)
+    n = tally.overshoot()
     if n is not None:
         return Violation("count-exceeds-target", n)
     coeffs = state.form.coefficients
     moving = {t, -t} if sorted(coeffs) == sorted(-a for a in coeffs) else {t}
-    frozen = (tally.delta.keys() & _scheduled_before(entry)) - moving
+    frozen = (tally.moved.keys() & _scheduled_before(entry)) - moving
     if frozen:
-        return Violation("frozen-count-changed", next(n for n in tally.delta if n in frozen))
+        return Violation("frozen-count-changed", tally.first(frozen))
     if tally.count(t) < copy_index + 1:
         return Violation("target-copy-missed", t)
     return None
@@ -642,14 +673,23 @@ def _check_block(
     """The reason a candidate block is rejected, or None.
 
     Rejects repeated entries and elements already in the set, then stages
-    the block's classes on ``tally`` and applies ``_accept_target``.
+    the block's classes on ``tally``, one residue shard at a time from its
+    prefix tables (``PrefixCount.shards``), against the target's bounds and
+    watching the numbers ``_accept_target`` reads, those scheduled before
+    the entry, t among them.  Then it applies ``_accept_target``.
     """
     if len(set(block)) != len(block):
         return Violation("duplicate-in-block")
     for v in block:
         if v in state.elements:
             return Violation("collision-with-existing", v)
-    tally.stage(class_count_delta(state.form, state.elements, block, budget))
+    tally.stage(
+        tally.source.shards(block, budget),
+        partial(delta_order, state.form, state.elements.elements, block),
+        target.default,
+        target.values,
+        _scheduled_before(entry),
+    )
     return _accept_target(target, half_line, state, tally, entry, block)
 
 

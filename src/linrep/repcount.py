@@ -35,10 +35,17 @@ Two ways of counting hold no |A|^h table.  ``PrefixCount`` answers the
 count at one n from the plan's prefix tables, the sums of each term's
 first k - 1 slots: the builders' running count (``builder_target.Tally``)
 and ``count_at`` query it, and each accepted block extends its tables.
-``class_count_shards`` takes a full count one residue class of n mod p at
-a time, p prime (``shard_modulus``): every term's last convolution keeps
-only the pairs whose sum falls in the shard, so each shard's counts are
-exact.  The final certificate walks those shards.
+``class_count_shards`` takes the classes a block adds (a full count is the
+delta from the empty set) one residue class of n mod p at a time, p prime
+(``shard_modulus``): one kernel, ``_shards``, buckets each split's prefix
+sums by residue, and shard r adds each last-slot value v only to the
+bucket r - v, so each shard's counts are exact.  The
+final certificate walks those shards, and so does each step's check, which
+reads a term's last split, old^(k-1) x block, off the prefix table itself
+and hands the other splits' head sums to ``PrefixCount.extend``
+(``PrefixCount.shards``).  A sharded delta has no key order of its own:
+``delta_order`` walks the delta's values lazily in ``class_count_delta``'s
+order, so that a rejection can name its first offender.
 Forms with equal coefficients keep a path that enumerates value multisets,
 keyed in multiset order, and streams their sums into the count
 (``_multiset_sums``).  Their plan walks about h! times as many tuples: for
@@ -50,6 +57,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from bisect import insort
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, cycle, repeat
 from math import factorial, isqrt, lcm, prod
@@ -83,10 +91,7 @@ class GroundSet(Frozen):
     __slots__ = ("elements", "_members")
 
     def __init__(self, elements: Iterable[int]):
-        elements = tuple(elements)
-        if not {*map(type, elements)} <= {int}:  # one C-level pass per union
-            bad = next(v for v in elements if type(v) is not int)
-            raise ValueError(f"ground set entry {bad!r} is not an integer")
+        elements = _integers(elements)
         members = frozenset(elements)
         # distinct union input comes nearly sorted: far faster than hash order
         self._init(tuple(sorted(members if len(members) < len(elements) else elements)), members)
@@ -110,7 +115,17 @@ class GroundSet(Frozen):
         return max(-elems[0], elems[-1]) if elems else 0
 
     def union(self, values: Iterable[int]) -> "GroundSet":
-        return GroundSet(self.elements + tuple(values))
+        """This set with ``values`` added; repeats and members are dropped.
+        Only the values are type-checked and hashed: the members come from
+        ``_members``, whose union copies the stored hashes, and each new
+        value is inserted into the sorted elements."""
+        fresh = [v for v in dict.fromkeys(_integers(values)) if v not in self._members]
+        elements = list(self.elements)
+        for v in fresh:
+            insort(elements, v)
+        union = GroundSet.__new__(GroundSet)
+        union._init(tuple(elements), self._members.union(fresh))
+        return union
 
     @classmethod
     def from_json(cls, text: str) -> "GroundSet":
@@ -126,6 +141,16 @@ class GroundSet(Frozen):
     def to_json(self) -> str:
         """Serialize as a JSON array of decimal strings (exact for big values)."""
         return json.dumps([str(e) for e in self.elements])
+
+
+def _integers(values: Iterable[int]) -> tuple[int, ...]:
+    """``values`` as a tuple, each of type ``int``: a bool or a float raises
+    ValueError.  One C-level pass over the types."""
+    values = tuple(values)
+    if not {*map(type, values)} <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"ground set entry {bad!r} is not an integer")
+    return values
 
 
 class RepProfile(NamedTuple):
@@ -212,20 +237,70 @@ def class_count_delta(
     value by value.  Only tuples with at least one entry in the block are
     visited, split by the first block position:
     base^i x block x (base+block)^(h-1-i).  The budget rule is the one of
-    ``class_counts`` on the union, |base + block|^h.
+    ``class_counts`` on the union, |base + block|^h.  This is the one shard
+    of ``class_count_shards`` at p = 1.
     """
+    new = _new_block(form, base, block, budget)
+    return next(_delta_shards(form.coefficients, base.elements, new, 1))
+
+
+def class_count_shards(
+    form: LinearForm,
+    base: GroundSet,
+    block: Sequence[int],
+    budget: int = DEFAULT_TUPLE_BUDGET,
+) -> tuple[int, Iterator[dict[int, int]]]:
+    """``(p, shards)``: the counts of ``class_count_delta``, one residue
+    class of n mod p at a time, p = ``shard_modulus`` of the tuples the
+    block adds.  Shard r holds the counts at every n = r (mod p), for
+    r = 0 .. p - 1, so at most one shard of counts need be held; a full
+    count is the delta of the whole set from the empty one.  The block
+    and budget rules are ``class_count_delta``'s, checked before any shard
+    is counted.
+    """
+    new = _new_block(form, base, block, budget)
+    p = shard_modulus(form, len(base) + len(new), len(base))
+    return p, _delta_shards(form.coefficients, base.elements, new, p)
+
+
+def _new_block(
+    form: LinearForm, base: GroundSet, block: Sequence[int], budget: int
+) -> tuple[int, ...]:
     new = tuple(block)
     if len(set(new)) != len(new) or any(v in base for v in new):
         raise ValueError("block must be duplicate-free and disjoint from the base set")
-    coeffs = form.coefficients
-    _check_budget(len(base) + len(new), len(coeffs), budget)
+    _check_budget(len(base) + len(new), form.arity, budget)
+    return new
+
+
+def _delta_shards(
+    coeffs: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...], p: int
+) -> Iterator[dict[int, int]]:
+    """The classes ``new`` adds to ``old`` in p residue shards (``_shards``
+    over ``_splits``); equal coefficients take one shard."""
     if not new:
-        return {}
-    old = base.elements
+        return iter([{}])
     if len(set(coeffs)) == 1:
-        return _uniform_delta(coeffs[0], len(coeffs), old, new)
+        return iter([_uniform_delta(coeffs[0], len(coeffs), old, new)])
     empty = not old and sum(coeffs) == 0
-    return _plan_counts(coeffs, lambda weights: _split_sums(weights, old, new, {}), empty)
+    return _shards(coeffs, lambda weights: _splits(weights, old, new), p, empty)
+
+
+def delta_order(form: LinearForm, old: Sequence[int], new: Sequence[int]) -> Iterator[int]:
+    """The values of ``class_count_delta`` in its key order, lazily: each
+    at its first appearance, some again later, mixed with values whose
+    count nets to 0.  So a walk that stops at the first member of a set of
+    delta values finds the first in key order, and counts only that far.
+
+    A general form's walk is the first plan term's tuple stream, split by
+    split (``_splits``), which sets the delta's key order; an
+    equal-coefficient delta is counted whole and its keys walked.
+    """
+    coeffs = form.coefficients
+    old, new = tuple(old), tuple(new)
+    if len(set(coeffs)) == 1:
+        return iter(_uniform_delta(coeffs[0], len(coeffs), old, new))
+    return chain.from_iterable(_stream(*split) for split in _splits(coeffs, old, new))
 
 
 def _uniform_delta(
@@ -384,15 +459,22 @@ def _convolve(sums: dict[int, int], values: list[int], out: dict[int, int]) -> d
     the counts but is several times slower on dense or repeated-coefficient
     inputs, where multiplicities grow large.
     """
-    Counter.update(
-        out,
-        map(add, chain.from_iterable(map(repeat, sums, repeat(len(values)))), cycle(values)),
-    )
-    for s, c in sums.items():
-        if c > 1:
-            for v in values:
-                out[s + v] += c - 1
+    Counter.update(out, _stream(sums, values))
+    for s, c in _repeats(sums):
+        for v in values:
+            out[s + v] += c
     return out
+
+
+def _repeats(sums: dict[int, int]) -> list[tuple[int, int]]:
+    """(s, c - 1) for each s of ``sums`` with multiplicity c > 1."""
+    return [(s, c - 1) for s, c in sums.items() if c > 1]
+
+
+def _stream(sums: dict[int, int], values: list[int]) -> Iterator[int]:
+    """Every s + v, once per distinct s in ``sums`` and v in ``values``, in
+    (s, v) order."""
+    return map(add, chain.from_iterable(map(repeat, sums, repeat(len(values)))), cycle(values))
 
 
 def _set_partitions(size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -427,17 +509,19 @@ def rep_function(
     return RepProfile(counts=class_counts(form, ground_set, budget), window=window)
 
 
-# a full count of more tuples than this is taken in residue shards
-_SHARD_TUPLES = 2**15
+# a count of more tuples than this is taken in residue shards: a step's
+# new classes and the final certificate alike
+_SHARD_TUPLES = 2**13
 
 
-def shard_modulus(form: LinearForm, size: int) -> int:
-    """The number of residue shards ``class_count_shards`` counts a set of
-    ``size`` elements in: 1 up to ``_SHARD_TUPLES`` tuples, and for equal
+def shard_modulus(form: LinearForm, size: int, old: int = 0) -> int:
+    """The number of residue shards ``class_count_shards`` counts the
+    classes of ``size`` elements in, beyond those of their first ``old``:
+    1 up to ``_SHARD_TUPLES`` tuples with a new element, and for equal
     coefficients, whose multiset path is not sharded; above that the
     smallest prime at least tuples / ``_SHARD_TUPLES``.  Built sums crowd
     a few residues of a power of 2, so the modulus is prime."""
-    tuples = size**form.arity
+    tuples = size**form.arity - old**form.arity
     if tuples <= _SHARD_TUPLES or len(set(form.coefficients)) == 1:
         return 1
     p = -(-tuples // _SHARD_TUPLES)
@@ -446,50 +530,48 @@ def shard_modulus(form: LinearForm, size: int) -> int:
     return p
 
 
-def class_count_shards(
-    form: LinearForm,
-    ground_set: GroundSet,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> tuple[int, Iterator[dict[int, int]]]:
-    """``(p, shards)``: the counts of ``class_counts``, one residue class of
-    n mod p at a time, p = ``shard_modulus``.  Shard r holds the counts at
-    every n = r (mod p), for r = 0 .. p - 1, so at most one shard of
-    counts need be held.  The budget rule is ``class_counts``', checked
-    once, before any shard is counted.
+def _shards(coeffs: tuple[int, ...], splits, p: int, empty: bool) -> Iterator[dict[int, int]]:
+    """The plan's counts (``_plan_counts``) one residue class of n mod p at a
+    time.  ``splits(weights)`` gives a term's assignments as (prefix, last)
+    pairs: the sums of the first k - 1 slots, with multiplicity, and the
+    last slot's scaled values.  ``empty`` adds the empty class at 0.
 
-    Each plan term's prefix sums (its first k - 1 slots) and its last
-    slot's values are bucketed by residue once; shard r convolves each
-    bucket pair (a, r - a), and every term is sharded alike, so each
-    shard's counts are exact.  With p = 1 the one shard is ``class_counts``.
+    With p = 1 the one shard convolves each pair whole, in order, so its
+    keys come in first-seen order.  Otherwise every pair's prefix sums are
+    bucketed by residue once, and shard r streams each last value v against
+    the bucket r - v, one ``Counter.update`` over all of them: value by
+    value, which beats ``_stream`` when a bucket meets few values.  Every
+    term is sharded alike, so each shard's counts are exact.
     """
-    coeffs = form.coefficients
-    _check_budget(len(ground_set), len(coeffs), budget)
-    p = shard_modulus(form, len(ground_set))
     if p == 1:
-        return 1, iter([class_counts(form, ground_set, budget)])
-    return p, _shards(coeffs, ground_set.elements, p)
 
+        def whole_sums(weights: tuple[int, ...]) -> dict[int, int]:
+            out: dict[int, int] = {}
+            for prefix, last in splits(weights):
+                _convolve(prefix, last, out)
+            return out
 
-def _shards(coeffs: tuple[int, ...], elements: tuple[int, ...], p: int) -> Iterator[dict]:
+        yield _plan_counts(coeffs, whole_sums, empty)
+        return
     buckets = {}
     for weights, _ in _terms(coeffs)[1:]:
-        prefix, last = next(_splits(weights, (), elements))
-        sums: list[dict[int, int]] = [{} for _ in range(p)]
-        for s, k in prefix.items():
-            sums[s % p][s] = k
-        values: list[list[int]] = [[] for _ in range(p)]
-        for v in last:
-            values[v % p].append(v)
-        buckets[weights] = sums, values
-    empty = sum(coeffs) == 0 and bool(elements)
+        pairs = []
+        for prefix, last in splits(weights):
+            sums: list[dict[int, int]] = [{} for _ in range(p)]
+            for s, k in prefix.items():
+                sums[s % p][s] = k
+            pairs.append(([(a, _repeats(a)) for a in sums], last))
+        buckets[weights] = pairs
     for r in range(p):
 
         def shard_sums(weights: tuple[int, ...]) -> dict[int, int]:
-            sums, values = buckets[weights]
             out: dict[int, int] = {}
-            for a in range(p):
-                if sums[a] and values[(r - a) % p]:
-                    _convolve(sums[a], values[(r - a) % p], out)
+            for sums, last in buckets[weights]:
+                met = [(v, *sums[(r - v) % p]) for v in last]
+                Counter.update(out, chain.from_iterable(map(v.__add__, a) for v, a, _ in met))
+                for v, _, repeats in met:
+                    for s, c in repeats:
+                        out[s + v] += c
             return out
 
         yield _plan_counts(coeffs, shard_sums, empty and r == 0)
@@ -505,8 +587,8 @@ class PrefixCount:
     of c * sum over v in A of P_w(n - w_k * v); the empty class adds 1 at 0
     when the coefficients sum to 0 and A is not empty.  ``extend`` adds a
     disjoint block's assignments to every table (``_split_sums``), in
-    O(|A|^(h-2) * |B|).  A query walks |A| values per term of two or more
-    slots.  ``lo`` and
+    O(|A|^(h-2) * |B|), or the ones ``shards`` counted for that block.  A
+    query walks |A| values per term of two or more slots.  ``lo`` and
     ``hi`` are the extreme tuple sums, from min A and max A: every count
     outside them is 0.
     """
@@ -517,23 +599,61 @@ class PrefixCount:
         # per term: the slots its table sums, w_k, c, the table and the last
         # slot's values w_k * v; a one-slot term's table sums its one slot,
         # with [0] for the last values, so that its query is one lookup
-        self._tables = [
-            (w[:-1], w[-1], c, {}, []) if len(w) > 1 else (w, None, c, {}, [0])
+        self._tables = {
+            w: (w[:-1], w[-1], c, {}, []) if len(w) > 1 else (w, None, c, {}, [0])
             for w, c in terms
-        ]
+        }
         self.form = form
         self._empty_at_zero = sum(coeffs) == 0
         self.elements: tuple[int, ...] = ()
         self.lo, self.hi = 0, -1
+        self._staged: tuple[tuple[int, ...], dict] = ((), {})  # block, head sums per term
         self.extend(elements)
+
+    def shards(self, block: Sequence[int], budget: int = DEFAULT_TUPLE_BUDGET) -> Iterator[dict]:
+        """The classes the duplicate-free ``block``, disjoint from the set,
+        adds: ``class_count_shards``' shards, taken from the tables.
+
+        A term's assignments with a block value split in two: a block value
+        among the first k - 1 slots (the head sums the table gains, against
+        every last value) or only in the last slot (the table itself against
+        the block's last values).  So no sum over old^(k-1) is counted again,
+        and the head sums are kept for ``extend``.  Equal coefficients take
+        ``class_count_delta``'s one shard.  The budget rule is
+        ``class_count_delta``'s, checked at once.
+        """
+        old, new, form = self.elements, tuple(block), self.form
+        coeffs = form.coefficients
+        _check_budget(len(old) + len(new), len(coeffs), budget)
+        if not new or len(set(coeffs)) == 1:
+            return _delta_shards(coeffs, old, new, 1)
+        heads: dict[tuple[int, ...], dict[int, int]] = {}
+        self._staged = new, heads
+
+        def splits(weights: tuple[int, ...]) -> list[tuple[dict[int, int], list[int]]]:
+            head, w, _, table, last = self._tables[weights]
+            if w is None:
+                return [({0: 1}, [head[0] * v for v in new])]
+            tail = [w * v for v in new]
+            heads[weights] = _split_sums(head, old, new, {})
+            return [(heads[weights], last + tail), (table, tail)]
+
+        p = shard_modulus(form, len(old) + len(new), len(old))
+        return _shards(coeffs, splits, p, not old and self._empty_at_zero)
 
     def extend(self, block: Sequence[int]) -> None:
         """Add the duplicate-free ``block``, disjoint from the set, to every table."""
         old, new = self.elements, tuple(block)
         if not new:
             return
-        for head, w, _, table, last in self._tables:
-            _split_sums(head, old, new, table)
+        staged, heads = self._staged
+        self._staged = (), {}
+        for weights, (head, w, _, table, last) in self._tables.items():
+            sums = heads.get(weights) if staged == new else None
+            if sums is None:
+                _split_sums(head, old, new, table)
+            else:
+                table.update(zip(sums, map(add, sums.values(), map(table.get, sums, repeat(0)))))
             if w is not None:
                 last += [w * v for v in new]
         least, most = min(new), max(new)
@@ -549,7 +669,7 @@ class PrefixCount:
         sum is not a non-negative multiple of den."""
         total = sum(
             c * sum(map(table.get, map(n.__sub__, last), repeat(0)))
-            for _, _, c, table, last in self._tables
+            for _, _, c, table, last in self._tables.values()
         )
         if total < 0 or total % self._den:
             raise ConstructionBugError(

@@ -167,8 +167,9 @@ class DictCount:
     """Made-up verified counts in a plain dict, the count a
     ``builder_target.Tally`` asks for its old counts.  The tally's own
     source is the set's prefix tables; made-up counts come from no set, so
-    ``extend`` takes the merged delta in place of a block.  ``lo`` and
-    ``hi`` bound the support, as the extreme tuple sums do."""
+    ``extend`` takes the merged delta in place of a block, and a made-up
+    delta is staged whole (``stage_made_up``).  ``lo`` and ``hi`` bound the
+    support, as the extreme tuple sums do."""
 
     def __init__(self, counts):
         self.counts = dict(counts)
@@ -186,6 +187,18 @@ class DictCount:
 
     def extend(self, delta):
         self.counts = merged(self.counts, delta)
+
+
+# every number the made-up counts and deltas of the tests use
+WATCHED = range(-100, 101)
+
+
+def stage_made_up(tally, delta, default=math.inf, values=None):
+    """Stage the made-up ``delta`` on ``tally`` as one shard, in its own key
+    order, against the bounds ``values.get(n, default)``.  Every number
+    the tests use is watched, so the tally knows every staged count."""
+    tally.stage([delta], delta.__iter__, default, values or {}, WATCHED)
+    return tally
 
 
 def unique_violation(counts, target, delta):

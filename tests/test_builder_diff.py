@@ -28,7 +28,7 @@ from linrep.errors import (
     SupplyExhaustedError,
 )
 
-from oracles import DictCount, brute_counts, scheduled_numbers, target_violation
+from oracles import DictCount, brute_counts, scheduled_numbers, stage_made_up, target_violation
 
 
 def even_values(pairs):
@@ -132,8 +132,7 @@ class TestCheckDiffStep:
     @example(({0: 1}, {5: 1, -5: 1}, TargetFunction.make((-12, 12), default=2), (5, 1)))
     def test_agrees_with_the_loop(self, step):
         old, delta, target, entry = step
-        tally = Tally(DictCount(old), len(old))
-        tally.stage(delta)
+        tally = stage_made_up(Tally(DictCount(old), len(old)), delta, target.default, target.values)
         state = ConstructionState.initial(DIFFERENCE_FORM, 1)
         violation = _accept_target(target, None, state, tally, entry, (0, 1))
         frozen = scheduled_numbers(enumerate_multiset(target), entry)

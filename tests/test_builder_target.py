@@ -29,6 +29,7 @@ from linrep.builder_target import (
     Tally,
     TargetReport,
     _accept_target,
+    _check_block,
     _scheduled_before,
     check_counts_against_target,
 )
@@ -45,6 +46,7 @@ from oracles import (
     multiset_walk,
     rational_box_values,
     scheduled_numbers,
+    stage_made_up,
     target_overshoots,
     target_violation,
 )
@@ -437,7 +439,7 @@ def target_check(target, counts, entry, delta, form):
     form = LinearForm.parse(form)
     state = ConstructionState.initial(form, 1)
     tally = Tally(DictCount(counts), len(counts))
-    tally.stage(delta)
+    stage_made_up(tally, delta, target.default, target.values)
     violation = _accept_target(target, None, state, tally, entry, (0, 1))
     frozen = scheduled_numbers(enumerate_multiset(target), entry)
     return (
@@ -511,6 +513,67 @@ class TestAcceptTarget:
         assert target_check(target, counts, entry, delta, "1,-1") == (expected, expected)
 
 
+# general forms, some with repeated coefficients, and one with equal ones
+STAGE_FORMS = ["1,2,-3", "1,-1", "3,-2", "1,1,-2", "2,-1,3", "2,2,-1,-1", "1,1"]
+
+
+@st.composite
+def staged_steps(draw):
+    """A form, a set, a disjoint block, a target and one of its entries;
+    blocks reach past the set's sums, so that some delta values have no
+    old count."""
+    form = LinearForm.parse(draw(st.sampled_from(STAGE_FORMS)))
+    values = draw(st.lists(st.integers(-30, 30), unique=True, min_size=2, max_size=9))
+    cut = draw(st.integers(1, min(len(values) - 1, 6)))
+    base, block = GroundSet.of(values[:cut]), tuple(values[cut:cut + 3])
+    allowed = st.one_of(st.integers(0, 3), st.just(INFINITY))
+    window = draw(st.dictionaries(st.integers(-12, 12), allowed, max_size=6))
+    zeros = tuple(n for n, v in window.items() if v == 0)
+    target = TargetFunction.make((-12, 12), window, draw(st.sampled_from([1, 2, INFINITY])), zeros)
+    entry = draw(st.sampled_from(enumerate_multiset(target).entries(40)))
+    return form, base, block, target, entry
+
+
+class TestShardedStage:
+    """A step staged in p > 1 residue shards decides as the value-by-value
+    oracle does on the whole delta, and leaves the count of the union."""
+
+    @given(staged_steps(), st.sampled_from([2, 3, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_whole_delta(self, step, shards):
+        form, base, block, target, entry = step
+        coeffs = form.coefficients
+        old = brute_counts(coeffs, base.elements)
+        delta = repcount.class_count_delta(form, base, block)
+        tuples = (len(base) + len(block)) ** form.arity - len(base) ** form.arity
+        with patch.object(repcount, "_SHARD_TUPLES", -(-tuples // shards)):
+            p = repcount.shard_modulus(form, len(base) + len(block), len(base))
+            assert p > 1 or len(set(coeffs)) == 1
+            # the shards partition the delta by residue, from the prefix
+            # tables as from the set
+            for shards in (
+                repcount.class_count_shards(form, base, block)[1],
+                repcount.PrefixCount(form, base.elements).shards(block),
+            ):
+                whole = {}
+                for r, shard in enumerate(shards):
+                    assert all(n % p == r for n in shard)
+                    whole.update(shard)
+                assert whole == delta and r == p - 1
+            state = ConstructionState(form, base, ())
+            tally = Tally(repcount.PrefixCount(form, base.elements), len(old))
+            violation = _check_block(state, tally, target, None, entry, block, 10**6)
+        frozen = scheduled_numbers(enumerate_multiset(target), entry)
+        expected = target_violation(target, frozen, old, entry, delta, coeffs)
+        assert (None if violation is None else (violation.kind, violation.value)) == expected
+        counts = old
+        if violation is None:
+            tally.merge(block)
+            counts = brute_counts(coeffs, base.union(block).elements)
+        assert tally.size == len(counts)
+        assert tally._known == {n: counts.get(n, 0) for n in tally._known}
+
+
 class TestBuildForTarget:
     def test_rejects_imprimitive(self):
         with pytest.raises(NotPrimitiveError):
@@ -572,7 +635,8 @@ class TestBuildForTarget:
         def spy(target, half_line, state, tally, entry, block):
             violation = _accept_target(target, half_line, state, tally, entry, block)
             if violation is None:
-                overlap = [n for n, d in tally.delta.items() if tally.count(n) > d]
+                # staged values whose old count, cached by the stage, is not 0
+                overlap = [n for n in tally._new if tally._known[n]]
                 accepted.append((tally, overlap))
             return violation
 

@@ -30,7 +30,8 @@ from linrep.errors import NotPrimitiveError, RetryExhaustedError
 from linrep.forms import bezout_witness, spiral
 from linrep.repcount import DEFAULT_TUPLE_BUDGET, PrefixCount
 
-from oracles import DictCount, brute_counts, first_overshoot, merged, unique_violation
+from oracles import DictCount, brute_counts, first_overshoot, merged, stage_made_up
+from oracles import unique_violation
 
 ACCEPTANCE_FORMS = ["1,1", "1,1,1", "2,3", "1,-2", "3,-2", "1,2,-3"]
 
@@ -42,11 +43,10 @@ def verify_block(form, block, target, d0=1):
     return _check_block(state, tally, ALL_ONES, None, (target, 0), block, DEFAULT_TUPLE_BUDGET)
 
 
-def staged(counts, delta):
-    """A tally of the made-up verified ``counts`` with ``delta`` staged on it."""
-    tally = Tally(DictCount(counts), len(counts))
-    tally.stage(delta)
-    return tally
+def staged(counts, delta, default=INFINITY, values=None):
+    """A tally of the made-up verified ``counts`` with ``delta`` staged on
+    it against the bounds ``values.get(n, default)``."""
+    return stage_made_up(Tally(DictCount(counts), len(counts)), delta, default, values)
 
 
 def raw_last_entry(coeffs, deltas):
@@ -159,7 +159,8 @@ def unique_check(counts, delta, target):
     """The target check at f = 1 of the entry (target, 0), and the
     unique-basis oracle's verdict in the target check's names."""
     state = ConstructionState.initial(LinearForm.parse("1,1"), 1)
-    violation = _accept_target(ALL_ONES, None, state, staged(counts, delta), (target, 0), (0, 1))
+    tally = staged(counts, delta, ALL_ONES.default, ALL_ONES.values)
+    violation = _accept_target(ALL_ONES, None, state, tally, (target, 0), (0, 1))
     expected = unique_violation(counts, target, delta)
     return as_pair(violation), expected and (TARGET_KINDS[expected[0]], expected[1])
 
@@ -218,7 +219,7 @@ class TestFirstOvershoot:
     )
     @settings(max_examples=400, deadline=None)
     def test_agrees_with_the_loop(self, default, values, counts, delta):
-        assert staged(counts, delta).overshoot(default, values) == first_overshoot(
+        assert staged(counts, delta, default, values).overshoot() == first_overshoot(
             counts, delta, default, values
         )
 
@@ -226,10 +227,10 @@ class TestFirstOvershoot:
         # the largest new count equals the default, and a shared value with
         # an explicit bound reaches it
         delta = UnwalkedDict({3: 1, 4: 2})
-        assert staged({3: 1}, delta).overshoot(2, {3: 2}) is None
+        assert staged({3: 1}, delta, 2, {3: 2}).overshoot() is None
 
     def test_a_shared_value_is_tested_at_its_old_count(self):
-        assert staged({5: 1}, {4: 1, 5: 1}).overshoot(1, {}) == 5
+        assert staged({5: 1}, {4: 1, 5: 1}, 1).overshoot() == 5
 
 
 count_maps = st.dictionaries(st.integers(-8, 8), st.integers(1, 3), max_size=8)
@@ -244,7 +245,7 @@ class TestTally:
         model = dict(counts)
         tally = Tally(DictCount(counts), len(counts))
         for delta, accepted in steps:
-            tally.stage(delta)
+            stage_made_up(tally, delta)
             expected = {n: model.get(n, 0) + delta.get(n, 0) for n in [*model, *delta, 99]}
             assert {n: tally.count(n) for n in expected} == expected
             if accepted:

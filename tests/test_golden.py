@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from linrep import repcount
 from linrep.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,6 +32,23 @@ def test_corpus_covers_every_subcommand_and_exit_code():
 
 @pytest.mark.parametrize("name", CASES)
 def test_golden_case(name, tmp_path, monkeypatch, capsys):
+    check_case(name, tmp_path, monkeypatch, capsys)
+
+
+RETRY_TRAILS = [
+    name for name in CASES if json.loads((GOLDEN / name / "case.json").read_text())["exit"] == 5
+]
+
+
+@pytest.mark.parametrize("name", RETRY_TRAILS)
+def test_retry_trail_with_many_shards(name, tmp_path, monkeypatch, capsys):
+    # each step's delta in many residue shards: a rejection still names the
+    # value the whole delta's key order names first
+    monkeypatch.setattr(repcount, "_SHARD_TUPLES", 8)
+    check_case(name, tmp_path, monkeypatch, capsys)
+
+
+def check_case(name, tmp_path, monkeypatch, capsys):
     case = GOLDEN / name
     spec = json.loads((case / "case.json").read_text())
     inputs = case / "input"

@@ -35,6 +35,7 @@ from oracles import (
     merged,
     multiset_delta,
     ordered_solutions,
+    stage_made_up,
 )
 
 nonzero = st.integers(min_value=-5, max_value=5).filter(bool)
@@ -218,14 +219,25 @@ class TestCountAt:
 
     @given(
         st.sampled_from(PLAN_FORMS),
-        st.lists(st.lists(st.integers(-25, 25), min_size=1, max_size=3), max_size=4),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-25, 25), min_size=1, max_size=3),
+                st.sampled_from(["none", "own", "other"]),
+            ),
+            max_size=4,
+        ),
     )
     @settings(max_examples=80, deadline=None)
     def test_extended_tables_match_the_brute_count(self, form, blocks):
-        # blocks joining one at a time, the way the running count grows
+        # blocks joining one at a time, the way the running count grows;
+        # before a block joins, the shards of that block (whose head sums
+        # extend then reuses) or of another, rejected block may be counted
         form, seen, prefix = LinearForm.parse(form), set(), PrefixCount(LinearForm.parse(form))
-        for block in blocks:
+        for block, staged in blocks:
             block = [v for v in dict.fromkeys(block) if v not in seen]
+            if staged != "none":
+                candidate = block if staged == "own" else [v + 100 for v in block]
+                list(prefix.shards(candidate))
             prefix.extend(block)
             seen.update(block)
             brute = brute_counts(form.coefficients, prefix.elements)
@@ -245,7 +257,7 @@ class TestShards:
     def test_shards_partition_the_brute_count(self, form, elements, constant):
         form = LinearForm.parse(form)
         with patch.object(repcount, "_SHARD_TUPLES", constant):
-            p, shards = class_count_shards(form, GroundSet.of(elements))
+            p, shards = class_count_shards(form, GroundSet(()), elements)
             assert p == shard_modulus(form, len(elements))
         whole = {}
         for r, shard in enumerate(shards):
@@ -256,16 +268,18 @@ class TestShards:
 
     def test_modulus(self):
         form = LinearForm.parse("1,2,-3")
-        assert shard_modulus(form, 32) == 1  # 2^15 tuples
-        assert shard_modulus(form, 33) == 2
-        assert shard_modulus(form, 61) == 7  # 226,981 tuples
-        assert shard_modulus(form, 151) == 107
+        assert shard_modulus(form, 20) == 1  # 8,000 tuples, at most 2^13
+        assert shard_modulus(form, 21) == 2
+        assert shard_modulus(form, 61) == 29  # 226,981 tuples
+        assert shard_modulus(form, 151) == 421
+        # a step's delta: the 31,869 tuples that 3 new elements add to 58
+        assert shard_modulus(form, 61, 58) == 5
         # equal coefficients stay one shard
         assert shard_modulus(LinearForm.parse("1,1,1"), 151) == 1
 
     def test_budget_checked_before_any_shard(self):
         with pytest.raises(BudgetExceededError) as err:
-            class_count_shards(LinearForm.parse("1,2,-3"), GroundSet.of(range(50)), 10**5)
+            class_count_shards(LinearForm.parse("1,2,-3"), GroundSet(()), range(50), 10**5)
         assert err.value.required == 50**3
 
 
@@ -372,7 +386,7 @@ class TestDeltaCounting:
         rest = values[1:]
         for size in sizes:
             block, rest = tuple(rest[:size]), rest[size:]
-            tally.stage(class_count_delta(form, ground, block))
+            tally.stage(tally.source.shards(block))
             tally.merge(block)
             ground = ground.union(block)
             expected = brute_counts(form.coefficients, ground.elements)
@@ -596,8 +610,7 @@ class TestMergeCounts:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_plain_loop(self, counts, delta):
         expected = merged(counts, delta)
-        tally = Tally(DictCount(counts), len(counts))
-        tally.stage(delta)
+        tally = stage_made_up(Tally(DictCount(counts), len(counts)), delta)
         tally.merge(delta)
         assert held(tally, [*expected, 99]) == {**expected, 99: 0}
         assert tally.size == len(expected)
@@ -615,17 +628,15 @@ class TestMergeCounts:
         model = counts
         tally = Tally(DictCount(counts), len(counts))
         for delta, accepted in steps:
-            tally.stage(delta)
+            stage_made_up(tally, delta, default, values)
             staged = merged(model, delta)
             assert held(tally, [*staged, 99]) == {**staged, 99: 0}
-            assert tally.overshoot(default, values) == first_overshoot(
-                model, delta, default, values
-            )
+            assert tally.overshoot() == first_overshoot(model, delta, default, values)
             if accepted:
                 tally.merge(delta)
                 model = staged
             assert tally.size == len(model)
-        tally.stage({})
+        tally.stage(())
         assert held(tally, [*model, 99]) == {**model, 99: 0}
 
 
