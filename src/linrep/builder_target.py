@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import json
 import math
-from functools import partial
 from itertools import chain, islice, pairwise
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 from typing import Optional, Sequence, Union
 
 from .errors import MixedSignRequiredError, NotPartitionRegularError, NotPrimitiveError
@@ -37,7 +36,7 @@ from .errors import PreconditionViolationError, RetryExhaustedError
 from .forms import Frozen, LinearForm, bezout_witness, is_partition_regular, is_primitive
 from .forms import spiral, spiral_index
 from .repcount import DEFAULT_TUPLE_BUDGET, GroundSet, PrefixCount, class_count_shards
-from .repcount import class_counts, delta_order, int_from_json
+from .repcount import class_counts, int_from_json
 
 if TYPE_CHECKING:
     from .builder_diff import DiffStepRecord, PlentifulSequence
@@ -494,16 +493,13 @@ class Tally:
     def stage(
         self,
         shards: Iterable[dict[int, int]],
-        order: Callable[[], Iterable[int]] = tuple,
         default: Count = INFINITY,
         values: Mapping[int, Count] = MappingProxyType({}),
         watch: Iterable[int] = (),
     ) -> None:
         """Stage a candidate block's classes, given as ``shards`` that
         partition its delta, replacing any staged ones.  A value overshoots
-        when its count would exceed ``values.get(n, default)``; ``order()``
-        walks the delta's values in delta order (``repcount.delta_order``)
-        for ``first``.
+        when its count would exceed ``values.get(n, default)``.
 
         The count already held is verified, so unless a shard's count
         exceeds the default, or a value with an explicit bound or an old
@@ -511,7 +507,7 @@ class Tally:
         counts are not walked.
         """
         lo, hi = self.source.lo, self.source.hi
-        self._order, self.over, self.moved = order, set(), {}
+        self.over, self.moved = set(), {}
         self._new, self._added = {}, 0
         watch = tuple(watch)
         for delta in shards:
@@ -545,14 +541,9 @@ class Tally:
         return self.moved.get(n, 0)
 
     def overshoot(self) -> Optional[int]:
-        """The first staged value, in delta order, whose count would exceed
-        its bound, or None: every builder's overshoot rule."""
-        return self.first(self.over) if self.over else None
-
-    def first(self, numbers: Container[int]) -> Optional[int]:
-        """The first staged delta value in ``numbers``, in delta order: one
-        walk of ``order()``, which stops there."""
-        return next(filter(numbers.__contains__, self._order()), None)
+        """The staged value earliest in spiral order whose count would
+        exceed its bound, or None: every builder's overshoot rule."""
+        return min(self.over, key=spiral_index, default=None)
 
     def merge(self, block: Sequence[int]) -> None:
         """Add the staged delta, the classes ``block`` brings, to the count:
@@ -643,7 +634,8 @@ def _accept_target(
 
     The entry's own number t may move, and so may -t when the form's
     coefficients are closed under negation (the difference form): a
-    class at t then always brings one at -t.
+    class at t then always brings one at -t.  A rejection names the
+    offender earliest in spiral order, the order the targets are walked in.
     """
     if half_line is not None and min(block) < half_line:
         return Violation("below-half-line-bound", min(block))
@@ -655,7 +647,7 @@ def _accept_target(
     moving = {t, -t} if sorted(coeffs) == sorted(-a for a in coeffs) else {t}
     frozen = (tally.moved.keys() & _scheduled_before(entry)) - moving
     if frozen:
-        return Violation("frozen-count-changed", tally.first(frozen))
+        return Violation("frozen-count-changed", min(frozen, key=spiral_index))
     if tally.count(t) < copy_index + 1:
         return Violation("target-copy-missed", t)
     return None
@@ -683,13 +675,8 @@ def _check_block(
     for v in block:
         if v in state.elements:
             return Violation("collision-with-existing", v)
-    tally.stage(
-        tally.source.shards(block, budget),
-        partial(delta_order, state.form, state.elements.elements, block),
-        target.default,
-        target.values,
-        _scheduled_before(entry),
-    )
+    shards = tally.source.shards(block, budget)
+    tally.stage(shards, target.default, target.values, _scheduled_before(entry))
     return _accept_target(target, half_line, state, tally, entry, block)
 
 

@@ -26,10 +26,7 @@ copies of the few prefix sums with multiplicity above 1.
 
 When a disjoint block B joins a set A, the new classes are those whose
 support meets B, so ``class_count_delta`` counts only assignments with a
-value in B, split by the first slot holding one.  A general delta lists
-its sums in the order a walk of the tuples with a block entry first meets
-them (split by the first block position, then ``itertools.product``
-order); that order decides which doubled value a retry trail names.
+value in B, split by the first slot holding one.
 
 Two ways of counting hold no |A|^h table.  ``PrefixCount`` answers the
 count at one n from the plan's prefix tables, the sums of each term's
@@ -39,17 +36,14 @@ and ``count_at`` query it, and each accepted block extends its tables.
 delta from the empty set) one residue class of n mod p at a time, p prime
 (``shard_modulus``): one kernel, ``_shards``, buckets each split's prefix
 sums by residue, and shard r adds each last-slot value v only to the
-bucket r - v, so each shard's counts are exact.  The
-final certificate walks those shards, and so does each step's check, which
-reads a term's last split, old^(k-1) x block, off the prefix table itself
-and hands the other splits' head sums to ``PrefixCount.extend``
-(``PrefixCount.shards``).  A sharded delta has no key order of its own:
-``delta_order`` walks the delta's values lazily in ``class_count_delta``'s
-order, so that a rejection can name its first offender.
-Forms with equal coefficients keep a path that enumerates value multisets,
-keyed in multiset order, and streams their sums into the count
-(``_multiset_sums``).  Their plan walks about h! times as many tuples: for
-``1,1`` it is all ordered pairs plus the pairs (x, x), halved.
+bucket r - v, so each shard's counts are exact.  The final certificate
+walks those shards, and so does each step's check, which reads a term's
+last split, old^(k-1) x block, off the prefix table itself and hands the
+other splits' head sums to ``PrefixCount.extend`` (``PrefixCount.shards``).
+Forms with equal coefficients keep a path that enumerates value multisets
+and streams their sums into the count (``_multiset_sums``).  Their plan
+walks about h! times as many tuples: for ``1,1`` it is all ordered pairs
+plus the pairs (x, x), halved.
 """
 
 from __future__ import annotations
@@ -286,23 +280,6 @@ def _delta_shards(
     return _shards(coeffs, lambda weights: _splits(weights, old, new), p, empty)
 
 
-def delta_order(form: LinearForm, old: Sequence[int], new: Sequence[int]) -> Iterator[int]:
-    """The values of ``class_count_delta`` in its key order, lazily: each
-    at its first appearance, some again later, mixed with values whose
-    count nets to 0.  So a walk that stops at the first member of a set of
-    delta values finds the first in key order, and counts only that far.
-
-    A general form's walk is the first plan term's tuple stream, split by
-    split (``_splits``), which sets the delta's key order; an
-    equal-coefficient delta is counted whole and its keys walked.
-    """
-    coeffs = form.coefficients
-    old, new = tuple(old), tuple(new)
-    if len(set(coeffs)) == 1:
-        return iter(_uniform_delta(coeffs[0], len(coeffs), old, new))
-    return chain.from_iterable(_stream(*split) for split in _splits(coeffs, old, new))
-
-
 def _uniform_delta(
     coeff: int, arity: int, old: tuple[int, ...], new: tuple[int, ...]
 ) -> dict[int, int]:
@@ -326,8 +303,7 @@ def _multiset_sums(
     out: dict[int, int],
 ) -> None:
     """Count prefix + m + t into ``out`` for every ``size``-multiset sum m of
-    values[start:] and every t in ``tails``, the multisets in
-    ``combinations_with_replacement`` order and the tails in list order.
+    values[start:] and every t in ``tails``.
 
     ``Counter.update`` counts an iterable into any dict in one C loop; a
     plain dict spares the copy of a whole count that returning one from a
@@ -350,11 +326,10 @@ def _plan_counts(coeffs: tuple[int, ...], sums_of, empty: bool) -> dict[int, int
     those split by the first block position (``_split_sums``); ``empty``
     adds the empty class at 0.
 
-    The first term (the coefficients) is counted straight into the result,
-    which fixes the key order: that of ``sums_of``.  A later term only
-    revisits those sums (an assignment constant on parts has the weighted
-    sum of a tuple the first term counts), so it goes into a correction
-    dict over the keys it touches.  Each corrected count must be a
+    The first term (the coefficients) is counted straight into the result.
+    A later term only revisits those sums (an assignment constant on parts
+    has the weighted sum of a tuple the first term counts), so it goes into
+    a correction dict over the keys it touches.  Each corrected count must be a
     non-negative multiple of den, or ConstructionBugError signals the bug;
     the first term's dict is rescaled only when the coefficients have slot
     symmetries (sym0 > 1).
@@ -436,7 +411,7 @@ def _split_sums(
 def _splits(
     weights: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]
 ) -> Iterator[tuple[dict[int, int], list[int]]]:
-    """For each split of ``_split_sums`` in order, the weighted sums of its
+    """For each split of ``_split_sums``, the weighted sums of its
     first k - 1 slots (with multiplicity) and its last slot's scaled values."""
     both = old + new
     k = len(weights)
@@ -453,11 +428,10 @@ def _convolve(sums: dict[int, int], values: list[int], out: dict[int, int]) -> d
     """Add every (s + v) for s in ``sums`` (with multiplicity) and v in ``values``.
 
     One ``Counter.update`` stream counts each distinct s against every
-    value once, in (s, v) order, so it sets the first-seen key order; the
-    few s with multiplicity c > 1 then add their other c - 1 to keys the
-    stream already made.  Repeating s c times in the stream instead keeps
-    the counts but is several times slower on dense or repeated-coefficient
-    inputs, where multiplicities grow large.
+    value once; the few s with multiplicity c > 1 then add their other
+    c - 1 to keys the stream already made.  Repeating s c times in the
+    stream instead keeps the counts but is several times slower on dense or
+    repeated-coefficient inputs, where multiplicities grow large.
     """
     Counter.update(out, _stream(sums, values))
     for s, c in _repeats(sums):
@@ -472,8 +446,7 @@ def _repeats(sums: dict[int, int]) -> list[tuple[int, int]]:
 
 
 def _stream(sums: dict[int, int], values: list[int]) -> Iterator[int]:
-    """Every s + v, once per distinct s in ``sums`` and v in ``values``, in
-    (s, v) order."""
+    """Every s + v, once per distinct s in ``sums`` and v in ``values``."""
     return map(add, chain.from_iterable(map(repeat, sums, repeat(len(values)))), cycle(values))
 
 
@@ -536,12 +509,12 @@ def _shards(coeffs: tuple[int, ...], splits, p: int, empty: bool) -> Iterator[di
     pairs: the sums of the first k - 1 slots, with multiplicity, and the
     last slot's scaled values.  ``empty`` adds the empty class at 0.
 
-    With p = 1 the one shard convolves each pair whole, in order, so its
-    keys come in first-seen order.  Otherwise every pair's prefix sums are
-    bucketed by residue once, and shard r streams each last value v against
-    the bucket r - v, one ``Counter.update`` over all of them: value by
-    value, which beats ``_stream`` when a bucket meets few values.  Every
-    term is sharded alike, so each shard's counts are exact.
+    With p = 1 the one shard convolves each pair whole, which is faster
+    than streaming one bucket value by value.  Otherwise every pair's
+    prefix sums are bucketed by residue once, and shard r streams each last
+    value v against the bucket r - v, one ``Counter.update`` over all of
+    them: value by value, which beats ``_stream`` when a bucket meets few
+    values.  Every term is sharded alike, so each shard's counts are exact.
     """
     if p == 1:
 

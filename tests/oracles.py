@@ -120,29 +120,10 @@ def target_overshoots(counts, target):
     return sorted(out)
 
 
-def first_seen_sums(coeffs, old, new):
-    """Distinct sums of the tuples with an entry in `new`, in the order first met.
-
-    The tuples are walked split by their first position holding a `new`
-    value, old^i x new x (old+new)^(h-1-i) for i = 0, 1, ..., each part in
-    itertools.product order.
-    """
-    seen = {}
-    h = len(coeffs)
-    both = tuple(old) + tuple(new)
-    for i in range(h):
-        for tup in product(*([old] * i + [new] + [both] * (h - 1 - i))):
-            seen.setdefault(sum(a * x for a, x in zip(coeffs, tup)), None)
-    return list(seen)
-
-
 def multiset_delta(coeff, arity, old, new):
     """n -> number of new classes of an equal-coefficient form when `new` joins `old`.
 
     A class is a value multiset; the new ones hold j >= 1 values of `new`.
-    Keys come in the order the loop first meets them: j = 1, 2, ..., then
-    the block multisets, then the base multisets, both in
-    combinations_with_replacement order.
     """
     counts = {}
     for j in range(1, arity + 1):
@@ -156,7 +137,7 @@ def multiset_delta(coeff, arity, old, new):
 
 
 def merged(counts, delta):
-    """A copy of `counts` with every delta entry added, new keys in delta order."""
+    """A copy of `counts` with every delta entry added."""
     out = dict(counts)
     for n, d in delta.items():
         out[n] = out.get(n, 0) + d
@@ -194,30 +175,34 @@ WATCHED = range(-100, 101)
 
 
 def stage_made_up(tally, delta, default=math.inf, values=None):
-    """Stage the made-up ``delta`` on ``tally`` as one shard, in its own key
-    order, against the bounds ``values.get(n, default)``.  Every number
-    the tests use is watched, so the tally knows every staged count."""
-    tally.stage([delta], delta.__iter__, default, values or {}, WATCHED)
+    """Stage the made-up ``delta`` on ``tally`` as one shard, against the
+    bounds ``values.get(n, default)``.  Every number the tests use is
+    watched, so the tally knows every staged count."""
+    tally.stage([delta], default, values or {}, WATCHED)
     return tally
+
+
+def spiral_least(numbers):
+    """The member of `numbers` first in 0, 1, -1, 2, -2, ..., or None."""
+    return min(numbers, key=lambda n: (abs(n), n < 0), default=None)
 
 
 def unique_violation(counts, target, delta):
     """(kind, value) of the first reason counts + delta is not a unique
-    representation step for `target`, or None."""
-    for n, d in delta.items():
-        if counts.get(n, 0) + d > 1:
-            return ("double-representation", n)
+    representation step for `target`, or None; the value spiral-least."""
+    doubled = spiral_least(n for n, d in delta.items() if counts.get(n, 0) + d > 1)
+    if doubled is not None:
+        return ("double-representation", doubled)
     if counts.get(target, 0) + delta.get(target, 0) != 1:
         return ("target-unrepresented", target)
     return None
 
 
 def first_overshoot(counts, delta, default, values):
-    """First n, in delta order, with counts + delta above values.get(n, default), or None."""
-    for n, d in delta.items():
-        if counts.get(n, 0) + d > values.get(n, default):
-            return n
-    return None
+    """The spiral-least n with counts + delta above values.get(n, default), or None."""
+    return spiral_least(
+        n for n, d in delta.items() if counts.get(n, 0) + d > values.get(n, default)
+    )
 
 
 def scheduled_numbers(ordering, entry):
@@ -231,22 +216,22 @@ def scheduled_numbers(ordering, entry):
 
 def target_violation(target, frozen, counts, entry, delta, coeffs):
     """(kind, value) of the first reason counts + delta breaks a target
-    step for entry (t, copy index) under the form `coeffs`, walking delta
-    value by value, or None.  `frozen` holds the numbers scheduled before
-    the entry; t may move, and so may -t when negating every coefficient
-    gives the same multiset."""
+    step for entry (t, copy index) under the form `coeffs`, or None; the
+    value is the spiral-least offender of its kind.  `frozen` holds the
+    numbers scheduled before the entry; t may move, and so may -t when
+    negating every coefficient gives the same multiset."""
     t, copy_index = entry
     moving = {t}
     if Counter(coeffs) == Counter(-a for a in coeffs):
         moving.add(-t)
-    for n, d in delta.items():
-        if counts.get(n, 0) + d > target.value_at(n):
-            return ("count-exceeds-target", n)
-        if n in target.zero_set:
-            return ("zero-set-hit", n)
-    for n in delta:
-        if n not in moving and n in frozen:
-            return ("frozen-count-changed", n)
+    over = [n for n, d in delta.items() if counts.get(n, 0) + d > target.value_at(n)]
+    for kind, offenders in [
+        ("count-exceeds-target", over),
+        ("zero-set-hit", delta.keys() & target.zero_set),
+        ("frozen-count-changed", [n for n in delta if n not in moving and n in frozen]),
+    ]:
+        if offenders:
+            return (kind, spiral_least(offenders))
     if counts.get(t, 0) + delta.get(t, 0) < copy_index + 1:
         return ("target-copy-missed", t)
     return None

@@ -207,7 +207,7 @@ class UnwalkedDict(dict):
 
 
 class TestFirstOvershoot:
-    """The bulk test and walk must name the value the per-value loop names."""
+    """The bulk test must name the spiral-least value the per-value loop finds."""
 
     @given(
         st.sampled_from([1, 2, INFINITY]),

@@ -42,8 +42,8 @@ RETRY_TRAILS = [
 
 @pytest.mark.parametrize("name", RETRY_TRAILS)
 def test_retry_trail_with_many_shards(name, tmp_path, monkeypatch, capsys):
-    # each step's delta in many residue shards: a rejection still names the
-    # value the whole delta's key order names first
+    # each step's delta in many residue shards: a rejection still names its
+    # spiral-least offender, which no shard count moves
     monkeypatch.setattr(repcount, "_SHARD_TUPLES", 8)
     check_case(name, tmp_path, monkeypatch, capsys)
 

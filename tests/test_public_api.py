@@ -74,6 +74,26 @@ def test_tracer_names_resolve():
     assert builder_target.class_counts in replacements
 
 
+def test_tracer_entry_points_exist():
+    # ENTRY_POINTS read as text, so the check neither imports nor edits the
+    # benchmark: every name it traces must be a function of its module
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "ENTRY_POINTS"
+    )
+    traced = {key.id: ast.literal_eval(names) for key, names in zip(table.keys, table.values)}
+    assert traced
+    missing = [
+        f"{module}.{name}"
+        for module, names in traced.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"linrep.{module}"), name, None))
+    ]
+    assert missing == []
+
+
 def unused_imports(source):
     """(line, name) of every name ``source`` imports and never reads."""
     tree = ast.parse(source)
