@@ -130,12 +130,15 @@ class TargetFunction(Frozen):
         """Load {"window": [lo, hi], "values": {"n": c|"inf"},
         "default": c|"inf", "zeros": [n, ...]}.
 
-        Any other shape raises ValueError, and so does a key repeated in one
-        object or two value keys naming one integer (``"2"`` and ``"02"``).
+        Any other shape raises ValueError, and so does any other key, a key
+        repeated in one object or two value keys naming one integer (``"2"``
+        and ``"02"``).
         """
         raw = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
             raise ValueError("target file must be a JSON object")
+        if unknown := sorted(raw.keys() - {"window", "values", "default", "zeros"}):
+            raise ValueError(f"target file has the unknown key {', '.join(map(repr, unknown))}")
         window = raw.get("window")
         if (
             not isinstance(window, list)
@@ -311,7 +314,7 @@ def check_counts_against_target(
     if whole:
         p, shards = 1, iter([class_counts(form, elements, budget)])
     else:
-        p, shards = class_count_shards(form, GroundSet(()), elements, budget)
+        p, shards = class_count_shards(form, elements, budget)
     values, default = target.values, target.default
     copies = [(t, c or 0) for t, c in state.covered]
     wanted: dict[int, list[int]] = {}  # residue -> numbers whose counts the report reads

@@ -25,21 +25,22 @@ its values in one ``Counter.update`` stream, and only then adds the other
 copies of the few prefix sums with multiplicity above 1.
 
 When a disjoint block B joins a set A, the new classes are those whose
-support meets B, so ``class_count_delta`` counts only assignments with a
-value in B, split by the first slot holding one.
+support meets B, so only assignments with a value in B are counted, split
+by the first slot holding one (``_splits``).  A full count is the block of
+the whole set joining the empty one.
 
 Two ways of counting hold no |A|^h table.  ``PrefixCount`` answers the
 count at one n from the plan's prefix tables, the sums of each term's
 first k - 1 slots: the builders' running count (``builder_target.Tally``)
 and ``count_at`` query it, and each accepted block extends its tables.
-``class_count_shards`` takes the classes a block adds (a full count is the
-delta from the empty set) one residue class of n mod p at a time, p prime
-(``shard_modulus``): one kernel, ``_shards``, buckets each split's prefix
-sums by residue, and shard r adds each last-slot value v only to the
-bucket r - v, so each shard's counts are exact.  The final certificate
-walks those shards, and so does each step's check, which reads a term's
-last split, old^(k-1) x block, off the prefix table itself and hands the
-other splits' head sums to ``PrefixCount.extend`` (``PrefixCount.shards``).
+``PrefixCount.shards`` takes the classes a block adds one residue class of
+n mod p at a time, p prime (``shard_modulus``), and ``class_count_shards``
+a whole set's: one kernel, ``_shards``, buckets each split's prefix sums
+by residue, and shard r adds each last-slot value v only to the bucket
+r - v, so each shard's counts are exact.  Each step's check walks the
+block's shards, reading a term's last split, old^(k-1) x block, off the
+prefix table itself and keeping the other splits' head sums for
+``PrefixCount.extend``; the final certificate walks the whole set's.
 Forms with equal coefficients keep a path that enumerates value multisets
 and streams their sums into the count (``_multiset_sums``).  Their plan
 walks about h! times as many tuples: for ``1,1`` it is all ordered pairs
@@ -211,60 +212,28 @@ def class_counts(
 ) -> dict[int, int]:
     """Exhaustive map n -> number of distinct classes representing n.
 
-    The whole set is one block joining the empty set, so this is
-    ``class_count_delta`` from nothing: every ordered tuple is visited
-    (sorted value multisets when all coefficients are equal).
+    The whole set is one block joining the empty set, counted in one shard:
+    every ordered tuple is visited (sorted value multisets when all
+    coefficients are equal).
     """
-    return class_count_delta(form, GroundSet(()), ground_set.elements, budget)
-
-
-def class_count_delta(
-    form: LinearForm,
-    base: GroundSet,
-    block: Sequence[int],
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> dict[int, int]:
-    """Map n -> number of new classes when ``block`` joins ``base``.
-
-    ``block`` must be duplicate-free and disjoint from ``base``; then
-    ``class_counts`` of the union is ``class_counts(base)`` plus this map,
-    value by value.  Only tuples with at least one entry in the block are
-    visited, split by the first block position:
-    base^i x block x (base+block)^(h-1-i).  The budget rule is the one of
-    ``class_counts`` on the union, |base + block|^h.  This is the one shard
-    of ``class_count_shards`` at p = 1.
-    """
-    new = _new_block(form, base, block, budget)
-    return next(_delta_shards(form.coefficients, base.elements, new, 1))
+    _check_budget(len(ground_set), form.arity, budget)
+    return next(_delta_shards(form.coefficients, (), ground_set.elements, 1))
 
 
 def class_count_shards(
     form: LinearForm,
-    base: GroundSet,
-    block: Sequence[int],
+    ground_set: GroundSet,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> tuple[int, Iterator[dict[int, int]]]:
-    """``(p, shards)``: the counts of ``class_count_delta``, one residue
-    class of n mod p at a time, p = ``shard_modulus`` of the tuples the
-    block adds.  Shard r holds the counts at every n = r (mod p), for
-    r = 0 .. p - 1, so at most one shard of counts need be held; a full
-    count is the delta of the whole set from the empty one.  The block
-    and budget rules are ``class_count_delta``'s, checked before any shard
-    is counted.
+    """``(p, shards)``: the counts of ``class_counts``, one residue class of
+    n mod p at a time, p = ``shard_modulus`` of the set.  Shard r holds the
+    counts at every n = r (mod p), for r = 0 .. p - 1, so at most one shard
+    of counts need be held.  The budget is checked before any shard is
+    counted.
     """
-    new = _new_block(form, base, block, budget)
-    p = shard_modulus(form, len(base) + len(new), len(base))
-    return p, _delta_shards(form.coefficients, base.elements, new, p)
-
-
-def _new_block(
-    form: LinearForm, base: GroundSet, block: Sequence[int], budget: int
-) -> tuple[int, ...]:
-    new = tuple(block)
-    if len(set(new)) != len(new) or any(v in base for v in new):
-        raise ValueError("block must be duplicate-free and disjoint from the base set")
-    _check_budget(len(base) + len(new), form.arity, budget)
-    return new
+    _check_budget(len(ground_set), form.arity, budget)
+    p = shard_modulus(form, len(ground_set))
+    return p, _delta_shards(form.coefficients, (), ground_set.elements, p)
 
 
 def _delta_shards(
@@ -323,8 +292,8 @@ def _multiset_sums(
 def _plan_counts(coeffs: tuple[int, ...], sums_of, empty: bool) -> dict[int, int]:
     """Class counts from the form's signed plan: ``sums_of(weights)`` gives
     the sums of one term's assignments (with multiplicity), for a delta
-    those split by the first block position (``_split_sums``); ``empty``
-    adds the empty class at 0.
+    those split by the first block position (``_splits``); ``empty`` adds
+    the empty class at 0.
 
     The first term (the coefficients) is counted straight into the result.
     A later term only revisits those sums (an assignment constant on parts
@@ -397,13 +366,10 @@ def _class_types(coeffs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield weights
 
 
-def _split_sums(
-    weights: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...], out: dict[int, int]
-) -> dict[int, int]:
-    """Add the weighted sum of every assignment of old+new values to the
-    slots with at least one block value, split by the first block slot:
-    old^i x new x (old+new)^(k-1-i)."""
-    for prefix, last in _splits(weights, old, new):
+def _sum_pairs(pairs: Iterable[tuple[dict, list[int]]], out: dict[int, int]) -> dict[int, int]:
+    """Add every s + v into ``out``, for each (prefix, last) pair of
+    ``pairs``: s over the prefix sums (with multiplicity), v over last."""
+    for prefix, last in pairs:
         _convolve(prefix, last, out)
     return out
 
@@ -411,8 +377,10 @@ def _split_sums(
 def _splits(
     weights: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]
 ) -> Iterator[tuple[dict[int, int], list[int]]]:
-    """For each split of ``_split_sums``, the weighted sums of its
-    first k - 1 slots (with multiplicity) and its last slot's scaled values."""
+    """The assignments of old+new values to the weighted slots with at least
+    one block value, split by the first block slot, old^i x new x
+    (old+new)^(k-1-i): for each split, the weighted sums of its first k - 1
+    slots (with multiplicity) and its last slot's scaled values."""
     both = old + new
     k = len(weights)
     for i in range(k):
@@ -517,14 +485,7 @@ def _shards(coeffs: tuple[int, ...], splits, p: int, empty: bool) -> Iterator[di
     values.  Every term is sharded alike, so each shard's counts are exact.
     """
     if p == 1:
-
-        def whole_sums(weights: tuple[int, ...]) -> dict[int, int]:
-            out: dict[int, int] = {}
-            for prefix, last in splits(weights):
-                _convolve(prefix, last, out)
-            return out
-
-        yield _plan_counts(coeffs, whole_sums, empty)
+        yield _plan_counts(coeffs, lambda weights: _sum_pairs(splits(weights), {}), empty)
         return
     buckets = {}
     for weights, _ in _terms(coeffs)[1:]:
@@ -559,7 +520,7 @@ class PrefixCount:
     its number of assignments, so den * count(n) is the sum over the terms
     of c * sum over v in A of P_w(n - w_k * v); the empty class adds 1 at 0
     when the coefficients sum to 0 and A is not empty.  ``extend`` adds a
-    disjoint block's assignments to every table (``_split_sums``), in
+    disjoint block's assignments to every table (``_splits``), in
     O(|A|^(h-2) * |B|), or the ones ``shards`` counted for that block.  A
     query walks |A| values per term of two or more slots.  ``lo`` and
     ``hi`` are the extreme tuple sums, from min A and max A: every count
@@ -585,15 +546,14 @@ class PrefixCount:
 
     def shards(self, block: Sequence[int], budget: int = DEFAULT_TUPLE_BUDGET) -> Iterator[dict]:
         """The classes the duplicate-free ``block``, disjoint from the set,
-        adds: ``class_count_shards``' shards, taken from the tables.
+        adds, in residue shards as ``class_count_shards`` takes a set's.
 
         A term's assignments with a block value split in two: a block value
         among the first k - 1 slots (the head sums the table gains, against
         every last value) or only in the last slot (the table itself against
         the block's last values).  So no sum over old^(k-1) is counted again,
         and the head sums are kept for ``extend``.  Equal coefficients take
-        ``class_count_delta``'s one shard.  The budget rule is
-        ``class_count_delta``'s, checked at once.
+        one shard.  The budget, checked at once, bounds |set + block|^h.
         """
         old, new, form = self.elements, tuple(block), self.form
         coeffs = form.coefficients
@@ -608,7 +568,7 @@ class PrefixCount:
             if w is None:
                 return [({0: 1}, [head[0] * v for v in new])]
             tail = [w * v for v in new]
-            heads[weights] = _split_sums(head, old, new, {})
+            heads[weights] = _sum_pairs(_splits(head, old, new), {})
             return [(heads[weights], last + tail), (table, tail)]
 
         p = shard_modulus(form, len(old) + len(new), len(old))
@@ -624,7 +584,7 @@ class PrefixCount:
         for weights, (head, w, _, table, last) in self._tables.items():
             sums = heads.get(weights) if staged == new else None
             if sums is None:
-                _split_sums(head, old, new, table)
+                _sum_pairs(_splits(head, old, new), table)
             else:
                 table.update(zip(sums, map(add, sums.values(), map(table.get, sums, repeat(0)))))
             if w is not None:

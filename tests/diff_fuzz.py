@@ -48,9 +48,13 @@ shares no code with the library's counting kernel).
   write a profile with the brute counts inside the window and the brute
   support bounds.
 
-As a script it prints the exit-code histogram and every failing run, and
-exits 1 if any run failed.  ``--command`` is one of ``diff-realize`` (the
-default), ``diff-unbounded``, ``build``, ``realize`` and ``verify``:
+As a script it prints a one-line JSON summary, with the exit-code
+histogram and the histogram of the non-zero exits by ``error_name`` (such
+as ``"3 PreconditionViolationError plentiful"``), then every failing run,
+and exits 1 if any run failed.  ``tests/fuzz_seed11.json`` holds the
+summary of each command at ``--seed 11 --runs 400``, which CI compares.
+``--command`` is one of ``diff-realize`` (the default),
+``diff-unbounded``, ``build``, ``realize`` and ``verify``:
 
     PYTHONPATH=src python tests/diff_fuzz.py --command diff-realize --seed 11 --runs 400
     PYTHONPATH=src python tests/diff_fuzz.py --command verify --seed 11 --runs 400
@@ -122,8 +126,8 @@ def call_main(argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def run_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
-    """(exit code, problems, whether the set was recounted) for one run."""
+def run_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
+    """(exit code, stdout, problems, whether the set was recounted) for one run."""
     (workdir / "target.json").write_text(case["target"].to_json())
     (workdir / "seq.json").write_text(case["seq"].to_json())
     out = workdir / "set.json"
@@ -139,13 +143,13 @@ def run_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
     ]
     code, output = call_main(argv)
     if code == -1:
-        return code, [f"raised: {output}"], False
+        return code, output, [f"raised: {output}"], False
     if code not in (0, 3):
-        return code, [f"exit {code}: {output.strip()}"], False
+        return code, output, [f"exit {code}: {output.strip()}"], False
     if code != 0:
-        return code, [], False
+        return code, output, [], False
     _, problems = recount_difference_set(case["target"], out, output)
-    return code, problems, True
+    return code, output, problems, True
 
 
 def recount_difference_set(
@@ -192,8 +196,8 @@ def draw_unbounded_case(rng: random.Random) -> dict:
     }
 
 
-def run_unbounded_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
-    """(exit code, problems, whether the set was recounted) for one batch run."""
+def run_unbounded_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
+    """(exit code, stdout, problems, whether the set was recounted) for one batch run."""
     out, trace = workdir / "set.json", workdir / "trace.jsonl"
     out.unlink(missing_ok=True)
     trace.unlink(missing_ok=True)
@@ -206,11 +210,11 @@ def run_unbounded_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]
     ]
     code, output = call_main(argv)
     if code == -1:
-        return code, [f"raised: {output}"], False
+        return code, output, [f"raised: {output}"], False
     if code not in (0, 3, 5):
-        return code, [f"exit {code}: {output.strip()}"], False
+        return code, output, [f"exit {code}: {output.strip()}"], False
     if code != 0:
-        return code, [], False
+        return code, output, [], False
     target = case["target"]
     counts, problems = recount_difference_set(target, out, output)
     for line in trace.read_text().splitlines():
@@ -219,7 +223,7 @@ def run_unbounded_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]
             problems.append(
                 f"target {t} has brute count {counts.get(t, 0)}, not {target.value_at(t)}"
             )
-    return code, problems, True
+    return code, output, problems, True
 
 
 def draw_build_case(rng: random.Random) -> dict:
@@ -242,8 +246,8 @@ def draw_build_case(rng: random.Random) -> dict:
     }
 
 
-def run_build_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
-    """(exit code, problems, whether the set was recounted) for one build run."""
+def run_build_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
+    """(exit code, stdout, problems, whether the set was recounted) for one build run."""
     out, trace = workdir / "set.json", workdir / "trace.jsonl"
     out.unlink(missing_ok=True)
     trace.unlink(missing_ok=True)
@@ -259,15 +263,15 @@ def run_build_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
         argv.append(f"--half-line={half_line}")
     code, output = call_main(argv)
     if code == -1:
-        return code, [f"raised: {output}"], False
+        return code, output, [f"raised: {output}"], False
     single_signed = len({c > 0 for c in coeffs}) == 1
     if code == 3 and half_line is not None and single_signed:
-        return code, [], False
+        return code, output, [], False
     if code != 0:
-        return code, [f"exit {code}: {output.strip()}"], False
+        return code, output, [f"exit {code}: {output.strip()}"], False
     elements = GroundSet.from_json(out.read_text()).elements
     if len(elements) ** len(coeffs) > RECOUNT_LIMIT:
-        return code, [], False
+        return code, output, [], False
     counts = brute_counts(coeffs, elements)
     problems = [f"brute count {c} exceeds 1 at {n}" for n, c in counts.items() if c > 1]
     targets = [int(json.loads(line)["target"]) for line in trace.read_text().splitlines()]
@@ -275,7 +279,7 @@ def run_build_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
                  if counts.get(t, 0) != 1]
     if half_line is not None:
         problems += [f"element {e} lies below {half_line}" for e in elements if e < half_line]
-    return code, problems, True
+    return code, output, problems, True
 
 
 def draw_realize_case(rng: random.Random) -> dict:
@@ -302,8 +306,8 @@ def draw_realize_case(rng: random.Random) -> dict:
     }
 
 
-def run_realize_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
-    """(exit code, problems, whether the set was recounted) for one realize run."""
+def run_realize_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
+    """(exit code, stdout, problems, whether the set was recounted) for one realize run."""
     out, trace = workdir / "set.json", workdir / "trace.jsonl"
     out.unlink(missing_ok=True)
     trace.unlink(missing_ok=True)
@@ -320,14 +324,14 @@ def run_realize_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
         argv += ["--m0", str(case["m0"])]
     code, output = call_main(argv)
     if code == -1:
-        return code, [f"raised: {output}"], False
+        return code, output, [f"raised: {output}"], False
     if code not in {0, 1} | {row[1] for row in _FAILURES}:
-        return code, [f"exit {code}: {output.strip()}"], False
+        return code, output, [f"exit {code}: {output.strip()}"], False
     if code != 0:
-        return code, [], False
+        return code, output, [], False
     elements = GroundSet.from_json(out.read_text()).elements
     if len(elements) ** len(coeffs) > RECOUNT_LIMIT:
-        return code, [], False
+        return code, output, [], False
     target = case["target"]
     counts = brute_counts(coeffs, elements)
     problems = [
@@ -349,7 +353,7 @@ def run_realize_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
             problems.append(
                 f"step {record['step']} support_size {record['support_size']}, brute {support}"
             )
-    return code, problems, True
+    return code, output, problems, True
 
 
 def draw_verify_case(rng: random.Random) -> dict:
@@ -389,8 +393,8 @@ def draw_verify_case(rng: random.Random) -> dict:
     }
 
 
-def run_verify_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
-    """(exit code, problems, whether the set was recounted) for one verify run."""
+def run_verify_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
+    """(exit code, stdout, problems, whether the set was recounted) for one verify run."""
     profile = workdir / "profile.json"
     profile.unlink(missing_ok=True)
     (workdir / "set.json").write_text(json.dumps([str(v) for v in case["elements"]]))
@@ -408,15 +412,16 @@ def run_verify_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
         argv += ["--window", str(window[0]), str(window[1])]
     code, output = call_main(argv)
     if code == -1:
-        return code, [f"raised: {output}"], False
+        return code, output, [f"raised: {output}"], False
     if code not in {0, 1} | {row[1] for row in _FAILURES}:
-        return code, [f"exit {code}: {output.strip()}"], False
+        return code, output, [f"exit {code}: {output.strip()}"], False
     if window is not None and (not case["profile"] or window[0] > window[1]):
-        return code, [] if code == 3 else [f"exit {code} for the window {window}"], False
+        return code, output, [] if code == 3 else [f"exit {code} for the window {window}"], False
     counts = brute_counts(coeffs, case["elements"])  # at most 12^4 <= RECOUNT_LIMIT tuples
     overshoots = target_overshoots(counts, target or ALL_ONES)
     if code != (1 if overshoots else 0):
-        return code, [f"exit {code} with {len(overshoots)} brute overshoots: {output}"], True
+        problem = f"exit {code} with {len(overshoots)} brute overshoots: {output}"
+        return code, output, [problem], True
     problems = []
     report = json.loads(output)
     violations = [
@@ -436,7 +441,7 @@ def run_verify_case(case: dict, workdir: Path) -> tuple[int, list[str], bool]:
         bounds = [None, None] if not counts else [str(max(counts)), str(min(counts))]
         if [written["support_max"], written["support_min"]] != bounds:
             problems.append(f"profile support bounds {written}, brute {bounds}")
-    return code, problems, True
+    return code, output, problems, True
 
 
 COMMANDS = {
@@ -448,24 +453,41 @@ COMMANDS = {
 }
 
 
+def error_name(code: int, output: str) -> str:
+    """A non-zero exit's key in a sweep's ``errors`` histogram: the exit
+    code and the CLI's JSON ``error`` field, plus the failed check of a
+    ``PreconditionViolationError``; the exception type of a run that raised."""
+    if code == -1:
+        return f"-1 {output.rstrip().splitlines()[-1].split(':')[0]}"
+    report = json.loads(output)
+    if "error" not in report:
+        return str(code)
+    if report["error"] == "PreconditionViolationError":
+        return f"{code} {report['error']} {report['message'].split(':')[0]}"
+    return f"{code} {report['error']}"
+
+
 def sweep(
     seed: int, runs: int, workdir: Path, command: str = "diff-realize"
-) -> tuple[Counter, list[str], int]:
-    """(exit-code histogram, failing runs, recounts) of ``runs`` seeded runs
-    of ``command``."""
+) -> tuple[Counter, Counter, list[str], int]:
+    """(exit-code histogram, ``error_name`` histogram of the non-zero exits,
+    failing runs, recounts) of ``runs`` seeded runs of ``command``."""
     draw_case_of, run_case_of = COMMANDS[command]
     rng = random.Random(seed)
     histogram: Counter = Counter()
+    errors: Counter = Counter()
     failures: list[str] = []
     recounts = 0
     for i in range(runs):
         case = draw_case_of(rng)
-        code, problems, recounted = run_case_of(case, workdir)
+        code, output, problems, recounted = run_case_of(case, workdir)
         histogram[code] += 1
+        if code:
+            errors[error_name(code, output)] += 1
         recounts += recounted
         if problems:
             failures.append(f"run {i} ({case['label']}): " + "; ".join(problems))
-    return histogram, failures, recounts
+    return histogram, errors, failures, recounts
 
 
 if __name__ == "__main__":
@@ -475,12 +497,15 @@ if __name__ == "__main__":
     parser.add_argument("--runs", type=int, default=400)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        histogram, failures, recounts = sweep(args.seed, args.runs, Path(tmp), args.command)
+        histogram, errors, failures, recounts = sweep(
+            args.seed, args.runs, Path(tmp), args.command
+        )
     print(json.dumps({
         "command": args.command,
         "seed": args.seed,
         "runs": args.runs,
         "exit_codes": {str(k): v for k, v in sorted(histogram.items())},
+        "errors": dict(sorted(errors.items())),
         "recounts": recounts,
         "failures": len(failures),
     }))

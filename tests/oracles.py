@@ -37,6 +37,14 @@ def brute_counts(coeffs, elements):
     return {n: len(keys) for n, keys in per_n.items()}
 
 
+def brute_delta(coeffs, base, block):
+    """n -> number of classes the disjoint `block` adds to `base`, by
+    two full enumerations."""
+    before = brute_counts(coeffs, tuple(base))
+    after = brute_counts(coeffs, (*base, *block))
+    return {n: c - before.get(n, 0) for n, c in after.items() if c != before.get(n, 0)}
+
+
 def subset_zero_sum(coeffs):
     """True iff some non-empty subset of positions sums to zero (bitmask)."""
     h = len(coeffs)

@@ -116,6 +116,8 @@ class TestTargetFunction:
             '{"window": [0, 1], "values": {"1": 2, "1": 3}}',
             '{"window": [0, 1], "values": {"1": 2, "01": 3}}',
             '{"window": [0, 1], "window": [0, 2]}',
+            '{"window": [-5, 5], "default": 2, "zeroes": [3]}',
+            '{"window": [0, 1], "defualt": 2}',
         ],
     )
     def test_json_rejects_malformed_shape(self, text):
@@ -554,17 +556,12 @@ class TestShardedStage:
             with patch.object(repcount, "_SHARD_TUPLES", -(-tuples // shards)):
                 p = repcount.shard_modulus(form, len(base) + len(block), len(base))
                 assert (p > 1) == (shards > 1 and len(set(coeffs)) > 1)
-                # the shards partition the delta by residue, from the prefix
-                # tables as from the set
-                for parts in (
-                    repcount.class_count_shards(form, base, block)[1],
-                    repcount.PrefixCount(form, base.elements).shards(block),
-                ):
-                    whole = {}
-                    for r, shard in enumerate(parts):
-                        assert all(n % p == r for n in shard)
-                        whole.update(shard)
-                    assert whole == delta and r == p - 1
+                # the prefix tables' shards partition the delta by residue
+                whole = {}
+                for r, shard in enumerate(repcount.PrefixCount(form, base.elements).shards(block)):
+                    assert all(n % p == r for n in shard)
+                    whole.update(shard)
+                assert whole == delta and r == p - 1
                 state = ConstructionState(form, base, ())
                 tally = Tally(repcount.PrefixCount(form, base.elements), len(old))
                 violation = _check_block(state, tally, target, None, entry, block, 10**6)

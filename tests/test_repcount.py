@@ -19,7 +19,6 @@ from linrep.repcount import (
     _class_types,
     _set_partitions,
     _terms,
-    class_count_delta,
     class_count_shards,
     count_at,
     shard_modulus,
@@ -29,6 +28,7 @@ from linrep.repcount import (
 from oracles import (
     DictCount,
     brute_counts,
+    brute_delta,
     class_key,
     first_overshoot,
     merged,
@@ -256,7 +256,7 @@ class TestShards:
     def test_shards_partition_the_brute_count(self, form, elements, constant):
         form = LinearForm.parse(form)
         with patch.object(repcount, "_SHARD_TUPLES", constant):
-            p, shards = class_count_shards(form, GroundSet(()), elements)
+            p, shards = class_count_shards(form, GroundSet.of(elements))
             assert p == shard_modulus(form, len(elements))
         whole = {}
         for r, shard in enumerate(shards):
@@ -278,7 +278,7 @@ class TestShards:
 
     def test_budget_checked_before_any_shard(self):
         with pytest.raises(BudgetExceededError) as err:
-            class_count_shards(LinearForm.parse("1,2,-3"), GroundSet(()), range(50), 10**5)
+            class_count_shards(LinearForm.parse("1,2,-3"), GroundSet.of(range(50)), 10**5)
         assert err.value.required == 50**3
 
 
@@ -352,9 +352,18 @@ def split_sets(max_size):
     )
 
 
+def delta_of(form, base, block):
+    """The classes ``block`` adds to ``base``: ``PrefixCount.shards``, the
+    step check's one route, merged."""
+    delta = {}
+    for shard in PrefixCount(form, base.elements).shards(block):
+        delta.update(shard)
+    return delta
+
+
 def merged_counts(form, base, block):
     old = brute_counts(form.coefficients, base.elements)
-    return merged(old, class_count_delta(form, base, block))
+    return merged(old, delta_of(form, base, block))
 
 
 def held(tally, keys):
@@ -392,18 +401,10 @@ class TestDeltaCounting:
             assert held(tally, [*expected, 10**6]) == {**expected, 10**6: 0}
             assert tally.size == len(expected)
 
-    def test_rejects_overlapping_or_repeated_block(self):
-        form = LinearForm.parse("1,2")
-        with pytest.raises(ValueError):
-            class_count_delta(form, GroundSet.of([1, 2]), (2, 3))
-        with pytest.raises(ValueError):
-            class_count_delta(form, GroundSet.of([1, 2]), (3, 3))
-
     def test_budget_counts_the_union(self):
+        prefix = PrefixCount(LinearForm.parse("1,1,1"), range(40))
         with pytest.raises(BudgetExceededError) as err:
-            class_count_delta(
-                LinearForm.parse("1,1,1"), GroundSet.of(range(40)), (100, 101), budget=42**3 - 1
-            )
+            prefix.shards((100, 101), budget=42**3 - 1)
         assert err.value.required == 42**3
 
 
@@ -453,7 +454,7 @@ class TestDifferenceFormShape:
     def test_one_class_at_0_and_even_counts(self, split):
         base, block = split
         counts = class_counts(DIFFERENCE_FORM, base)
-        delta = class_count_delta(DIFFERENCE_FORM, base, block)
+        delta = delta_of(DIFFERENCE_FORM, base, block)
         assert counts[0] == 1 and 0 not in delta
         assert counts == {-n: c for n, c in counts.items()}
         assert delta == {-n: d for n, d in delta.items()}
@@ -494,9 +495,7 @@ class TestGeneralKernel:
     @settings(max_examples=30, deadline=None)
     def test_one_element_block(self, coeffs, values, extra):
         form = LinearForm(coeffs)
-        assert class_count_delta(form, GroundSet(()), (extra,)) == brute_counts(
-            coeffs, (extra,)
-        )
+        assert delta_of(form, GroundSet(()), (extra,)) == brute_counts(coeffs, (extra,))
         if extra not in values:
             assert merged_counts(form, GroundSet.of(values), (extra,)) == brute_counts(
                 coeffs, GroundSet.of(values + [extra]).elements
@@ -543,11 +542,7 @@ class TestGeneralKernel:
     @settings(max_examples=300, deadline=None)
     def test_delta_matches_brute_force(self, coeffs, split):
         base, block = split
-        delta = class_count_delta(LinearForm(coeffs), base, block)
-        before = brute_counts(coeffs, base.elements)
-        after = brute_counts(coeffs, base.union(block).elements)
-        new = {n: c - before.get(n, 0) for n, c in after.items()}
-        assert delta == {n: d for n, d in new.items() if d}
+        assert delta_of(LinearForm(coeffs), base, block) == brute_delta(coeffs, base, block)
 
     def test_plan_of_small_forms(self):
         # all tuples, minus the constant tuples at 0
@@ -571,7 +566,7 @@ class TestMultisetPath:
     def test_matches_the_plain_loop(self, coeff, arity, split):
         base, block = split
         form = LinearForm((coeff,) * arity)
-        assert class_count_delta(form, base, block) == multiset_delta(
+        assert delta_of(form, base, block) == multiset_delta(
             coeff, arity, base.elements, block
         )
 
@@ -586,7 +581,7 @@ class TestMultisetPath:
         ],
     )
     def test_named_cases(self, coeff, arity, base, block):
-        delta = class_count_delta(LinearForm((coeff,) * arity), GroundSet.of(base), block)
+        delta = delta_of(LinearForm((coeff,) * arity), GroundSet.of(base), block)
         assert delta == multiset_delta(coeff, arity, tuple(sorted(base)), block)
 
 
@@ -640,7 +635,7 @@ class TestDeltaShape:
     @settings(max_examples=160, deadline=None)
     def test_no_zero_values(self, form, split):
         base, block = split
-        assert all(class_count_delta(form, base, block).values())
+        assert all(all(shard.values()) for shard in PrefixCount(form, base.elements).shards(block))
 
 
 # general-path forms with equal coefficients or zero-sum parts, so that many
@@ -664,11 +659,7 @@ class TestStreamedConvolution:
     @settings(max_examples=60, deadline=None)
     def test_dense_delta_counts(self, coeffs, split):
         base, block = split
-        delta = class_count_delta(LinearForm(coeffs), base, block)
-        before = brute_counts(coeffs, base.elements)
-        after = brute_counts(coeffs, base.union(block).elements)
-        new = {n: c - before.get(n, 0) for n, c in after.items()}
-        assert delta == {n: d for n, d in new.items() if d}
+        assert delta_of(LinearForm(coeffs), base, block) == brute_delta(coeffs, base, block)
 
     @pytest.mark.parametrize("coeffs", REPEATING_FORMS + [(1, 2, -3)])
     @given(values=st.lists(st.integers(-8, 8), unique=True, max_size=9))
@@ -679,12 +670,13 @@ class TestStreamedConvolution:
 
     @pytest.mark.parametrize("coeffs", REPEATING_FORMS + [(1, 2, -3), (3, 3)])
     def test_delta_is_a_plain_dict(self, coeffs):
-        # the step loop keeps each accepted delta as a layer of its tally,
-        # and class_counts' result goes to callers as is: a plain dict's
-        # update replaces values and [n] raises on an absent key, where a
-        # Counter adds and answers 0
+        # the step loop's tally reads each shard of a delta, and
+        # class_counts' result goes to callers as is: a plain dict's update
+        # replaces values and [n] raises on an absent key, where a Counter
+        # adds and answers 0
         form = LinearForm(coeffs)
-        assert type(class_count_delta(form, GroundSet.of([0, 2, 5]), (-4, 9))) is dict
+        shards = PrefixCount(form, (0, 2, 5)).shards((-4, 9))
+        assert all(type(shard) is dict for shard in shards)
         assert type(class_counts(form, GroundSet.of([1, 2, 3, 7]))) is dict
 
 
