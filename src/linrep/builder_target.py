@@ -131,8 +131,8 @@ class TargetFunction(Frozen):
         "default": c|"inf", "zeros": [n, ...]}.
 
         Any other shape raises ValueError, and so does any other key, a key
-        repeated in one object or two value keys naming one integer (``"2"``
-        and ``"02"``).
+        repeated in one object, or two value keys or zeros naming one
+        integer (``"2"`` and ``"02"``).
         """
         raw = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
@@ -167,6 +167,8 @@ class TargetFunction(Frozen):
             values[n] = decode(v)
         default = decode(raw.get("default", 1))
         zeros = tuple(int_from_json(z, "zero-set entry") for z in raw_zeros)
+        if repeated := [a for a, b in pairwise(sorted(zeros)) if a == b]:
+            raise ValueError(f"zero set repeats the integer {repeated[0]}")
         return cls.make((window[0], window[1]), values, default, zeros)
 
     def to_json(self) -> str:

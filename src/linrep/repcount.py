@@ -25,22 +25,21 @@ its values in one ``Counter.update`` stream, and only then adds the other
 copies of the few prefix sums with multiplicity above 1.
 
 When a disjoint block B joins a set A, the new classes are those whose
-support meets B, so only assignments with a value in B are counted, split
-by the first slot holding one (``_splits``).  A full count is the block of
-the whole set joining the empty one.
-
-Two ways of counting hold no |A|^h table.  ``PrefixCount`` answers the
-count at one n from the plan's prefix tables, the sums of each term's
-first k - 1 slots: the builders' running count (``builder_target.Tally``)
-and ``count_at`` query it, and each accepted block extends its tables.
-``PrefixCount.shards`` takes the classes a block adds one residue class of
-n mod p at a time, p prime (``shard_modulus``), and ``class_count_shards``
-a whole set's: one kernel, ``_shards``, buckets each split's prefix sums
-by residue, and shard r adds each last-slot value v only to the bucket
-r - v, so each shard's counts are exact.  Each step's check walks the
-block's shards, reading a term's last split, old^(k-1) x block, off the
-prefix table itself and keeping the other splits' head sums for
-``PrefixCount.extend``; the final certificate walks the whole set's.
+support meets B.  One recurrence over a term's prefix lengths counts them
+(``_gained``): the new sums of j slots are the new sums of j - 1 slots
+against w_j * (A + B), plus the old sums of j - 1 slots against w_j * B.
+``PrefixCount`` keeps each term's old sums of every prefix length 1 .. k - 1,
+so no sum is recounted and no |A|^h table is held.  Step deltas, table
+growth and full counts all run that recurrence; a full count is the whole
+set joining an empty ``PrefixCount``.  ``PrefixCount.count`` answers the
+count at one n from the longest tables (the builders' running count,
+``builder_target.Tally``, and ``count_at``).  ``PrefixCount.shards`` takes
+the classes a block adds one residue class of n mod p at a time, p prime
+(``shard_modulus``): one kernel, ``_shards``, buckets each term's new
+and old head sums by residue, and shard r adds each last-slot value v only
+to the bucket r - v, so each shard's counts are exact.  Each step's check walks
+the block's shards and the final certificate (``class_count_shards``)
+the whole set's.
 Forms with equal coefficients keep a path that enumerates value multisets
 and streams their sums into the count (``_multiset_sums``).  Their plan
 walks about h! times as many tuples: for ``1,1`` it is all ordered pairs
@@ -212,12 +211,11 @@ def class_counts(
 ) -> dict[int, int]:
     """Exhaustive map n -> number of distinct classes representing n.
 
-    The whole set is one block joining the empty set, counted in one shard:
-    every ordered tuple is visited (sorted value multisets when all
-    coefficients are equal).
+    The whole set joins an empty ``PrefixCount`` in one shard: every
+    ordered tuple is visited (sorted value multisets when all coefficients
+    are equal).
     """
-    _check_budget(len(ground_set), form.arity, budget)
-    return next(_delta_shards(form.coefficients, (), ground_set.elements, 1))
+    return next(PrefixCount(form).shards(ground_set.elements, budget, 1))
 
 
 def class_count_shards(
@@ -228,25 +226,12 @@ def class_count_shards(
     """``(p, shards)``: the counts of ``class_counts``, one residue class of
     n mod p at a time, p = ``shard_modulus`` of the set.  Shard r holds the
     counts at every n = r (mod p), for r = 0 .. p - 1, so at most one shard
-    of counts need be held.  The budget is checked before any shard is
-    counted.
+    of counts need be held.  The budget is checked before the modulus,
+    whose prime search is slow for a large candidate.
     """
     _check_budget(len(ground_set), form.arity, budget)
     p = shard_modulus(form, len(ground_set))
-    return p, _delta_shards(form.coefficients, (), ground_set.elements, p)
-
-
-def _delta_shards(
-    coeffs: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...], p: int
-) -> Iterator[dict[int, int]]:
-    """The classes ``new`` adds to ``old`` in p residue shards (``_shards``
-    over ``_splits``); equal coefficients take one shard."""
-    if not new:
-        return iter([{}])
-    if len(set(coeffs)) == 1:
-        return iter([_uniform_delta(coeffs[0], len(coeffs), old, new)])
-    empty = not old and sum(coeffs) == 0
-    return _shards(coeffs, lambda weights: _splits(weights, old, new), p, empty)
+    return p, PrefixCount(form).shards(ground_set.elements, budget, p)
 
 
 def _uniform_delta(
@@ -292,8 +277,7 @@ def _multiset_sums(
 def _plan_counts(coeffs: tuple[int, ...], sums_of, empty: bool) -> dict[int, int]:
     """Class counts from the form's signed plan: ``sums_of(weights)`` gives
     the sums of one term's assignments (with multiplicity), for a delta
-    those split by the first block position (``_splits``); ``empty`` adds
-    the empty class at 0.
+    the new ones (``_gained``); ``empty`` adds the empty class at 0.
 
     The first term (the coefficients) is counted straight into the result.
     A later term only revisits those sums (an assignment constant on parts
@@ -366,30 +350,18 @@ def _class_types(coeffs: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield weights
 
 
-def _sum_pairs(pairs: Iterable[tuple[dict, list[int]]], out: dict[int, int]) -> dict[int, int]:
-    """Add every s + v into ``out``, for each (prefix, last) pair of
-    ``pairs``: s over the prefix sums (with multiplicity), v over last."""
-    for prefix, last in pairs:
-        _convolve(prefix, last, out)
-    return out
-
-
-def _splits(
-    weights: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]
-) -> Iterator[tuple[dict[int, int], list[int]]]:
-    """The assignments of old+new values to the weighted slots with at least
-    one block value, split by the first block slot, old^i x new x
-    (old+new)^(k-1-i): for each split, the weighted sums of its first k - 1
-    slots (with multiplicity) and its last slot's scaled values."""
-    both = old + new
-    k = len(weights)
-    for i in range(k):
-        factors = [old] * i + [new] + [both] * (k - 1 - i)
-        scaled = [[w * x for x in values] for w, values in zip(weights, factors)]
-        prefix = {0: 1}
-        for values in scaled[:-1]:
-            prefix = _convolve(prefix, values, {})
-        yield prefix, scaled[-1]
+def _gained(weights: tuple[int, ...], tables: list[dict], old: tuple, new: tuple) -> list[dict]:
+    """The weighted sums, with multiplicity, that each prefix of ``weights``
+    gains when the block ``new`` joins ``old``, from ``tables``, the old
+    sums of the prefixes of length 1, 2, ...: the new sums of j slots are
+    the new sums of j - 1 slots against w_j * (old + new), plus the old
+    sums of j - 1 slots against w_j * new.  The empty prefix sums to 0 and
+    gains nothing."""
+    both, gained, grown = old + new, {}, []
+    for w, table in zip(weights, [{0: 1}, *tables]):
+        gained = _convolve(gained, [w * x for x in both], {})
+        grown.append(_convolve(table, [w * x for x in new], gained))
+    return grown
 
 
 def _convolve(sums: dict[int, int], values: list[int], out: dict[int, int]) -> dict[int, int]:
@@ -485,7 +457,14 @@ def _shards(coeffs: tuple[int, ...], splits, p: int, empty: bool) -> Iterator[di
     values.  Every term is sharded alike, so each shard's counts are exact.
     """
     if p == 1:
-        yield _plan_counts(coeffs, lambda weights: _sum_pairs(splits(weights), {}), empty)
+
+        def whole_sums(weights: tuple[int, ...]) -> dict[int, int]:
+            out: dict[int, int] = {}
+            for prefix, last in splits(weights):
+                _convolve(prefix, last, out)
+            return out
+
+        yield _plan_counts(coeffs, whole_sums, empty)
         return
     buckets = {}
     for weights, _ in _terms(coeffs)[1:]:
@@ -516,76 +495,72 @@ class PrefixCount:
     plan, holding no sum of all h slots.
 
     For each plan term w = (w_1, ..., w_k) with coefficient c, the table
-    P_w maps each weighted sum of the first k - 1 slots over the set A to
-    its number of assignments, so den * count(n) is the sum over the terms
-    of c * sum over v in A of P_w(n - w_k * v); the empty class adds 1 at 0
-    when the coefficients sum to 0 and A is not empty.  ``extend`` adds a
-    disjoint block's assignments to every table (``_splits``), in
-    O(|A|^(h-2) * |B|), or the ones ``shards`` counted for that block.  A
-    query walks |A| values per term of two or more slots.  ``lo`` and
-    ``hi`` are the extreme tuple sums, from min A and max A: every count
-    outside them is 0.
+    P_j maps each weighted sum of the first j slots over the set A to its
+    number of assignments, for j = 1 .. k - 1, so den * count(n) is the sum
+    over the terms of c * sum over v in A of P_(k-1)(n - w_k * v); the
+    empty class adds 1 at 0 when the coefficients sum to 0 and A is not
+    empty.  ``extend`` adds a disjoint block's new sums to every table
+    (``_gained``), in O(|A|^(h-2) * |B|).  A query walks |A| values per
+    term of two or more slots.  ``lo`` and ``hi`` are the extreme tuple
+    sums, from min A and max A: every count outside them is 0.
     """
 
     def __init__(self, form: LinearForm, elements: Sequence[int] = ()):
         coeffs = form.coefficients
         self._den, *terms = _terms(coeffs)
-        # per term: the slots its table sums, w_k, c, the table and the last
-        # slot's values w_k * v; a one-slot term's table sums its one slot,
-        # with [0] for the last values, so that its query is one lookup
+        # per term: the slots its tables sum, w_k, c, one table per prefix
+        # length and the last slot's values w_k * v; a one-slot term's one
+        # table sums its one slot, with [0] for the last values, so that its
+        # query is one lookup
         self._tables = {
-            w: (w[:-1], w[-1], c, {}, []) if len(w) > 1 else (w, None, c, {}, [0])
+            w: (w[:-1], w[-1], c, [{} for _ in w[1:]], []) if w[1:] else (w, None, c, [{}], [0])
             for w, c in terms
         }
         self.form = form
         self._empty_at_zero = sum(coeffs) == 0
         self.elements: tuple[int, ...] = ()
         self.lo, self.hi = 0, -1
-        self._staged: tuple[tuple[int, ...], dict] = ((), {})  # block, head sums per term
         self.extend(elements)
 
-    def shards(self, block: Sequence[int], budget: int = DEFAULT_TUPLE_BUDGET) -> Iterator[dict]:
+    def shards(
+        self, block: Sequence[int], budget: int = DEFAULT_TUPLE_BUDGET, p: Optional[int] = None
+    ) -> Iterator[dict]:
         """The classes the duplicate-free ``block``, disjoint from the set,
-        adds, in residue shards as ``class_count_shards`` takes a set's.
+        adds, in p residue shards as ``class_count_shards`` takes a set's;
+        without p, ``shard_modulus`` of the step.
 
-        A term's assignments with a block value split in two: a block value
-        among the first k - 1 slots (the head sums the table gains, against
-        every last value) or only in the last slot (the table itself against
-        the block's last values).  So no sum over old^(k-1) is counted again,
-        and the head sums are kept for ``extend``.  Equal coefficients take
-        one shard.  The budget, checked at once, bounds |set + block|^h.
+        A term's new assignments are the last step of ``_gained``: the head
+        sums the block adds against every last value, and the longest table
+        against the block's last values.  Equal coefficients take one
+        shard.  The budget, checked first, bounds |set + block|^h.
         """
         old, new, form = self.elements, tuple(block), self.form
         coeffs = form.coefficients
         _check_budget(len(old) + len(new), len(coeffs), budget)
-        if not new or len(set(coeffs)) == 1:
-            return _delta_shards(coeffs, old, new, 1)
-        heads: dict[tuple[int, ...], dict[int, int]] = {}
-        self._staged = new, heads
+        if not new:
+            return iter([{}])
+        if len(set(coeffs)) == 1:
+            return iter([_uniform_delta(coeffs[0], len(coeffs), old, new)])
 
         def splits(weights: tuple[int, ...]) -> list[tuple[dict[int, int], list[int]]]:
-            head, w, _, table, last = self._tables[weights]
+            head, w, _, tables, last = self._tables[weights]
+            gained = _gained(head, tables, old, new)[-1]
             if w is None:
-                return [({0: 1}, [head[0] * v for v in new])]
+                return [(gained, last)]
             tail = [w * v for v in new]
-            heads[weights] = _sum_pairs(_splits(head, old, new), {})
-            return [(heads[weights], last + tail), (table, tail)]
+            return [(gained, last + tail), (tables[-1], tail)]
 
-        p = shard_modulus(form, len(old) + len(new), len(old))
+        p = p or shard_modulus(form, len(old) + len(new), len(old))
         return _shards(coeffs, splits, p, not old and self._empty_at_zero)
 
     def extend(self, block: Sequence[int]) -> None:
-        """Add the duplicate-free ``block``, disjoint from the set, to every table."""
+        """Add the duplicate-free ``block``, disjoint from the set, to every
+        table: the sums ``_gained`` counts, none reused from ``shards``."""
         old, new = self.elements, tuple(block)
         if not new:
             return
-        staged, heads = self._staged
-        self._staged = (), {}
-        for weights, (head, w, _, table, last) in self._tables.items():
-            sums = heads.get(weights) if staged == new else None
-            if sums is None:
-                _sum_pairs(_splits(head, old, new), table)
-            else:
+        for head, w, _, tables, last in self._tables.values():
+            for table, sums in zip(tables, _gained(head, tables, old, new)):
                 table.update(zip(sums, map(add, sums.values(), map(table.get, sums, repeat(0)))))
             if w is not None:
                 last += [w * v for v in new]
@@ -601,8 +576,8 @@ class PrefixCount:
         """The number of classes at n; ConstructionBugError when the plan's
         sum is not a non-negative multiple of den."""
         total = sum(
-            c * sum(map(table.get, map(n.__sub__, last), repeat(0)))
-            for _, _, c, table, last in self._tables.values()
+            c * sum(map(tables[-1].get, map(n.__sub__, last), repeat(0)))
+            for _, _, c, tables, last in self._tables.values()
         )
         if total < 0 or total % self._den:
             raise ConstructionBugError(

@@ -49,9 +49,10 @@ shares no code with the library's counting kernel).
   support bounds.
 
 As a script it prints a one-line JSON summary, with the exit-code
-histogram and the histogram of the non-zero exits by ``error_name`` (such
-as ``"3 PreconditionViolationError plentiful"``), then every failing run,
-and exits 1 if any run failed.  ``tests/fuzz_seed11.json`` holds the
+histogram, the histogram of the non-zero exits by ``error_name`` (such
+as ``"3 PreconditionViolationError plentiful"``) and the ``outputs``
+digest of every run's exit code, stdout and files, then every failing
+run, and exits 1 if any run failed.  ``tests/fuzz_seed11.json`` holds the
 summary of each command at ``--seed 11 --runs 400``, which CI compares.
 ``--command`` is one of ``diff-realize`` (the default),
 ``diff-unbounded``, ``build``, ``realize`` and ``verify``:
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -131,7 +133,6 @@ def run_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
     (workdir / "target.json").write_text(case["target"].to_json())
     (workdir / "seq.json").write_text(case["seq"].to_json())
     out = workdir / "set.json"
-    out.unlink(missing_ok=True)
     argv = [
         "diff-realize", "--case", "infinite",
         "--target", str(workdir / "target.json"),
@@ -199,8 +200,6 @@ def draw_unbounded_case(rng: random.Random) -> dict:
 def run_unbounded_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
     """(exit code, stdout, problems, whether the set was recounted) for one batch run."""
     out, trace = workdir / "set.json", workdir / "trace.jsonl"
-    out.unlink(missing_ok=True)
-    trace.unlink(missing_ok=True)
     (workdir / "target.json").write_text(case["target"].to_json())
     argv = [
         "diff-realize", "--case", "unbounded",
@@ -249,8 +248,6 @@ def draw_build_case(rng: random.Random) -> dict:
 def run_build_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
     """(exit code, stdout, problems, whether the set was recounted) for one build run."""
     out, trace = workdir / "set.json", workdir / "trace.jsonl"
-    out.unlink(missing_ok=True)
-    trace.unlink(missing_ok=True)
     coeffs, half_line = case["coeffs"], case["half_line"]
     argv = [
         "build", "--form=" + ",".join(map(str, coeffs)),
@@ -309,8 +306,6 @@ def draw_realize_case(rng: random.Random) -> dict:
 def run_realize_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
     """(exit code, stdout, problems, whether the set was recounted) for one realize run."""
     out, trace = workdir / "set.json", workdir / "trace.jsonl"
-    out.unlink(missing_ok=True)
-    trace.unlink(missing_ok=True)
     (workdir / "target.json").write_text(case["target"].to_json())
     coeffs = case["form"].coefficients
     argv = [
@@ -396,7 +391,6 @@ def draw_verify_case(rng: random.Random) -> dict:
 def run_verify_case(case: dict, workdir: Path) -> tuple[int, str, list[str], bool]:
     """(exit code, stdout, problems, whether the set was recounted) for one verify run."""
     profile = workdir / "profile.json"
-    profile.unlink(missing_ok=True)
     (workdir / "set.json").write_text(json.dumps([str(v) for v in case["elements"]]))
     coeffs, target, window = case["coeffs"], case["target"], case["window"]
     argv = [
@@ -467,27 +461,40 @@ def error_name(code: int, output: str) -> str:
     return f"{code} {report['error']}"
 
 
+def run_outputs(code: int, output: str, workdir: Path) -> bytes:
+    """One run's exit code, stdout and every file it left in ``workdir``,
+    with ``workdir`` itself renamed ``WORKDIR``, as bytes to hash."""
+    files = {f.name: f.read_text() for f in sorted(workdir.iterdir())}
+    return json.dumps([code, output, files]).replace(str(workdir), "WORKDIR").encode()
+
+
 def sweep(
     seed: int, runs: int, workdir: Path, command: str = "diff-realize"
-) -> tuple[Counter, Counter, list[str], int]:
+) -> tuple[Counter, Counter, list[str], int, str]:
     """(exit-code histogram, ``error_name`` histogram of the non-zero exits,
-    failing runs, recounts) of ``runs`` seeded runs of ``command``."""
+    failing runs, recounts, outputs) of ``runs`` seeded runs of
+    ``command``.  Each run starts in an emptied ``workdir``; ``outputs`` is
+    the sha256 of every run's ``run_outputs``."""
     draw_case_of, run_case_of = COMMANDS[command]
     rng = random.Random(seed)
     histogram: Counter = Counter()
     errors: Counter = Counter()
     failures: list[str] = []
     recounts = 0
+    outputs = hashlib.sha256()
     for i in range(runs):
         case = draw_case_of(rng)
+        for f in workdir.iterdir():
+            f.unlink()
         code, output, problems, recounted = run_case_of(case, workdir)
+        outputs.update(run_outputs(code, output, workdir))
         histogram[code] += 1
         if code:
             errors[error_name(code, output)] += 1
         recounts += recounted
         if problems:
             failures.append(f"run {i} ({case['label']}): " + "; ".join(problems))
-    return histogram, errors, failures, recounts
+    return histogram, errors, failures, recounts, outputs.hexdigest()
 
 
 if __name__ == "__main__":
@@ -497,7 +504,7 @@ if __name__ == "__main__":
     parser.add_argument("--runs", type=int, default=400)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        histogram, errors, failures, recounts = sweep(
+        histogram, errors, failures, recounts, outputs = sweep(
             args.seed, args.runs, Path(tmp), args.command
         )
     print(json.dumps({
@@ -508,6 +515,7 @@ if __name__ == "__main__":
         "errors": dict(sorted(errors.items())),
         "recounts": recounts,
         "failures": len(failures),
+        "outputs": outputs,
     }))
     for line in failures:
         print(line)

@@ -118,6 +118,8 @@ class TestTargetFunction:
             '{"window": [0, 1], "window": [0, 2]}',
             '{"window": [-5, 5], "default": 2, "zeroes": [3]}',
             '{"window": [0, 1], "defualt": 2}',
+            '{"window": [-5, 5], "default": 2, "zeros": [3, 3]}',
+            '{"window": [-5, 5], "default": 2, "zeros": [3, "3"]}',
         ],
     )
     def test_json_rejects_malformed_shape(self, text):

@@ -13,7 +13,7 @@ from diff_fuzz import COMMANDS, sweep
 
 
 def test_infinite_case_runs_exit_0_or_3_and_recount_within_target(tmp_path):
-    histogram, errors, failures, recounts = sweep(seed=7, runs=40, workdir=tmp_path)
+    histogram, errors, failures, recounts, _ = sweep(seed=7, runs=40, workdir=tmp_path)
     assert failures == []
     assert set(histogram) == {0, 3}
     assert set(errors) <= {"3 SequenceExhaustedError", "3 PreconditionViolationError plentiful"}
@@ -22,7 +22,7 @@ def test_infinite_case_runs_exit_0_or_3_and_recount_within_target(tmp_path):
 
 def test_batch_case_runs_recount_within_target_and_fill_every_traced_value(tmp_path):
     # exit 5 is the known incidental-pair defect, counted and not failed
-    histogram, errors, failures, recounts = sweep(
+    histogram, errors, failures, recounts, _ = sweep(
         seed=7, runs=40, workdir=tmp_path, command="diff-unbounded"
     )
     assert failures == []
@@ -36,7 +36,7 @@ def test_batch_case_runs_recount_within_target_and_fill_every_traced_value(tmp_p
 
 
 def test_build_runs_exit_0_or_3_and_recount_unique(tmp_path):
-    histogram, errors, failures, recounts = sweep(
+    histogram, errors, failures, recounts, _ = sweep(
         seed=7, runs=40, workdir=tmp_path, command="build"
     )
     assert failures == []
@@ -47,7 +47,7 @@ def test_build_runs_exit_0_or_3_and_recount_unique(tmp_path):
 
 def test_realize_runs_recount_within_target_with_traced_support_sizes(tmp_path):
     # exit 5 is the known forced-collision defect, counted and not failed
-    histogram, errors, failures, recounts = sweep(
+    histogram, errors, failures, recounts, _ = sweep(
         seed=7, runs=40, workdir=tmp_path, command="realize"
     )
     assert failures == []
@@ -58,7 +58,7 @@ def test_realize_runs_recount_within_target_with_traced_support_sizes(tmp_path):
 
 def test_verify_runs_agree_with_the_brute_recount(tmp_path):
     # exit 3 is a reversed --window, refused before any count
-    histogram, errors, failures, recounts = sweep(
+    histogram, errors, failures, recounts, _ = sweep(
         seed=7, runs=40, workdir=tmp_path, command="verify"
     )
     assert failures == []
@@ -67,12 +67,23 @@ def test_verify_runs_agree_with_the_brute_recount(tmp_path):
     assert recounts == histogram[0] + histogram[1]
 
 
+def test_outputs_digest_names_no_working_directory(tmp_path):
+    # the same runs in two directories hash alike, and fewer runs do not
+    digests = []
+    for name, runs in (("a", 6), ("bb", 6), ("a", 5)):
+        (tmp_path / name).mkdir(exist_ok=True)
+        digests.append(sweep(seed=7, runs=runs, workdir=tmp_path / name, command="verify")[4])
+    assert digests[0] == digests[1] != digests[2]
+
+
 def test_checked_in_seed11_summaries_name_every_non_zero_exit():
-    # CI compares each command's --seed 11 --runs 400 summary with this file
+    # CI compares each command's --seed 11 --runs 400 summary with this
+    # file, the sha256 of every run's exit code, stdout and files included
     pinned = json.loads((Path(__file__).parent / "fuzz_seed11.json").read_text())
     assert set(pinned) == set(COMMANDS)
     for command, summary in pinned.items():
         assert (summary["command"], summary["seed"], summary["failures"]) == (command, 11, 0)
+        assert len(bytes.fromhex(summary["outputs"])) == 32
         codes = summary["exit_codes"]
         assert sum(codes.values()) == summary["runs"] == 400
         assert sum(summary["errors"].values()) == summary["runs"] - codes.get("0", 0)

@@ -281,6 +281,20 @@ class TestShards:
             class_count_shards(LinearForm.parse("1,2,-3"), GroundSet.of(range(50)), 10**5)
         assert err.value.required == 50**3
 
+    def test_budget_checked_before_the_modulus(self, monkeypatch):
+        # the prime search of shard_modulus runs trial division up to the
+        # square root of tuples / _SHARD_TUPLES, about 10^10 steps for a
+        # 10^6-element arity-4 set: a count over budget must not start it
+        def no_search(*args):
+            raise AssertionError("shard_modulus ran before the budget check")
+
+        monkeypatch.setattr(repcount, "shard_modulus", no_search)
+        form = LinearForm.parse("1,2,-3")
+        with pytest.raises(BudgetExceededError):
+            class_count_shards(form, GroundSet.of(range(50)), 10**5)
+        with pytest.raises(BudgetExceededError):
+            PrefixCount(form, range(40)).shards(range(100, 110), budget=10**5)
+
 
 class TestOracleAgreement:
     @given(forms3, small_sets)
